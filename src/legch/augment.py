@@ -3,14 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Sequence
 
 from .algebra import DGA, Element, StructureError
 
-# Brute-force enumeration is exponential in the number of grading-0 generators;
-# desk-scale knots stay far below this.
-MAX_ZERO_GRADING_GENERATORS = 24
+# Partial assignments the augmentation search may visit.  Without pruning, k
+# grading-0 generators take 2^(k+1) - 1 of them, so this admits any DGA with up
+# to 17 such generators, among them the (2,17) torus knot.
+MAX_SEARCH_NODES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -68,23 +68,91 @@ def is_valid_augmentation(dga: DGA, eps: Augmentation) -> bool:
     return not augmentation_violations(dga, eps)
 
 
-def enumerate_augmentations(dga: DGA) -> list[Augmentation]:
-    """All augmentations, by brute force over the grading-0 generators.
+def _monomials(dga: DGA, zero_gens: list[int]) -> list[frozenset[int]]:
+    """Each differential as a mod-2 set of bitmask monomials over ``zero_gens``.
 
-    The result is ordered lexicographically by the value vector, so augmentation
-    indices are stable across runs.
+    Bit i stands for ``zero_gens[i]``; the unit word is mask 0.  A word with a
+    letter outside grading 0 evaluates to 0 and is dropped, and since values
+    are 0 or 1, repeated letters collapse.  Zero polynomials are left out.
+    """
+    bit = {gid: 1 << i for i, gid in enumerate(zero_gens)}
+    polys = []
+    for elem in dga.differential:
+        poly: set[int] = set()
+        for word in elem.words:
+            mask = 0
+            for g in word:
+                if g not in bit:
+                    break
+                mask |= bit[g]
+            else:
+                poly ^= {mask}
+        if poly:
+            polys.append(frozenset(poly))
+    return polys
+
+
+_ONE = frozenset({0})
+
+
+def _fix(polys: list[frozenset[int]], bit: int, value: int) -> list[frozenset[int]] | None:
+    """Substitute ``value`` for the variable ``bit``; None once a polynomial is forced to 1.
+
+    Setting 0 drops the monomials that contain the variable, setting 1 clears
+    its bit and cancels the duplicates.  Polynomials that vanish are dropped.
+    A nonconstant polynomial takes both values, so the test is exact per column.
+    """
+    out = []
+    for poly in polys:
+        rest = frozenset(m for m in poly if not m & bit)
+        if len(rest) == len(poly):
+            out.append(poly)
+            continue
+        if value:
+            rest ^= frozenset(m ^ bit for m in poly if m & bit)
+        if rest == _ONE:
+            return None
+        if rest:
+            out.append(rest)
+    return out
+
+
+def enumerate_augmentations(dga: DGA) -> list[Augmentation]:
+    """All augmentations, by depth-first search over the grading-0 generators.
+
+    Variables are fixed in generator order, 0 before 1, and a branch is cut as
+    soon as some differential is forced to evaluate to 1.  The result is
+    therefore ordered lexicographically by the value vector, so augmentation
+    indices are stable across runs.  Raises ValueError once the search visits
+    more than ``MAX_SEARCH_NODES`` partial assignments.
     """
     zero_gens = [g.gid for g in dga.generators if g.grading == 0]
-    if len(zero_gens) > MAX_ZERO_GRADING_GENERATORS:
-        raise ValueError(
-            f"{len(zero_gens)} grading-0 generators exceeds the enumeration bound "
-            f"of {MAX_ZERO_GRADING_GENERATORS}"
-        )
+    polys = _monomials(dga, zero_gens)
+    if _ONE in polys:
+        return []
     found = []
-    for bits in product((0, 1), repeat=len(zero_gens)):
-        eps = Augmentation.from_zero_grading_values(dga, bits)
-        if all(evaluate(eps, col) == 0 for col in dga.differential):
-            found.append(eps)
+    values = [0] * len(dga)
+    # (variables fixed, value of the last one, polynomials before fixing it)
+    stack = [(0, 0, polys)]
+    nodes = 0
+    while stack:
+        depth, value, live = stack.pop()
+        nodes += 1
+        if nodes > MAX_SEARCH_NODES:
+            raise ValueError(
+                f"augmentation search exceeds the bound of {MAX_SEARCH_NODES} search nodes "
+                f"({len(zero_gens)} grading-0 generators)"
+            )
+        if depth:
+            live = _fix(live, 1 << (depth - 1), value)
+            if live is None:
+                continue
+            values[zero_gens[depth - 1]] = value
+        if depth == len(zero_gens):
+            found.append(Augmentation(tuple(values)))
+        else:
+            stack.append((depth + 1, 1, live))
+            stack.append((depth + 1, 0, live))
     return found
 
 

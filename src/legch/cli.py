@@ -38,7 +38,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 class _FloodFailure(Exception):
-    def __init__(self, tiering):
+    def __init__(self, kd: KnotData, tiering):
+        self.kd = kd
         self.tiering = tiering
 
 
@@ -98,7 +99,7 @@ def _resolve_heights(kd: KnotData, mode: str | None) -> HeightAssignment:
         return kd.heights
     tiering = flood(area_inequalities(kd.diagram), kd.diagram.crossings)
     if tiering.status != "success":
-        raise _FloodFailure(tiering)
+        raise _FloodFailure(kd, tiering)
     return assign_heights(tiering)
 
 
@@ -239,8 +240,7 @@ def cli_dispatch(argv, stdout=None, stderr=None) -> int:
         try:
             return _COMMANDS[args.command](args)
         except _FloodFailure as exc:
-            kd = load_knot(args.file)
-            _print_flood_failure(kd, exc.tiering)
+            _print_flood_failure(exc.kd, exc.tiering)
             return EXIT_FLOOD_FAILURE
         except (KnotFileError, StructureError, OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)

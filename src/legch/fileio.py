@@ -135,13 +135,20 @@ def _expect(condition: bool, code: str, message: str) -> None:
         raise KnotFileError(code, message)
 
 
-def parse_knot_file(data: bytes | str) -> KnotData:
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
+def _load_json(data: bytes | str) -> Any:
+    """Decode UTF-8 and parse JSON with exact decimals; any failure is MALFORMED_JSON."""
     try:
-        doc = json.loads(data, parse_float=Fraction)
+        if isinstance(data, bytes):
+            data = data.decode("utf-8")
+        return json.loads(data, parse_float=Fraction)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise KnotFileError(MALFORMED_JSON, f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise KnotFileError(MALFORMED_JSON, "not valid JSON: nested too deeply") from None
+
+
+def parse_knot_file(data: bytes | str) -> KnotData:
+    doc = _load_json(data)
     _expect(isinstance(doc, dict), BAD_SCHEMA, "top level must be a JSON object")
 
     known = {"generators", "differential", "patches", "heights", "ng_resolved", "meta"}
@@ -295,12 +302,7 @@ def load_knot(path) -> KnotData:
 # barcode files
 
 def parse_barcode_file(data: bytes | str) -> Barcode:
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    try:
-        doc = json.loads(data, parse_float=Fraction)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise KnotFileError(MALFORMED_JSON, f"not valid JSON: {exc}") from None
+    doc = _load_json(data)
     _expect(
         isinstance(doc, dict) and "bars" in doc and isinstance(doc["bars"], list),
         BAD_SCHEMA,

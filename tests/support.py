@@ -10,11 +10,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from random import Random
 
 from legch import corpus
 from legch.algebra import DGA, Element, Generator, HeightAssignment, apply_differential
-from legch.augment import Augmentation
+from legch.augment import Augmentation, evaluate
 from legch.diagram import InequalitySystem
 from legch.persist import Bar, Barcode, FilteredComplex
 
@@ -22,6 +23,54 @@ from legch.persist import Bar, Barcode, FilteredComplex
 @lru_cache(maxsize=None)
 def load_corpus(name: str):
     return corpus.load(name)
+
+
+# ---------------------------------------------------------------------------
+# augmentations by exhaustion, and the (2,n) torus family
+
+def enumerate_augmentations_brute(dga: DGA) -> list[Augmentation]:
+    """Every {0,1} vector on the grading-0 generators, in lexicographic order,
+    kept iff each differential evaluates to 0."""
+    k = sum(1 for g in dga.generators if g.grading == 0)
+    found = []
+    for bits in product((0, 1), repeat=k):
+        eps = Augmentation.from_zero_grading_values(dga, bits)
+        if all(evaluate(eps, col) == 0 for col in dga.differential):
+            found.append(eps)
+    return found
+
+
+def continuant_words(letters: list[str]) -> list[list[str]]:
+    """Words of the noncommutative continuant K(letters) = K(..x_{n-1}) x_n + K(..x_{n-2})."""
+    older, prev = [], [[]]
+    for x in letters:
+        older, prev = prev, [w + [x] for w in prev] + older
+    return prev
+
+
+def torus_2n_dga(n: int) -> DGA:
+    """The (2,n) torus knot: d(a2) = 1 + K(b1..bn), d(a1) = 1 + K(bn..b1)."""
+    b = [f"b{i}" for i in range(1, n + 1)]
+    differential = {
+        "a1": [[]] + continuant_words(b[::-1]),
+        "a2": [[]] + continuant_words(b),
+    }
+    differential.update({x: [] for x in b})
+    return DGA.from_data([("a1", 1), ("a2", 1)] + [(x, 0) for x in b], differential)
+
+
+def torus_2n_count(n: int) -> int:
+    """Vectors b in {0,1}^n with K(b) = 1 mod 2, by a transfer matrix over the
+    states (K_i, K_{i-1}), starting from (K_0, K_{-1}) = (1, 0)."""
+    counts = {(1, 0): 1}
+    for _ in range(n):
+        nxt: dict[tuple[int, int], int] = {}
+        for (cur, older), c in counts.items():
+            for x in (0, 1):
+                state = ((cur & x) ^ older, cur)
+                nxt[state] = nxt.get(state, 0) + c
+        counts = nxt
+    return sum(c for (cur, _), c in counts.items() if cur == 1)
 
 
 # ---------------------------------------------------------------------------

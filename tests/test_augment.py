@@ -1,12 +1,13 @@
-from itertools import product
 from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from legch import augment
 from legch.algebra import DGA, Element
 from legch.augment import (
+    MAX_SEARCH_NODES,
     Augmentation,
     LinearizedComplex,
     enumerate_augmentations,
@@ -17,9 +18,12 @@ from legch.augment import (
 
 from support import (
     dga_from_complex,
+    enumerate_augmentations_brute,
     linearize_by_conjugation,
     load_corpus,
     planted_complex,
+    torus_2n_count,
+    torus_2n_dga,
 )
 
 UNKNOT = load_corpus("unknot").dga
@@ -50,15 +54,51 @@ def test_trefoil_has_exactly_five_augmentations():
 
 
 def test_enumeration_is_the_lexicographic_filter():
-    # Recompute by the definition: all {0,1} vectors on grading-0 generators,
-    # kept iff every differential evaluates to zero.
-    zero_gens = [g.gid for g in TREFOIL.generators if g.grading == 0]
-    expected = []
-    for bits in product((0, 1), repeat=len(zero_gens)):
-        eps = Augmentation.from_zero_grading_values(TREFOIL, bits)
-        if all(evaluate(eps, TREFOIL.d(g.gid)) == 0 for g in TREFOIL.generators):
-            expected.append(eps)
-    assert enumerate_augmentations(TREFOIL) == expected
+    for name in ("unknot", "trefoil", "trefoil_rii", "island"):
+        dga = load_corpus(name).dga
+        assert enumerate_augmentations(dga) == enumerate_augmentations_brute(dga), name
+
+
+@st.composite
+def random_dgas(draw):
+    """Up to 12 grading-0 and 3 grading-1 generators with arbitrary words, unit
+    words included; d^2 and the grading rule are not imposed, since the search
+    only evaluates the differential."""
+    n0 = draw(st.integers(0, 12))
+    n1 = draw(st.integers(0, 3))
+    gens = [(f"x{i}", 0) for i in range(n0)] + [(f"y{i}", 1) for i in range(n1)]
+    names = [name for name, _ in gens]
+    # Most words are nonempty and most differentials zero, so that many
+    # instances have some augmentations but not all 2^k.
+    words = st.lists(st.sampled_from(names), min_size=1, max_size=4) if names else st.just([])
+    word = st.one_of(st.just([]), words, words, words)
+    column = st.one_of(st.just([]), st.just([]), st.lists(word, min_size=1, max_size=4))
+    differential = {name: draw(column) for name in names}
+    return DGA.from_data(gens, differential)
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_dgas())
+def test_enumeration_matches_brute_force_on_random_dgas(dga):
+    assert enumerate_augmentations(dga) == enumerate_augmentations_brute(dga)
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 9, 11, 13, 15])
+def test_torus_family_counts(n):
+    # The transfer-matrix count shares no code with the search.
+    count = len(enumerate_augmentations(torus_2n_dga(n)))
+    assert count == torus_2n_count(n) == (4 ** ((n + 1) // 2) - 1) // 3
+
+
+def test_torus_family_matches_brute_force():
+    for n in (3, 5, 7, 9):
+        dga = torus_2n_dga(n)
+        assert enumerate_augmentations(dga) == enumerate_augmentations_brute(dga)
+
+
+def test_torus_3_is_the_corpus_trefoil():
+    augs = enumerate_augmentations(torus_2n_dga(3))
+    assert [a.values[2:] for a in augs] == TREFOIL_TRIPLES
 
 
 def test_constant_differential_admits_no_augmentation():
@@ -71,8 +111,20 @@ def test_enumeration_bound_guard():
     dga = DGA.from_data(
         [(f"g{i}", 0) for i in range(n)], {f"g{i}": [] for i in range(n)}
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=str(MAX_SEARCH_NODES)):
         enumerate_augmentations(dga)
+
+
+def test_search_bound_counts_partial_assignments(monkeypatch):
+    # Unpruned, k free generators take 2^(k+1) - 1 search nodes.
+    monkeypatch.setattr(augment, "MAX_SEARCH_NODES", 2**6 - 1)
+
+    def free(k):
+        return DGA.from_data([(f"g{i}", 0) for i in range(k)], {f"g{i}": [] for i in range(k)})
+
+    assert len(enumerate_augmentations(free(5))) == 2**5
+    with pytest.raises(ValueError, match="bound of 63 search nodes"):
+        enumerate_augmentations(free(6))
 
 
 def test_enumeration_is_lexicographic_and_complete_on_island():

@@ -3,6 +3,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from legch import corpus
 from legch.cli import cli_dispatch
 
@@ -38,6 +40,23 @@ def test_validate_rejects_bad_file(tmp_path):
     code, out, err = run("validate", str(bad))
     assert code == 1
     assert "GRADING_VIOLATION" in err
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [b"\xff\xfe{", b"[" * 100000 + b"]" * 100000],
+    ids=["invalid_utf8", "deeply_nested"],
+)
+@pytest.mark.parametrize("command", ["validate", "distance"])
+def test_unreadable_json_is_malformed(tmp_path, command, payload):
+    # validate reads a knot file, distance two barcode files.
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(payload)
+    files = [str(bad)] if command == "validate" else [str(bad), str(bad)]
+    code, out, err = run(command, *files)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: [MALFORMED_JSON]")
 
 
 def test_missing_file_is_an_input_error(tmp_path):

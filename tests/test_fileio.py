@@ -119,6 +119,18 @@ def test_error_codes():
     assert err_code(minimal(extra_key=1)) == BAD_SCHEMA
 
 
+@pytest.mark.parametrize("parse", [parse_knot_file, parse_barcode_file])
+@pytest.mark.parametrize(
+    "payload",
+    [b"\xff\xfe{", b"[" * 100000 + b"]" * 100000],
+    ids=["invalid_utf8", "deeply_nested"],
+)
+def test_undecodable_input_is_malformed_json(parse, payload):
+    with pytest.raises(KnotFileError) as exc:
+        parse(payload)
+    assert exc.value.code == MALFORMED_JSON
+
+
 def test_heights_parse_exactly():
     kd = parse_knot_file(minimal(heights={"q": 2.3}))
     assert kd.heights.of(0) == Fraction(23, 10)
