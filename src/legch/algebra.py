@@ -15,9 +15,19 @@ Word = tuple[int, ...]
 
 UNIT_WORD: Word = ()
 
+# Error codes, shared with the file parser, which reports them as they are.
+BAD_SCHEMA = "BAD_SCHEMA"
+UNKNOWN_GENERATOR = "UNKNOWN_GENERATOR"
+DUPLICATE_NAME = "DUPLICATE_NAME"
+BAD_HEIGHT = "BAD_HEIGHT"
+
 
 class StructureError(ValueError):
-    """Data refers to generators or heights that do not exist."""
+    """Data refers to generators or heights that do not exist; ``code`` names the fault."""
+
+    def __init__(self, message: str, code: str = BAD_SCHEMA):
+        super().__init__(message)
+        self.code = code
 
 
 @dataclass(frozen=True)
@@ -87,21 +97,17 @@ class DGA:
     differential: tuple[Element, ...]
 
     def __post_init__(self):
-        ids = [g.gid for g in self.generators]
-        if ids != list(range(len(ids))):
-            raise StructureError("generator ids must be 0..n-1 in order")
-        names = [g.name for g in self.generators]
-        if len(set(names)) != len(names):
-            raise StructureError("generator names must be distinct")
+        _check_generators(self.generators)
         if len(self.differential) != len(self.generators):
             raise StructureError("differential must be defined for every generator")
         n = len(self.generators)
-        for gid, elem in enumerate(self.differential):
+        for g, elem in zip(self.generators, self.differential):
             for word in elem.words:
                 for letter in word:
                     if not (0 <= letter < n):
                         raise StructureError(
-                            f"differential of {names[gid]} uses unknown generator id {letter}"
+                            f"differential of {g.name} uses unknown generator id {letter}",
+                            UNKNOWN_GENERATOR,
                         )
 
     @classmethod
@@ -114,26 +120,27 @@ class DGA:
         gens = tuple(
             Generator(i, name, grading) for i, (name, grading) in enumerate(generators)
         )
+        # a duplicate name is reported before any fault in the differential
+        _check_generators(gens)
         index = {g.name: g.gid for g in gens}
-        if len(index) != len(gens):
-            raise StructureError("generator names must be distinct")
-        unknown = set(differential) - set(index)
-        if unknown:
-            raise StructureError(f"differential given for unknown generator {min(unknown)!r}")
-        cols = []
+        for name in differential:
+            if name not in index:
+                raise StructureError(
+                    f"differential key {name!r} is not a generator", UNKNOWN_GENERATOR
+                )
         for g in gens:
             if g.name not in differential:
-                raise StructureError(f"no differential given for generator {g.name!r}")
-            words = []
-            for word in differential[g.name]:
-                try:
-                    words.append(tuple(index[letter] for letter in word))
-                except KeyError as exc:
-                    raise StructureError(
-                        f"differential of {g.name!r} uses unknown generator {exc.args[0]!r}"
-                    ) from None
-            cols.append(Element(words))
-        return cls(gens, tuple(cols))
+                raise StructureError(f"missing differential for generator {g.name!r}")
+        cols = {}
+        for name, words in differential.items():
+            try:
+                cols[name] = Element(tuple(index[letter] for letter in w) for w in words)
+            except KeyError as exc:
+                raise StructureError(
+                    f"differential[{name!r}] uses unknown generator {exc.args[0]!r}",
+                    UNKNOWN_GENERATOR,
+                ) from None
+        return cls(gens, tuple(cols[g.name] for g in gens))
 
     def __len__(self) -> int:
         return len(self.generators)
@@ -156,6 +163,16 @@ class DGA:
     def d(self, gid: int) -> Element:
         self.generator(gid)
         return self.differential[gid]
+
+
+def _check_generators(generators: Sequence[Generator]) -> None:
+    seen: set[str] = set()
+    for i, g in enumerate(generators):
+        if g.gid != i:
+            raise StructureError("generator ids must be 0..n-1 in order")
+        if g.name in seen:
+            raise StructureError(f"generator name {g.name!r} appears twice", DUPLICATE_NAME)
+        seen.add(g.name)
 
 
 def _as_height(value) -> Fraction:

@@ -8,7 +8,7 @@ import os
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
-from .algebra import HeightAssignment, StructureError, validate_dga
+from .algebra import HeightAssignment, StructureError
 from .augment import enumerate_augmentations, linearized_differential
 from .diagram import area_inequalities, assign_heights, flood
 from .fileio import (
@@ -111,11 +111,6 @@ def _print_flood_failure(kd: KnotData, tiering) -> None:
 
 def _cmd_validate(args) -> int:
     kd = load_knot(args.file)
-    report = validate_dga(kd.dga)
-    if not report.ok:  # load_knot already rejects these; belt and braces
-        for v in report.violations:
-            print(f"violation ({v.kind}): {v.detail}")
-        return EXIT_ERROR
     heights = "present" if kd.heights is not None else "absent"
     print(
         f"OK: {len(kd.dga)} generators, {len(kd.diagram.patches)} patches, heights {heights}"
@@ -242,7 +237,10 @@ def cli_dispatch(argv, stdout=None, stderr=None) -> int:
         except _FloodFailure as exc:
             _print_flood_failure(exc.kd, exc.tiering)
             return EXIT_FLOOD_FAILURE
-        except (KnotFileError, StructureError, OSError, ValueError) as exc:
+        except StructureError as exc:
+            print(f"error: [{exc.code}] {exc}", file=sys.stderr)
+            return EXIT_ERROR
+        except (KnotFileError, OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_ERROR
 

@@ -37,22 +37,12 @@ class LagrangianDiagramData:
     patches: tuple[AreaPatch, ...]
     ng_resolved: bool = False
 
-    def __post_init__(self):
-        known = set(self.crossings)
-        for patch in self.patches:
-            for g, _ in patch.corners:
-                if g not in known:
-                    raise StructureError(f"patch corner refers to unknown crossing id {g}")
-
 
 @dataclass(frozen=True)
 class InequalitySystem:
     """Sparse integer linear forms over crossing ids, each constrained > 0."""
 
     forms: tuple[LinearForm, ...]
-
-    def as_dicts(self) -> list[dict[int, int]]:
-        return [dict(form) for form in self.forms]
 
 
 def area_inequalities(d: LagrangianDiagramData) -> InequalitySystem:
@@ -80,7 +70,7 @@ def flood(sys: InequalitySystem, crossings: Iterable[int]) -> Tiering:
         for g, _ in form:
             if g not in untiered:
                 raise StructureError(f"inequality variable {g} is not a listed crossing")
-    remaining = sys.as_dicts()
+    remaining = [dict(form) for form in sys.forms]
     tiers: list[frozenset[int]] = []
     while True:
         tier = frozenset(

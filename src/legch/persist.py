@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import Generator, HeightAssignment, StructureError
+from .algebra import BAD_HEIGHT, Generator, HeightAssignment, StructureError
 from .augment import LinearizedComplex
 
 
@@ -18,7 +18,8 @@ class HeightOrderError(StructureError):
         self.pair = (entry, source)
         super().__init__(
             f"generator {entry} appears in d({source}) but does not sit strictly "
-            f"below it; these heights are invalid for this differential"
+            f"below it; these heights are invalid for this differential",
+            BAD_HEIGHT,
         )
 
 
@@ -178,36 +179,3 @@ def compute_barcode(fc: FilteredComplex) -> Barcode:
                 )
             )
     return Barcode(tuple(bars))
-
-
-def _gf2_rank(vectors: Sequence[int]) -> int:
-    basis: dict[int, int] = {}
-    rank = 0
-    for v in vectors:
-        while v:
-            top = v.bit_length() - 1
-            if top in basis:
-                v ^= basis[top]
-            else:
-                basis[top] = v
-                rank += 1
-                break
-    return rank
-
-
-def homology_rank_oracle(fc: FilteredComplex, degree: int, t) -> int:
-    """Rank of the homology of the sub-complex of generators with height <= t,
-    by plain Gaussian elimination.  Cross-checks compute_barcode."""
-    inside = [g.gid for g in fc.generators if fc.heights.of(g.gid) <= t]
-    at = [g for g in inside if fc.grading_of(g) == degree]
-    above = [g for g in inside if fc.grading_of(g) == degree + 1]
-
-    def mask(gid: int) -> int:
-        m = 0
-        for p in fc.columns[gid]:
-            m |= 1 << p
-        return m
-
-    rank_at = _gf2_rank([mask(g) for g in at])
-    rank_above = _gf2_rank([mask(g) for g in above])
-    return len(at) - rank_at - rank_above

@@ -14,7 +14,7 @@ from .algebra import (
     apply_differential,
     word_grading,
 )
-from .augment import Augmentation, augmentation_violations, linear_part
+from .augment import Augmentation, check_augmentation, linear_part
 
 
 @dataclass(frozen=True)
@@ -131,8 +131,6 @@ def apply_tame(dga: DGA, iso: TameIsomorphism) -> DGA:
     for new_gid, src in enumerate(order):
         old = current.generator(src)
         gens.append(Generator(new_gid, old.name, old.grading))
-        if relabel[src] != new_gid:
-            raise StructureError("relabel must be a bijection onto 0..n-1")
     cols = tuple(
         Element(tuple(relabel[g] for g in word) for word in current.d(src).words)
         for src in order
@@ -161,9 +159,7 @@ def induced_linear_map(
 ) -> dict[int, frozenset[int]]:
     """Column form of the linearization of ``phi``: q -> {q} except at the target,
     which also picks up the length-1 part of the addend's image under ``eps``."""
-    problems = augmentation_violations(dga, eps)
-    if problems:
-        raise ValueError("invalid augmentation: " + "; ".join(problems))
+    check_augmentation(dga, eps)
     columns = {g.gid: frozenset({g.gid}) for g in dga.generators}
     correction = linear_part(phi.addend, eps)
     columns[phi.target] = frozenset({phi.target}) ^ correction

@@ -152,7 +152,7 @@ def brute_force_distance(b1: Barcode, b2: Barcode):
 
 
 # ---------------------------------------------------------------------------
-# planted filtered complexes with a known barcode
+# planted filtered complexes with a known barcode, and a homology rank oracle
 
 def planted_complex(rng: Random, max_n: int = 12):
     """A random valid filtered complex together with its exact barcode.
@@ -210,6 +210,39 @@ def planted_complex(rng: Random, max_n: int = 12):
     )
     planted = tuple(sorted(bars))
     return fc, planted
+
+
+def gf2_rank(vectors) -> int:
+    basis: dict[int, int] = {}
+    rank = 0
+    for v in vectors:
+        while v:
+            top = v.bit_length() - 1
+            if top in basis:
+                v ^= basis[top]
+            else:
+                basis[top] = v
+                rank += 1
+                break
+    return rank
+
+
+def homology_rank_oracle(fc: FilteredComplex, degree: int, t) -> int:
+    """Rank of the homology of the sub-complex of generators with height <= t,
+    by plain Gaussian elimination.  Cross-checks compute_barcode."""
+    inside = [g.gid for g in fc.generators if fc.heights.of(g.gid) <= t]
+    at = [g for g in inside if fc.grading_of(g) == degree]
+    above = [g for g in inside if fc.grading_of(g) == degree + 1]
+
+    def mask(gid: int) -> int:
+        m = 0
+        for p in fc.columns[gid]:
+            m |= 1 << p
+        return m
+
+    rank_at = gf2_rank([mask(g) for g in at])
+    rank_above = gf2_rank([mask(g) for g in above])
+    return len(at) - rank_at - rank_above
 
 
 def dga_from_complex(fc: FilteredComplex) -> DGA:

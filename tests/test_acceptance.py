@@ -20,10 +20,16 @@ from legch.augment import (
 from legch.cli import cli_dispatch
 from legch.diagram import area_inequalities, assign_heights, flood, validate_heights
 from legch.metrics import check_strong_morse, interleaving_distance
-from legch.persist import build_filtered_complex, compute_barcode, homology_rank_oracle
+from legch.persist import build_filtered_complex, compute_barcode
 from legch.transform import stabilize
 
-from support import dga_from_complex, load_corpus, planted_complex, random_barcode
+from support import (
+    dga_from_complex,
+    homology_rank_oracle,
+    load_corpus,
+    planted_complex,
+    random_barcode,
+)
 
 
 @contextmanager

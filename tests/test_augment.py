@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 
 from legch import augment
 from legch.algebra import DGA, Element
+from legch.persist import FilteredComplex
 from legch.augment import (
     MAX_SEARCH_NODES,
     Augmentation,
-    LinearizedComplex,
     enumerate_augmentations,
     evaluate,
     is_valid_augmentation,
@@ -257,6 +257,7 @@ def test_linearized_complexes_square_to_zero_with_degree_drop(seed):
     eps = Augmentation((0,) * len(dga))
     if not is_valid_augmentation(dga, eps):
         return
-    lin = linearized_differential(dga, eps)  # constructor enforces both invariants
-    assert isinstance(lin, LinearizedComplex)
+    lin = linearized_differential(dga, eps)
+    # from_columns raises unless every entry drops the degree by 1 and d^2 = 0
+    FilteredComplex.from_columns(dga.generators, fc.heights, lin.columns)
     assert lin.columns == linearize_by_conjugation(dga, eps)

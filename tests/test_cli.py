@@ -1,7 +1,9 @@
+import copy
 import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -56,6 +58,107 @@ def test_unreadable_json_is_malformed(tmp_path, command, payload):
     code, out, err = run(command, *files)
     assert code == 1
     assert out == ""
+    assert err.startswith("error: [MALFORMED_JSON]")
+
+
+# One fault per file, each on top of this valid knot file.
+GOOD_KNOT = {
+    "generators": [{"name": "q", "grading": 1}, {"name": "p", "grading": 0}],
+    "differential": {"q": [["p"]], "p": []},
+    "patches": [[{"name": "q", "coeff": 1}], [{"name": "q", "coeff": 1}, {"name": "p", "coeff": -1}]],
+    "heights": {"q": 2, "p": 1},
+}
+HEIGHT_ORDER = "generator p appears in d(q) but does not sit strictly below it; these heights are invalid for this differential"
+SINGLE_FAULTS = {
+    "duplicate_name": (
+        lambda k: k["generators"].append({"name": "p", "grading": 0}),
+        "validate",
+        "[DUPLICATE_NAME] generator name 'p' appears twice",
+    ),
+    "unknown_differential_key": (
+        lambda k: k["differential"].update(zz=[]),
+        "validate",
+        "[UNKNOWN_GENERATOR] differential key 'zz' is not a generator",
+    ),
+    "missing_differential": (
+        lambda k: k["differential"].pop("p"),
+        "validate",
+        "[BAD_SCHEMA] missing differential for generator 'p'",
+    ),
+    "unknown_letter": (
+        lambda k: k["differential"].update(q=[["zz"]]),
+        "validate",
+        "[UNKNOWN_GENERATOR] differential['q'] uses unknown generator 'zz'",
+    ),
+    "bad_word_shape": (
+        lambda k: k["differential"].update(q=["p"]),
+        "validate",
+        "[BAD_SCHEMA] differential['q'] words must be arrays of generator names",
+    ),
+    "unknown_patch_corner": (
+        lambda k: k["patches"].append([{"name": "zz", "coeff": 1}]),
+        "validate",
+        "[UNKNOWN_GENERATOR] patches[2] uses unknown generator 'zz'",
+    ),
+    "grading_violation": (
+        lambda k: k["generators"][0].update(grading=2),
+        "validate",
+        "[GRADING_VIOLATION] word p in d(q) has grading 0, expected 1",
+    ),
+    "d_squared_nonzero": (
+        lambda k: (
+            k["generators"].append({"name": "r", "grading": 2}),
+            k["differential"].update(r=[["q"]]),
+            k["heights"].update(r=3),
+        ),
+        "validate",
+        "[D_SQUARED_NONZERO] d(d(r)) = p is nonzero",
+    ),
+    "bad_height_barcode": (lambda k: k["heights"].update(p=2), "barcode", "[BAD_HEIGHT] " + HEIGHT_ORDER),
+    "bad_height_morse": (lambda k: k["heights"].update(p=2), "morse", "[BAD_HEIGHT] " + HEIGHT_ORDER),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(SINGLE_FAULTS))
+def test_single_fault_files_report_their_code(tmp_path, fault):
+    mutate, command, message = SINGLE_FAULTS[fault]
+    knot = copy.deepcopy(GOOD_KNOT)
+    mutate(knot)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(knot))
+    assert run(command, str(bad)) == (1, "", f"error: {message}\n")
+
+
+def test_fault_table_base_file_is_valid(tmp_path):
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(GOOD_KNOT))
+    assert run("validate", str(good)) == (0, "OK: 2 generators, 2 patches, heights present\n", "")
+    assert run("morse", str(good))[0] == 0
+
+
+KNOT_HEAD = b'{"generators": [{"name": "q", "grading": 1}], "differential": {"q": []}, "patches": [], '
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("validate", KNOT_HEAD + b'"heights": {"q": 1e30000000}}'),
+        ("validate", KNOT_HEAD + b'"heights": {"q": 1e-30000000}}'),
+        ("barcode", KNOT_HEAD + b'"heights": {"q": 1e3000000}}'),
+        ("validate", KNOT_HEAD + b'"heights": {"q": 1' + b"0" * 5000 + b"}}"),
+        ("distance", b'{"bars": [{"degree": 0, "birth": 1' + b"0" * 5000 + b', "death": "inf"}]}'),
+        ("distance", b'{"bars": [{"degree": 0, "birth": 1e30000000, "death": "inf"}]}'),
+    ],
+    ids=["huge_exponent", "huge_negative_exponent", "big_exponent", "long_int", "long_int_bar", "huge_exponent_bar"],
+)
+def test_oversized_numbers_are_malformed_and_fast(tmp_path, command, payload):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(payload)
+    files = [str(bad)] if command != "distance" else [str(bad), str(bad)]
+    start = time.perf_counter()
+    code, out, err = run(command, *files)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
     assert err.startswith("error: [MALFORMED_JSON]")
 
 

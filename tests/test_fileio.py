@@ -3,6 +3,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from legch import corpus
 from legch.augment import enumerate_augmentations, linearized_differential
@@ -15,6 +17,8 @@ from legch.fileio import (
     INVALID_BAR,
     MALFORMED_JSON,
     UNKNOWN_GENERATOR,
+    MAX_NUMBER_DIGITS,
+    KnotData,
     KnotFileError,
     decimal_str,
     parse_barcode_file,
@@ -129,6 +133,72 @@ def test_undecodable_input_is_malformed_json(parse, payload):
     with pytest.raises(KnotFileError) as exc:
         parse(payload)
     assert exc.value.code == MALFORMED_JSON
+
+
+def _bar_born_at(literal: str) -> str:
+    return '{"bars": [{"degree": 0, "birth": %s, "death": "inf"}]}' % literal
+
+
+@pytest.mark.parametrize(
+    "largest, too_long",
+    [
+        ("9" * (MAX_NUMBER_DIGITS - 1) + ".5", "9" * MAX_NUMBER_DIGITS + ".5"),
+        (f"1e{MAX_NUMBER_DIGITS - 1}", f"1e{MAX_NUMBER_DIGITS}"),
+        (f"-1e-{MAX_NUMBER_DIGITS - 1}", f"-1e-{MAX_NUMBER_DIGITS}"),
+    ],
+    ids=["mantissa", "exponent", "negative_exponent"],
+)
+def test_largest_accepted_literal_round_trips(largest, too_long):
+    barcode = parse_barcode_file(_bar_born_at(largest))
+    assert barcode.bars[0].birth == Fraction(largest)
+    assert parse_barcode_file(serialize_barcode_file(barcode)) == barcode
+    with pytest.raises(KnotFileError, match=f"more than {MAX_NUMBER_DIGITS} digits") as exc:
+        parse_barcode_file(_bar_born_at(too_long))
+    assert exc.value.code == MALFORMED_JSON
+
+
+def _slots(node, out):
+    """Every (container, key) pair at or below ``node``."""
+    if isinstance(node, (dict, list)):
+        for key in list(node) if isinstance(node, dict) else range(len(node)):
+            out.append((node, key))
+            _slots(node[key], out)
+    return out
+
+
+LETTERS = st.sampled_from(["q", "q1", "q3", "a", "b", "zz", ""])
+# fresh containers per draw: a later mutation must not leak into the next example
+VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 3), LETTERS, st.builds(list), st.builds(dict), st.builds(lambda: [[]])
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(corpus.NAMES), st.data())
+def test_mutated_corpus_files_parse_or_fail_with_a_code(name, data):
+    """Drop or rename keys, swap value types, rename letters: the parser either
+    accepts the file or raises KnotFileError, never anything else."""
+    doc = json.loads(corpus.corpus_path(name).read_bytes())
+    for _ in range(data.draw(st.integers(1, 3))):
+        slots = _slots(doc, [])
+        if not slots:
+            break
+        container, key = data.draw(st.sampled_from(slots))
+        kind = data.draw(st.sampled_from(["drop", "rename_key", "value", "letter"]))
+        if kind == "value":
+            container[key] = data.draw(VALUES)
+        elif kind == "letter":
+            container[key] = data.draw(LETTERS)
+        elif isinstance(container, dict):
+            value = container.pop(key)
+            if kind == "rename_key":
+                container[data.draw(LETTERS)] = value
+        else:
+            del container[key]
+    try:
+        assert isinstance(parse_knot_file(json.dumps(doc)), KnotData)
+    except KnotFileError:
+        pass
 
 
 def test_heights_parse_exactly():

@@ -14,10 +14,9 @@ from legch.persist import (
     HeightOrderError,
     build_filtered_complex,
     compute_barcode,
-    homology_rank_oracle,
 )
 
-from support import load_corpus, planted_complex
+from support import gf2_rank, homology_rank_oracle, load_corpus, planted_complex
 
 UNKNOT = load_corpus("unknot")
 TREFOIL = load_corpus("trefoil")
@@ -202,12 +201,10 @@ def test_rank_of_boundary_equals_finite_bars_one_degree_down():
     # rank of the degree-1 block is the number of finite bars in degree 0
     killers = [g.gid for g in fc.generators if g.grading == 1]
     rank = sum(1 for b in barcode.bars if b.finite and b.degree == 0)
-    from legch.persist import _gf2_rank
-
     masks = []
     for g in killers:
         m = 0
         for p in fc.columns[g]:
             m |= 1 << p
         masks.append(m)
-    assert _gf2_rank(masks) == rank
+    assert gf2_rank(masks) == rank
