@@ -4,128 +4,4 @@ linearization, height filtrations (assigned by flooding or supplied in the
 input), barcodes, barcode distance, and the strong Morse identity.
 """
 
-from .algebra import (
-    DGA,
-    Element,
-    Generator,
-    HeightAssignment,
-    StructureError,
-    ValidationReport,
-    apply_differential,
-    format_element,
-    height_of_element,
-    validate_dga,
-    word_grading,
-)
-from .augment import (
-    Augmentation,
-    LinearizedComplex,
-    enumerate_augmentations,
-    evaluate,
-    is_valid_augmentation,
-    linearized_differential,
-)
-from .diagram import (
-    AreaPatch,
-    InequalitySystem,
-    LagrangianDiagramData,
-    Tiering,
-    area_inequalities,
-    assign_heights,
-    flood,
-    validate_heights,
-)
-from .fileio import (
-    KnotData,
-    KnotFileError,
-    load_barcode,
-    load_knot,
-    parse_barcode_file,
-    parse_knot_file,
-    render_barcode,
-    serialize_barcode_file,
-    serialize_knot_file,
-)
-from .metrics import (
-    LaurentPolynomial,
-    check_strong_morse,
-    finite_bar_polynomial,
-    interleaving_distance,
-    morse_chekanov,
-    poincare_chekanov,
-)
-from .persist import (
-    Bar,
-    Barcode,
-    FilteredComplex,
-    HeightOrderError,
-    build_filtered_complex,
-    compute_barcode,
-)
-from .transform import (
-    ElementaryAutomorphism,
-    TameIsomorphism,
-    apply_elementary,
-    apply_tame,
-    induced_linear_map,
-    is_semimonotonic,
-    stabilize,
-)
-
-__all__ = [
-    "DGA",
-    "Element",
-    "Generator",
-    "HeightAssignment",
-    "StructureError",
-    "ValidationReport",
-    "apply_differential",
-    "format_element",
-    "height_of_element",
-    "validate_dga",
-    "word_grading",
-    "Augmentation",
-    "LinearizedComplex",
-    "enumerate_augmentations",
-    "evaluate",
-    "is_valid_augmentation",
-    "linearized_differential",
-    "AreaPatch",
-    "InequalitySystem",
-    "LagrangianDiagramData",
-    "Tiering",
-    "area_inequalities",
-    "assign_heights",
-    "flood",
-    "validate_heights",
-    "KnotData",
-    "KnotFileError",
-    "load_barcode",
-    "load_knot",
-    "parse_barcode_file",
-    "parse_knot_file",
-    "render_barcode",
-    "serialize_barcode_file",
-    "serialize_knot_file",
-    "LaurentPolynomial",
-    "check_strong_morse",
-    "finite_bar_polynomial",
-    "interleaving_distance",
-    "morse_chekanov",
-    "poincare_chekanov",
-    "Bar",
-    "Barcode",
-    "FilteredComplex",
-    "HeightOrderError",
-    "build_filtered_complex",
-    "compute_barcode",
-    "ElementaryAutomorphism",
-    "TameIsomorphism",
-    "apply_elementary",
-    "apply_tame",
-    "induced_linear_map",
-    "is_semimonotonic",
-    "stabilize",
-]
-
 __version__ = "0.1.0"

@@ -20,10 +20,12 @@ BAD_SCHEMA = "BAD_SCHEMA"
 UNKNOWN_GENERATOR = "UNKNOWN_GENERATOR"
 DUPLICATE_NAME = "DUPLICATE_NAME"
 BAD_HEIGHT = "BAD_HEIGHT"
+GRADING_VIOLATION = "GRADING_VIOLATION"
+D_SQUARED_NONZERO = "D_SQUARED_NONZERO"
 
 
 class StructureError(ValueError):
-    """Data refers to generators or heights that do not exist; ``code`` names the fault."""
+    """Data that breaks an invariant of the DGA or its heights; ``code`` names the fault."""
 
     def __init__(self, message: str, code: str = BAD_SCHEMA):
         super().__init__(message)
@@ -151,12 +153,6 @@ class DGA:
         except IndexError:
             raise StructureError(f"unknown generator id {gid}") from None
 
-    def gid_of(self, name: str) -> int:
-        for g in self.generators:
-            if g.name == name:
-                return g.gid
-        raise StructureError(f"unknown generator {name!r}")
-
     def grading_of(self, gid: int) -> int:
         return self.generator(gid).grading
 
@@ -247,46 +243,22 @@ def format_element(elem: Element, dga: DGA, sep: str = " + ") -> str:
     return sep.join(format_word(w, dga) for w in ordered)
 
 
-@dataclass(frozen=True)
-class Violation:
-    kind: str  # "grading" or "d_squared"
-    generator: str
-    detail: str
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[Violation, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def validate_dga(dga: DGA) -> ValidationReport:
+def validate_dga(dga: DGA) -> None:
     """Check that every differential word drops the grading by exactly 1 and that
-    the differential squares to zero on every generator."""
-    found: list[Violation] = []
+    the differential squares to zero on every generator; raise at the first fault,
+    checking every grading before any d²."""
     for g in dga.generators:
         for word in dga.d(g.gid).words:
             wg = word_grading(word, dga)
             if wg != g.grading - 1:
-                found.append(
-                    Violation(
-                        "grading",
-                        g.name,
-                        f"word {format_word(word, dga)} in d({g.name}) has grading "
-                        f"{wg}, expected {g.grading - 1}",
-                    )
+                raise StructureError(
+                    f"word {format_word(word, dga)} in d({g.name}) has grading "
+                    f"{wg}, expected {g.grading - 1}",
+                    GRADING_VIOLATION,
                 )
     for g in dga.generators:
         dd = apply_differential(dga.d(g.gid), dga)
         if dd:
-            found.append(
-                Violation(
-                    "d_squared",
-                    g.name,
-                    f"d(d({g.name})) = {format_element(dd, dga)} is nonzero",
-                )
+            raise StructureError(
+                f"d(d({g.name})) = {format_element(dd, dga)} is nonzero", D_SQUARED_NONZERO
             )
-    return ValidationReport(tuple(found))

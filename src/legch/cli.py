@@ -97,16 +97,19 @@ def _resolve_heights(kd: KnotData, mode: str | None) -> HeightAssignment:
         if kd.heights is None:
             raise KnotFileError("NO_HEIGHTS", "knot file carries no heights")
         return kd.heights
+    return assign_heights(_flood(kd))
+
+
+def _flood(kd: KnotData):
     tiering = flood(area_inequalities(kd.diagram), kd.diagram.crossings)
     if tiering.status != "success":
         raise _FloodFailure(kd, tiering)
-    return assign_heights(tiering)
+    return tiering
 
 
-def _print_flood_failure(kd: KnotData, tiering) -> None:
+def _print_tiers(kd: KnotData, tiering) -> None:
     for i, tier in enumerate(tiering.tiers, start=1):
         print(f"T{i}: {_names(kd, tier) or '(empty)'}")
-    print(f"unassigned: {_names(kd, tiering.unassigned)}")
 
 
 def _cmd_validate(args) -> int:
@@ -145,12 +148,8 @@ def _cmd_linearize(args) -> int:
 
 def _cmd_flood(args) -> int:
     kd = load_knot(args.file)
-    tiering = flood(area_inequalities(kd.diagram), kd.diagram.crossings)
-    if tiering.status != "success":
-        _print_flood_failure(kd, tiering)
-        return EXIT_FLOOD_FAILURE
-    for i, tier in enumerate(tiering.tiers, start=1):
-        print(f"T{i}: {_names(kd, tier) or '(empty)'}")
+    tiering = _flood(kd)
+    _print_tiers(kd, tiering)
     h = assign_heights(tiering)
     parts = " ".join(
         f"{g.name}={format_extended(h.of(g.gid))}" for g in kd.dga.generators
@@ -235,7 +234,8 @@ def cli_dispatch(argv, stdout=None, stderr=None) -> int:
         try:
             return _COMMANDS[args.command](args)
         except _FloodFailure as exc:
-            _print_flood_failure(exc.kd, exc.tiering)
+            _print_tiers(exc.kd, exc.tiering)
+            print(f"unassigned: {_names(exc.kd, exc.tiering.unassigned)}")
             return EXIT_FLOOD_FAILURE
         except StructureError as exc:
             print(f"error: [{exc.code}] {exc}", file=sys.stderr)

@@ -4,12 +4,11 @@ adds a cancelling crossing pair, and the island diagram where flooding fails.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
-from ..algebra import DGA, HeightAssignment
-from ..diagram import AreaPatch, LagrangianDiagramData
 from ..fileio import KnotData, parse_knot_file
 
 NAMES = ("unknot", "trefoil", "trefoil_rii", "island")
@@ -27,62 +26,16 @@ def load(name: str) -> KnotData:
 
 def trefoil_after_rii(delta: Fraction) -> KnotData:
     """The trefoil diagram with an extra finger pushed through near q4, creating
-    crossings a (grading 1) and b (grading 0) whose bigon has area ``delta``.
+    crossings a (grading 1) and b (grading 0) whose bigon has area ``delta``:
+    the shipped trefoil_rii.json (delta = 0.3) with h(a) = 2 + delta.
 
-    Valid for 0 < delta < 1; the shipped trefoil_rii.json uses delta = 0.3.
+    Valid for 0 < delta < 1.
     """
     delta = Fraction(delta)
     if not 0 < delta < 1:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    dga = DGA.from_data(
-        [("q1", 1), ("q2", 1), ("q3", 0), ("q4", 0), ("q5", 0), ("a", 1), ("b", 0)],
-        {
-            "q1": [[], ["q5"], ["q5", "q4", "q3"], ["q3"]],
-            "q2": [[], ["q3"], ["q3", "q4", "q5"], ["q5"]],
-            "q3": [],
-            "q4": [],
-            "q5": [],
-            "a": [["b"], ["q4"]],
-            "b": [],
-        },
-    )
-    gid = {g.name: g.gid for g in dga.generators}
-    patches = (
-        AreaPatch(((gid["q1"], 1),)),
-        AreaPatch(((gid["q2"], 1),)),
-        AreaPatch(
-            (
-                (gid["q1"], 1),
-                (gid["q3"], -1),
-                (gid["q4"], -1),
-                (gid["q5"], -1),
-                (gid["a"], -1),
-                (gid["b"], 1),
-            )
-        ),
-        AreaPatch(((gid["q2"], 1), (gid["q3"], -1), (gid["q4"], -1), (gid["q5"], -1))),
-        AreaPatch(((gid["q3"], 1), (gid["a"], 1), (gid["b"], -1))),
-        AreaPatch(((gid["q4"], 1),)),
-        AreaPatch(((gid["q4"], 1), (gid["q5"], 1))),
-        AreaPatch(((gid["a"], 1), (gid["b"], -1))),
-    )
-    diagram = LagrangianDiagramData(
-        crossings=tuple(range(len(dga))), patches=patches, ng_resolved=False
-    )
-    heights = HeightAssignment(
-        {
-            gid["q1"]: Fraction(4),
-            gid["q2"]: Fraction(4),
-            gid["q3"]: Fraction(1),
-            gid["q4"]: Fraction(1),
-            gid["q5"]: Fraction(1),
-            gid["a"]: 2 + delta,
-            gid["b"]: Fraction(2),
-        }
-    )
-    return KnotData(
-        dga=dga,
-        diagram=diagram,
-        heights=heights,
-        meta={"name": "trefoil_rii", "bigon_area": delta},
+    kd = load("trefoil_rii")
+    a = next(g.gid for g in kd.dga.generators if g.name == "a")
+    return replace(
+        kd, heights=kd.heights.with_entries({a: 2 + delta}), meta={**kd.meta, "bigon_area": delta}
     )

@@ -12,14 +12,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
 
-from .algebra import BAD_HEIGHT, BAD_SCHEMA, DUPLICATE_NAME, UNKNOWN_GENERATOR  # also the parser's codes
+from .algebra import (  # also the parser's codes
+    BAD_HEIGHT,
+    BAD_SCHEMA,
+    D_SQUARED_NONZERO,
+    DUPLICATE_NAME,
+    GRADING_VIOLATION,
+    UNKNOWN_GENERATOR,
+)
 from .algebra import DGA, HeightAssignment, StructureError, validate_dga
 from .diagram import AreaPatch, LagrangianDiagramData
 from .persist import Bar, Barcode
 
 MALFORMED_JSON = "MALFORMED_JSON"
-GRADING_VIOLATION = "GRADING_VIOLATION"
-D_SQUARED_NONZERO = "D_SQUARED_NONZERO"
 BAD_PATCH = "BAD_PATCH"
 INVALID_BAR = "INVALID_BAR"
 
@@ -198,15 +203,9 @@ def parse_knot_file(data: bytes | str) -> KnotData:
             )
     try:
         dga = DGA.from_data(gens, raw_diff)
+        validate_dga(dga)
     except StructureError as exc:
         raise KnotFileError(exc.code, str(exc)) from None
-
-    report = validate_dga(dga)
-    for v in report.violations:
-        if v.kind == "grading":
-            raise KnotFileError(GRADING_VIOLATION, v.detail)
-    for v in report.violations:
-        raise KnotFileError(D_SQUARED_NONZERO, v.detail)
 
     raw_patches = doc["patches"]
     _expect(isinstance(raw_patches, list), BAD_SCHEMA, "'patches' must be an array")
@@ -397,9 +396,16 @@ def _render_text(b: Barcode, color: bool) -> bytes:
 def _render_svg(b: Barcode) -> bytes:
     left, top, row_height, width = 120.0, 24.0, 22.0, 640.0
     span = width - left - 60.0
-    finite_ends = [float(bar.birth) for bar in b.bars]
-    finite_ends += [float(bar.death) for bar in b.bars if bar.finite]
-    t_max = max(finite_ends, default=1.0) * 1.15 or 1.0
+    finite_ends = [bar.birth for bar in b.bars]
+    finite_ends += [bar.death for bar in b.bars if bar.finite]
+    # Divide every end by 2^shift, which is exact, so that the largest converts to
+    # a float; shift is 0 unless some end passes about 2^1000.
+    shift = max([0] + [t.numerator.bit_length() - t.denominator.bit_length() - 1000 for t in finite_ends])
+
+    def real(t) -> float:
+        return t.numerator / (t.denominator << shift)
+
+    t_max = max(map(real, finite_ends), default=1.0) * 1.15 or 1.0
 
     def x(t: float) -> float:
         return left + span * t / t_max
@@ -419,17 +425,17 @@ def _render_svg(b: Barcode) -> bytes:
     ticks = sorted({Fraction(0)} | {bar.birth for bar in b.bars} | {bar.death for bar in b.bars if bar.finite})
     for t in ticks:
         parts.append(
-            f'<line x1="{x(float(t)):.1f}" y1="{axis_y - 3:.1f}" x2="{x(float(t)):.1f}" '
+            f'<line x1="{x(real(t)):.1f}" y1="{axis_y - 3:.1f}" x2="{x(real(t)):.1f}" '
             f'y2="{axis_y + 3:.1f}" stroke="black" stroke-width="1"/>'
         )
         parts.append(
-            f'<text x="{x(float(t)):.1f}" y="{axis_y + 14:.1f}" text-anchor="middle">'
+            f'<text x="{x(real(t)):.1f}" y="{axis_y + 14:.1f}" text-anchor="middle">'
             f"{format_extended(t)}</text>"
         )
     for i, bar in enumerate(rows):
         y = top + row_height * i + row_height / 2
-        x0 = x(float(bar.birth))
-        x1 = left + span + 16.0 if not bar.finite else x(float(bar.death))
+        x0 = x(real(bar.birth))
+        x1 = left + span + 16.0 if not bar.finite else x(real(bar.death))
         parts.append(
             f'<line x1="{x0:.1f}" y1="{y:.1f}" x2="{x1:.1f}" y2="{y:.1f}" '
             'stroke="black" stroke-width="4" stroke-linecap="butt"/>'

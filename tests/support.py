@@ -25,6 +25,11 @@ def load_corpus(name: str):
     return corpus.load(name)
 
 
+def gid_of(dga: DGA, name: str) -> int:
+    """The id of the generator called ``name``, by a linear scan."""
+    return next(g.gid for g in dga.generators if g.name == name)
+
+
 # ---------------------------------------------------------------------------
 # augmentations by exhaustion, and the (2,n) torus family
 

@@ -25,6 +25,7 @@ from legch.transform import stabilize
 
 from support import (
     dga_from_complex,
+    gid_of,
     homology_rank_oracle,
     load_corpus,
     planted_complex,
@@ -189,7 +190,7 @@ def test_criterion_7_strand_slide_interleaving():
         trefoil = load_corpus("trefoil")
         rii = load_corpus("trefoil_rii")
         delta = Fraction(3, 10)
-        assert rii.heights.of(rii.dga.gid_of("a")) - rii.heights.of(rii.dga.gid_of("b")) == delta
+        assert rii.heights.of(gid_of(rii.dga, "a")) - rii.heights.of(gid_of(rii.dga, "b")) == delta
         b1 = barcode_from(trefoil, pinned_augmentation(trefoil, (1, 0, 0)))
         b2 = barcode_from(rii, pinned_augmentation(rii, (1, 0, 0, 0)))
         d = interleaving_distance(b1, b2)

@@ -5,7 +5,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from legch.algebra import (
+    D_SQUARED_NONZERO,
     DGA,
+    GRADING_VIOLATION,
     Element,
     HeightAssignment,
     StructureError,
@@ -16,14 +18,14 @@ from legch.algebra import (
     word_grading,
 )
 
-from support import load_corpus
+from support import gid_of, load_corpus
 
 TREFOIL = load_corpus("trefoil").dga
 TREFOIL_H = load_corpus("trefoil").heights
 
 
 def gid(name):
-    return TREFOIL.gid_of(name)
+    return gid_of(TREFOIL, name)
 
 
 # --- words and gradings -------------------------------------------------
@@ -191,21 +193,21 @@ def test_leibniz_rule_on_products():
 
 def test_corpus_dgas_are_valid():
     for name in ("unknot", "trefoil", "trefoil_rii", "island"):
-        assert validate_dga(load_corpus(name).dga).ok
+        validate_dga(load_corpus(name).dga)
 
 
 def test_constant_differential_variant_is_valid():
     # A single grading-1 generator with d(q) = 1 passes both checks even though
     # it admits no augmentation.
     dga = DGA.from_data([("q", 1)], {"q": [[]]})
-    assert validate_dga(dga).ok
+    validate_dga(dga)
 
 
 def test_grading_violation_reported():
     dga = DGA.from_data([("q", 1)], {"q": [["q"]]})
-    report = validate_dga(dga)
-    assert not report.ok
-    assert any(v.kind == "grading" for v in report.violations)
+    with pytest.raises(StructureError) as info:
+        validate_dga(dga)
+    assert info.value.code == GRADING_VIOLATION
 
 
 def test_d_squared_violation_reported():
@@ -213,10 +215,22 @@ def test_d_squared_violation_reported():
         [("a", 2), ("b", 1), ("c", 0)],
         {"a": [["b"]], "b": [["c"]], "c": []},
     )
-    report = validate_dga(dga)
-    assert not report.ok
-    assert any(v.kind == "d_squared" for v in report.violations)
-    assert all(v.kind != "grading" for v in report.violations)
+    with pytest.raises(StructureError) as info:
+        validate_dga(dga)
+    assert info.value.code == D_SQUARED_NONZERO
+    assert str(info.value) == "d(d(a)) = c is nonzero"
+
+
+def test_every_grading_is_checked_before_any_d_squared():
+    # d(d(a)) = c is nonzero, but x, a later generator, breaks the grading.
+    dga = DGA.from_data(
+        [("a", 2), ("b", 1), ("c", 0), ("x", 1)],
+        {"a": [["b"]], "b": [["c"]], "c": [], "x": [["x"]]},
+    )
+    with pytest.raises(StructureError) as info:
+        validate_dga(dga)
+    assert info.value.code == GRADING_VIOLATION
+    assert str(info.value) == "word x in d(x) has grading 1, expected 0"
 
 
 def test_dga_structure_checks():

@@ -19,6 +19,7 @@ from legch.augment import (
 from support import (
     dga_from_complex,
     enumerate_augmentations_brute,
+    gid_of,
     linearize_by_conjugation,
     load_corpus,
     planted_complex,
@@ -140,8 +141,8 @@ def test_enumeration_is_lexicographic_and_complete_on_island():
 def test_rii_augmentations_extend_trefoil_ones():
     augs = enumerate_augmentations(RII)
     assert len(augs) == 5
-    b = RII.gid_of("b")
-    q4 = RII.gid_of("q4")
+    b = gid_of(RII, "b")
+    q4 = gid_of(RII, "q4")
     for eps in augs:
         assert eps.values[b] == eps.values[q4]
 
@@ -160,8 +161,8 @@ def test_evaluate_unit_element():
 
 def test_evaluate_trefoil_differential():
     eps = trefoil_aug((1, 0, 0))
-    assert evaluate(eps, TREFOIL.d(TREFOIL.gid_of("q1"))) == 0
-    assert evaluate(eps, TREFOIL.d(TREFOIL.gid_of("q2"))) == 0
+    assert evaluate(eps, TREFOIL.d(gid_of(TREFOIL, "q1"))) == 0
+    assert evaluate(eps, TREFOIL.d(gid_of(TREFOIL, "q2"))) == 0
 
 
 def test_augmentation_validity_checks():

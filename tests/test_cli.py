@@ -114,6 +114,11 @@ SINGLE_FAULTS = {
         "validate",
         "[D_SQUARED_NONZERO] d(d(r)) = p is nonzero",
     ),
+    "no_augmentation": (
+        lambda k: k["differential"].update(q=[[]]),
+        "linearize",
+        "[NO_AUGMENTATION] this differential admits no augmentation",
+    ),
     "bad_height_barcode": (lambda k: k["heights"].update(p=2), "barcode", "[BAD_HEIGHT] " + HEIGHT_ORDER),
     "bad_height_morse": (lambda k: k["heights"].update(p=2), "morse", "[BAD_HEIGHT] " + HEIGHT_ORDER),
 }
@@ -160,6 +165,16 @@ def test_oversized_numbers_are_malformed_and_fast(tmp_path, command, payload):
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (1, "")
     assert err.startswith("error: [MALFORMED_JSON]")
+
+
+def test_svg_renders_heights_beyond_float_range(tmp_path):
+    # 1e400 has no float; the text rendering never needed one.
+    big = tmp_path / "big.json"
+    big.write_bytes(KNOT_HEAD + b'"heights": {"q": 1e400}}')
+    code, out, err = run("barcode", str(big), "--render", "svg")
+    assert (code, err) == (0, "")
+    assert out.startswith("<svg") and out.endswith("</svg>\n")
+    assert ">1" + "0" * 400 + "</text>" in out
 
 
 def test_missing_file_is_an_input_error(tmp_path):

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -29,7 +30,7 @@ from legch.fileio import (
 )
 from legch.persist import Barcode, build_filtered_complex, compute_barcode
 
-from support import load_corpus
+from support import gid_of, load_corpus
 
 UNKNOT = load_corpus("unknot")
 TREFOIL = load_corpus("trefoil")
@@ -68,9 +69,9 @@ def test_corpus_files_parse():
     assert [trefoil.heights.of(by_name[f"q{i}"].gid) for i in range(1, 6)] == [4, 4, 1, 1, 1]
 
     rii = load_corpus("trefoil_rii")
-    assert rii.heights.of(rii.dga.gid_of("a")) == Fraction(23, 10)
-    assert rii.dga.generator(rii.dga.gid_of("a")).grading == 1
-    assert rii.dga.generator(rii.dga.gid_of("b")).grading == 0
+    assert rii.heights.of(gid_of(rii.dga, "a")) == Fraction(23, 10)
+    assert rii.dga.generator(gid_of(rii.dga, "a")).grading == 1
+    assert rii.dga.generator(gid_of(rii.dga, "b")).grading == 0
 
     island = load_corpus("island")
     assert island.heights is None
@@ -284,6 +285,23 @@ def test_render_svg_deterministic_and_well_formed():
     assert text.startswith("<svg")
     assert text.count("<line") >= 5  # axis plus one per bar
     assert "q3+q5" in text and "q1+q2" in text
+
+
+def test_render_svg_geometry_is_scale_free_beyond_float_range():
+    # Scaling by a power of two is exact, so every drawn coordinate stays put.
+    barcode = barcode_of(TREFOIL, 2)
+    scale = Fraction(2**2000)
+    huge = Barcode(
+        tuple(
+            replace(bar, birth=bar.birth * scale, death=bar.death * scale if bar.finite else bar.death)
+            for bar in barcode.bars
+        )
+    )
+
+    def shapes(b):
+        return [line for line in render_barcode(b, "svg").decode().splitlines() if line.startswith(("<line", "<path"))]
+
+    assert shapes(huge) == shapes(barcode)
 
 
 def test_render_unknown_format():
