@@ -54,6 +54,17 @@ class KnotData:
 # ---------------------------------------------------------------------------
 # exact numbers
 
+def _digits(n: int) -> str:
+    """str(n) for n >= 0, also past Python's 4300-digit limit on int-to-str
+    conversion: the distance between two accepted numbers can need twice
+    MAX_NUMBER_DIGITS digits."""
+    chunks = []
+    while n >= 10**1000:
+        n, low = divmod(n, 10**1000)
+        chunks.append(str(low).rjust(1000, "0"))
+    return str(n) + "".join(reversed(chunks))
+
+
 def decimal_str(x) -> str:
     """Exact decimal rendering of a rational whose denominator divides a power
     of ten; raises otherwise rather than round."""
@@ -72,7 +83,7 @@ def decimal_str(x) -> str:
     if places == 0:
         return str(x.numerator)
     scaled = abs(x.numerator) * 10**places // x.denominator
-    digits = str(scaled).rjust(places + 1, "0")
+    digits = _digits(scaled).rjust(places + 1, "0")
     sign = "-" if x.numerator < 0 else ""
     return f"{sign}{digits[:-places]}.{digits[-places:]}"
 
@@ -326,6 +337,9 @@ def parse_barcode_file(data: bytes | str) -> Barcode:
             death = math.inf
         elif isinstance(death, bool) or not isinstance(death, (int, Fraction)):
             raise KnotFileError(BAD_SCHEMA, f"bars[{i}].death must be a number or 'inf'")
+        for key in ("birth_label", "death_label"):
+            label = entry.get(key)
+            _expect(label is None or isinstance(label, str), BAD_SCHEMA, f"bars[{i}].{key} must be a string")
         try:
             bars.append(
                 Bar(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -122,86 +123,123 @@ def check_strong_morse(dga: DGA, b: Barcode) -> StrongMorseReport:
     return StrongMorseReport(mc, pc, r, lhs, rhs, lhs == rhs)
 
 
-def _match_cost(a: Bar, b: Bar):
-    """Max endpoint displacement; infinite ends pair only with infinite ends."""
-    if a.finite != b.finite:
-        return math.inf
-    birth_gap = abs(a.birth - b.birth)
-    if not a.finite:
-        return birth_gap
-    return max(birth_gap, abs(a.death - b.death))
+def _point(bar: Bar, scale: int) -> tuple[int, int]:
+    birth, death = (x.numerator * (scale // x.denominator) for x in (bar.birth, bar.death))
+    return death + birth, death - birth
 
 
-def _delete_cost(a: Bar):
-    if not a.finite:
-        return math.inf
-    return a.length / 2
+def _cheapest_first(costs, size: int) -> list[list[int]]:
+    """For each row of match costs, its partners' indices, cheapest first."""
+    partners = range(size)
+    return [sorted(partners, key=row.__getitem__) for row in costs]
 
 
-def _perfect_matching_exists(n_left: int, adjacency: list[list[int]]) -> bool:
-    """Kuhn's augmenting-path matching on a balanced bipartite graph."""
-    match_right: dict[int, int] = {}
+def _covers(must, costs, orders, delta: int, size: int) -> bool:
+    """Whether one matching of cost at most ``delta`` matches every bar in
+    ``must`` to one of ``size`` partners.
 
-    def try_augment(u: int, seen: set[int]) -> bool:
-        for v in adjacency[u]:
-            if v in seen:
-                continue
-            seen.add(v)
-            if v not in match_right or try_augment(match_right[v], seen):
-                match_right[v] = u
-                return True
-        return False
-
-    for u in range(n_left):
-        if not try_augment(u, set()):
+    Hopcroft-Karp: each phase layers the bars by breadth-first search from the
+    unmatched ones, then augments along disjoint layered paths, found depth
+    first on an explicit stack, so no recursion limit applies.  A bar's edges
+    are the prefix of its cheapest-first order that costs at most ``delta``.
+    """
+    edges = {u: orders[u][: bisect_right(orders[u], delta, key=costs[u].__getitem__)] for u in must}
+    mate = dict.fromkeys(must, -1)
+    owner = [-1] * size
+    while True:
+        free = [u for u in must if mate[u] < 0]
+        if not free:
+            return True
+        layer = dict.fromkeys(free, 0)
+        queue, reached = list(free), False
+        for u in queue:
+            for v in edges[u]:
+                w = owner[v]
+                if w < 0:
+                    reached = True
+                elif w not in layer:
+                    layer[w] = layer[u] + 1
+                    queue.append(w)
+        if not reached:  # no augmenting path left: some bar of must stays unmatched
             return False
-    return True
+        scans = {u: iter(edges[u]) for u in layer}  # shared: each edge is tried once a phase
+        for root in free:
+            lefts, rights = [root], []
+            while lefts:
+                u = lefts[-1]
+                for v in scans[u]:
+                    w = owner[v]
+                    if w < 0 or layer.get(w) == layer[u] + 1:
+                        break
+                else:  # dead end: back up one step
+                    lefts.pop()
+                    if rights:
+                        rights.pop()
+                    continue
+                rights.append(v)
+                if w < 0:  # free: flip the path root -> v
+                    for x, y in zip(lefts, rights):
+                        owner[y], mate[x] = x, y
+                    break
+                lefts.append(w)
 
 
-def _degree_distance(bars1: tuple[Bar, ...], bars2: tuple[Bar, ...]):
-    inf1 = sum(1 for b in bars1 if not b.finite)
-    inf2 = sum(1 for b in bars2 if not b.finite)
-    if inf1 != inf2:
-        return math.inf
+def _finite_distance(bars1: list[Bar], bars2: list[Bar]) -> Fraction:
+    """Bottleneck distance of finite bars, each matched or deleted.
 
-    costs = [[_match_cost(a, b) for b in bars2] for a in bars1]
-    deletes1 = [_delete_cost(a) for a in bars1]
-    deletes2 = [_delete_cost(b) for b in bars2]
-    candidates = sorted(
-        {Fraction(0)}
-        | {c for row in costs for c in row if c != math.inf}
-        | {c for c in deletes1 + deletes2 if c != math.inf}
+    Every cost is an integer in units of 1/(2L), L the lcm of the endpoints'
+    denominators.  A bar [b, d) becomes the point (u, v) = L(d + b, d - b).
+    Deleting it costs v, and matching it to another costs |u - u'| + |v - v'|:
+    twice the larger endpoint displacement, since
+    max(|x|, |y|) = (|x + y| + |x - y|) / 2.
+
+    A cost delta is feasible exactly when the bars whose deletion costs more
+    than delta can all be matched at cost at most delta.  By Mendelsohn-Dulmage
+    that holds exactly when the bars of each side can be so matched on their
+    own.
+    """
+    scale = math.lcm(*(x.denominator for b in bars1 + bars2 for x in (b.birth, b.death)))
+    pts1 = [_point(b, scale) for b in bars1]
+    pts2 = [_point(b, scale) for b in bars2]
+    costs1 = [[abs(u1 - u2) + abs(v1 - v2) for u2, v2 in pts2] for u1, v1 in pts1]
+    costs2 = list(zip(*costs1)) if pts1 else [()] * len(pts2)
+    deletes1 = [v for _, v in pts1]
+    deletes2 = [v for _, v in pts2]
+    sides = (
+        (deletes1, costs1, _cheapest_first(costs1, len(pts2)), len(pts2)),
+        (deletes2, costs2, _cheapest_first(costs2, len(pts1)), len(pts1)),
     )
+    candidates = sorted({0}.union(deletes1, deletes2, *costs1))
 
-    n1, n2 = len(bars1), len(bars2)
+    def feasible(delta: int) -> bool:
+        return all(
+            _covers([u for u, d in enumerate(deletes) if d > delta], costs, orders, delta, size)
+            for deletes, costs, orders, size in sides
+        )
 
-    def feasible(delta) -> bool:
-        # Left: bars1 then one deletion slot per bars2 entry.
-        # Right: bars2 then one deletion slot per bars1 entry.
-        adjacency: list[list[int]] = []
-        for i in range(n1):
-            row = [j for j in range(n2) if costs[i][j] <= delta]
-            if deletes1[i] <= delta:
-                row.append(n2 + i)
-            adjacency.append(row)
-        for j in range(n2):
-            row = list(range(n2, n2 + n1))  # unused deletion slots pair freely
-            if deletes2[j] <= delta:
-                row.insert(0, j)
-            adjacency.append(row)
-        return _perfect_matching_exists(n1 + n2, adjacency)
-
-    # The optimum is one of the finitely many endpoint-derived costs.
+    # The largest candidate is feasible: every bar can be deleted.
     lo, hi = 0, len(candidates) - 1
-    if not feasible(candidates[hi]):
-        return math.inf
     while lo < hi:
         mid = (lo + hi) // 2
         if feasible(candidates[mid]):
             hi = mid
         else:
             lo = mid + 1
-    return candidates[lo]
+    return Fraction(candidates[lo], 2 * scale)
+
+
+def _degree_distance(bars1: tuple[Bar, ...], bars2: tuple[Bar, ...]):
+    """Infinite bars match only each other, at the birth gap, so they form
+    their own problem: on a line, pairing them in sorted order is optimal."""
+    inf1 = sorted(b.birth for b in bars1 if not b.finite)
+    inf2 = sorted(b.birth for b in bars2 if not b.finite)
+    if len(inf1) != len(inf2):
+        return math.inf
+    infinite = max((abs(a - b) for a, b in zip(inf1, inf2)), default=Fraction(0))
+    finite = _finite_distance(
+        [b for b in bars1 if b.finite], [b for b in bars2 if b.finite]
+    )
+    return max(infinite, finite)
 
 
 def interleaving_distance(b1: Barcode, b2: Barcode):

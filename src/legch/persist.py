@@ -150,8 +150,12 @@ def compute_barcode(fc: FilteredComplex) -> Barcode:
             pivot_owner[col.bit_length() - 1] = j
 
     def label(mask: int) -> str:
-        gids = sorted(order[i] for i in range(mask.bit_length()) if mask >> i & 1)
-        return "+".join(fc.name_of(g) for g in gids)
+        gids = []
+        while mask:
+            low = mask & -mask
+            gids.append(order[low.bit_length() - 1])
+            mask ^= low
+        return "+".join(fc.name_of(g) for g in sorted(gids))
 
     bars = []
     killed = set()

@@ -106,18 +106,24 @@ def linearize_by_conjugation(dga: DGA, eps: Augmentation) -> tuple[frozenset[int
 
 
 # ---------------------------------------------------------------------------
-# exhaustive bottleneck matching for small barcodes
+# distance oracles: exhaustive matching for a few bars, and the former library
+# matcher, recursive Kuhn matching on a balanced graph with deletion slots,
+# re-run at each step of a binary search over Fraction costs
 
-def _bf_match_cost(a: Bar, b: Bar):
+def _match_cost(a: Bar, b: Bar):
+    """Max endpoint displacement; infinite ends pair only with infinite ends."""
     if a.finite != b.finite:
         return math.inf
+    birth_gap = abs(a.birth - b.birth)
     if not a.finite:
-        return abs(a.birth - b.birth)
-    return max(abs(a.birth - b.birth), abs(a.death - b.death))
+        return birth_gap
+    return max(birth_gap, abs(a.death - b.death))
 
 
-def _bf_delete_cost(a: Bar):
-    return (a.death - a.birth) / 2 if a.finite else math.inf
+def _delete_cost(a: Bar):
+    if not a.finite:
+        return math.inf
+    return a.length / 2
 
 
 def _bf_degree(bars1, bars2):
@@ -130,30 +136,131 @@ def _bf_degree(bars1, bars2):
             total = cur
             for j, b in enumerate(bars2):
                 if j not in used:
-                    total = max(total, _bf_delete_cost(b))
+                    total = max(total, _delete_cost(b))
             if total < best[0]:
                 best[0] = total
             return
         a = bars1[i]
-        rec(i + 1, used, max(cur, _bf_delete_cost(a)))
+        rec(i + 1, used, max(cur, _delete_cost(a)))
         for j, b in enumerate(bars2):
             if j not in used:
-                rec(i + 1, used | {j}, max(cur, _bf_match_cost(a, b)))
+                rec(i + 1, used | {j}, max(cur, _match_cost(a, b)))
 
     rec(0, frozenset(), Fraction(0))
     return best[0]
 
 
-def brute_force_distance(b1: Barcode, b2: Barcode):
-    """Enumerate every matching-with-deletions; only viable for a few bars."""
+def _perfect_matching_exists(n_left: int, adjacency: list[list[int]]) -> bool:
+    """Kuhn's augmenting-path matching on a balanced bipartite graph."""
+    match_right: dict[int, int] = {}
+
+    def try_augment(u: int, seen: set[int]) -> bool:
+        for v in adjacency[u]:
+            if v in seen:
+                continue
+            seen.add(v)
+            if v not in match_right or try_augment(match_right[v], seen):
+                match_right[v] = u
+                return True
+        return False
+
+    for u in range(n_left):
+        if not try_augment(u, set()):
+            return False
+    return True
+
+
+def _degree_distance(bars1: tuple[Bar, ...], bars2: tuple[Bar, ...]):
+    inf1 = sum(1 for b in bars1 if not b.finite)
+    inf2 = sum(1 for b in bars2 if not b.finite)
+    if inf1 != inf2:
+        return math.inf
+
+    costs = [[_match_cost(a, b) for b in bars2] for a in bars1]
+    deletes1 = [_delete_cost(a) for a in bars1]
+    deletes2 = [_delete_cost(b) for b in bars2]
+    candidates = sorted(
+        {Fraction(0)}
+        | {c for row in costs for c in row if c != math.inf}
+        | {c for c in deletes1 + deletes2 if c != math.inf}
+    )
+
+    n1, n2 = len(bars1), len(bars2)
+
+    def feasible(delta) -> bool:
+        # Left: bars1 then one deletion slot per bars2 entry.
+        # Right: bars2 then one deletion slot per bars1 entry.
+        adjacency: list[list[int]] = []
+        for i in range(n1):
+            row = [j for j in range(n2) if costs[i][j] <= delta]
+            if deletes1[i] <= delta:
+                row.append(n2 + i)
+            adjacency.append(row)
+        for j in range(n2):
+            row = list(range(n2, n2 + n1))  # unused deletion slots pair freely
+            if deletes2[j] <= delta:
+                row.insert(0, j)
+            adjacency.append(row)
+        return _perfect_matching_exists(n1 + n2, adjacency)
+
+    # The optimum is one of the finitely many endpoint-derived costs.
+    lo, hi = 0, len(candidates) - 1
+    if not feasible(candidates[hi]):
+        return math.inf
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if feasible(candidates[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return candidates[lo]
+
+
+def _max_over_degrees(b1: Barcode, b2: Barcode, degree_distance):
     degrees = set(b1.degrees()) | set(b2.degrees())
     worst = Fraction(0)
     for k in sorted(degrees):
-        d = _bf_degree(b1.in_degree(k), b2.in_degree(k))
+        d = degree_distance(b1.in_degree(k), b2.in_degree(k))
         if d == math.inf:
             return math.inf
         worst = max(worst, d)
     return worst
+
+
+def brute_force_distance(b1: Barcode, b2: Barcode):
+    """Enumerate every matching-with-deletions; only viable for a few bars."""
+    return _max_over_degrees(b1, b2, _bf_degree)
+
+
+def kuhn_distance(b1: Barcode, b2: Barcode):
+    """The distance by the former matcher; its recursion depth grows with the
+    bar count, so it suits barcodes of up to a few hundred bars."""
+    return _max_over_degrees(b1, b2, _degree_distance)
+
+
+def shift_pair(rng: Random, n: int, delta: Fraction, degree: int = 0):
+    """Two barcodes of ``n`` bars in one degree at distance exactly ``delta``.
+
+    The second moves every endpoint of the first up by ``delta``, and every
+    finite bar is longer than 2 * delta.  Matching each bar to its shift costs
+    delta.  Nothing is cheaper: deleting any bar costs more than delta, so a
+    cheaper matching would pair the bars one to one, but the births rise by
+    n * delta in all, so some pair moves by at least delta.  Every fifth bar is
+    infinite; births repeat, so ties occur.  Births are multiples of 1/4 and
+    lengths past 2 * delta multiples of 1/5, so with a decimal delta the pair
+    can be written as barcode files.
+    """
+    bars1, bars2 = [], []
+    for i in range(n):
+        birth = Fraction(rng.randint(0, 8 * n), 4)
+        if i % 5 == 4:
+            bars1.append(Bar(degree, birth, math.inf))
+            bars2.append(Bar(degree, birth + delta, math.inf))
+        else:
+            death = birth + 2 * delta + Fraction(rng.randint(1, 200), 5)
+            bars1.append(Bar(degree, birth, death))
+            bars2.append(Bar(degree, birth + delta, death + delta))
+    return Barcode(tuple(bars1)), Barcode(tuple(bars2))
 
 
 # ---------------------------------------------------------------------------

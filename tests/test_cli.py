@@ -4,11 +4,16 @@ import json
 import subprocess
 import sys
 import time
+from fractions import Fraction
+from random import Random
 
 import pytest
 
 from legch import corpus
 from legch.cli import cli_dispatch
+from legch.fileio import serialize_barcode_file
+
+from support import shift_pair
 
 
 def run(*argv):
@@ -288,6 +293,40 @@ def test_distance_trefoil_to_slid_trefoil(tmp_path):
     code, out, _ = run("distance", str(f1), str(f2))
     assert code == 0
     assert out == "0.15\n"
+
+
+def _frames_below() -> int:
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_distance_needs_no_recursion_depth(tmp_path):
+    # 600 bars in one degree: the matching's augmenting paths grow long, and
+    # they must not spend interpreter frames.
+    files = []
+    for side, barcode in zip("ab", shift_pair(Random(600), 600, Fraction(3, 4))):
+        files.append(tmp_path / f"{side}.json")
+        files[-1].write_bytes(serialize_barcode_file(barcode))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_frames_below() + 100)
+    try:
+        code, out, err = run("distance", *map(str, files))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (code, out, err) == (0, "0.75\n", "")
+
+
+def test_distance_prints_results_longer_than_the_int_str_limit(tmp_path):
+    # Half of 1e3999 - 1e-3999 has 8000 digits, past Python's 4300-digit
+    # limit on converting an int to str.
+    long_bar, empty = tmp_path / "a.json", tmp_path / "b.json"
+    long_bar.write_text('{"bars": [{"degree": 0, "birth": 1e-3999, "death": 1e3999}]}')
+    empty.write_text('{"bars": []}')
+    code, out, err = run("distance", str(long_bar), str(empty))
+    assert (code, err) == (0, "")
+    assert out == "4" + "9" * 3998 + "." + "9" * 3999 + "5\n"
 
 
 def test_morse_report():

@@ -1,5 +1,7 @@
+import io
 import json
 import math
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from legch import corpus
 from legch.augment import enumerate_augmentations, linearized_differential
+from legch.cli import cli_dispatch
 from legch.fileio import (
     BAD_HEIGHT,
     BAD_SCHEMA,
@@ -202,6 +205,60 @@ def test_mutated_corpus_files_parse_or_fail_with_a_code(name, data):
         pass
 
 
+# number literals, put into the JSON text verbatim: negative, past the float
+# range, at the digit bound and just over it (MALFORMED_JSON)
+NUMBERS = st.sampled_from(
+    ["-3", "-0.5", "2.3", "1e3999", "-1e3999", "1e-3999", "9" * 3999, "1e4000", "1e-4000"]
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["trefoil", "trefoil_rii"]), st.data())
+def test_mutated_barcode_files_parse_or_fail_with_a_code(tmp_path_factory, name, data):
+    """Drop or rename keys, swap value types, write huge, tiny or negative
+    numbers, put a death at or before its birth: parse_barcode_file gives a
+    Barcode or raises KnotFileError, and legch distance exits 0 or 1 with a
+    coded error, never a traceback."""
+    other = serialize_barcode_file(barcode_of(load_corpus(name), 2))
+    doc = json.loads(other)
+    for _ in range(data.draw(st.integers(1, 3))):
+        container, key = data.draw(st.sampled_from(_slots(doc, [])))
+        kind = data.draw(st.sampled_from(["drop", "rename_key", "value", "number", "reverse"]))
+        if kind == "value":
+            container[key] = data.draw(VALUES)
+        elif kind == "number":
+            container[key] = f"<number {data.draw(NUMBERS)}>"
+        elif kind == "reverse":
+            bars = doc.get("bars") if isinstance(doc, dict) else None
+            if isinstance(bars, list) and bars and isinstance(bars[0], dict):
+                bars[0]["death"] = bars[0].get("birth")
+        elif isinstance(container, dict):
+            value = container.pop(key)
+            if kind == "rename_key":
+                container[data.draw(LETTERS)] = value
+        else:
+            del container[key]
+        if not isinstance(doc, (dict, list)) or not _slots(doc, []):
+            break
+    text = re.sub(r'"<number ([^"]*)>"', r"\1", json.dumps(doc))
+    try:
+        parsed = isinstance(parse_barcode_file(text), Barcode)
+    except KnotFileError:
+        parsed = False
+    folder = tmp_path_factory.mktemp("fuzz")
+    mutated, base = folder / "mutated.json", folder / "base.json"
+    mutated.write_text(text)
+    base.write_bytes(other)
+    out, err = io.StringIO(), io.StringIO()
+    code = cli_dispatch(["distance", str(mutated), str(base)], stdout=out, stderr=err)
+    if parsed:
+        assert (code, err.getvalue()) == (0, "")
+        assert re.fullmatch(r"(-?[0-9]+(\.[0-9]+)?|inf)\n", out.getvalue())
+    else:
+        assert code == 1 and out.getvalue() == ""
+        assert re.fullmatch(r"error: \[[A-Z_]+\] .*\n", err.getvalue(), re.S)
+
+
 def test_heights_parse_exactly():
     kd = parse_knot_file(minimal(heights={"q": 2.3}))
     assert kd.heights.of(0) == Fraction(23, 10)
@@ -245,6 +302,11 @@ def test_barcode_parse_inf_and_errors():
     assert exc.value.code == BAD_SCHEMA
     with pytest.raises(KnotFileError):
         parse_barcode_file(b"nope")
+    # Labels order tied bars, so a label that is not a string cannot be sorted.
+    tied = [{"degree": 0, "birth": 1, "death": 2, "birth_label": label} for label in ("q", [])]
+    with pytest.raises(KnotFileError, match=r"bars\[1\]\.birth_label must be a string") as exc:
+        parse_barcode_file(json.dumps({"bars": tied}))
+    assert exc.value.code == BAD_SCHEMA
 
 
 # --- rendering --------------------------------------------------------------------

@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 from random import Random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,9 +21,11 @@ from legch.persist import Bar, Barcode, build_filtered_complex, compute_barcode
 from support import (
     brute_force_distance,
     dga_from_complex,
+    kuhn_distance,
     load_corpus,
     planted_complex,
     random_barcode,
+    shift_pair,
 )
 
 UNKNOT = load_corpus("unknot")
@@ -197,3 +200,40 @@ def test_triangle_inequality(s1, s2, s3):
     d12 = interleaving_distance(b1, b2)
     d23 = interleaving_distance(b2, b3)
     assert d13 <= d12 + d23
+
+
+def _grid_barcode(rng: Random, n: int, infinite: list[int]) -> Barcode:
+    """``n`` bars, ``infinite[k]`` of them infinite in degree k, on a coarse
+    grid of thirds and sevenths: endpoints tie and denominators are not powers
+    of two."""
+    bars = [
+        Bar(k, Fraction(rng.randint(0, 12), rng.choice((1, 3, 7))), math.inf)
+        for k, count in enumerate(infinite)
+        for _ in range(count)
+    ]
+    while len(bars) < n:
+        birth = Fraction(rng.randint(0, 12), rng.choice((1, 3, 7)))
+        length = Fraction(rng.randint(1, 12), rng.choice((1, 2, 3, 7)))
+        bars.append(Bar(rng.randrange(len(infinite)), birth, birth + length))
+    return Barcode(tuple(bars))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds, st.integers(9, 40), st.integers(9, 40), st.integers(1, 2))
+def test_distance_matches_the_former_matcher_beyond_brute_force(seed, n1, n2, n_degrees):
+    rng = Random(seed)
+    infinite = [rng.randint(0, 4) for _ in range(n_degrees)]
+    b1 = _grid_barcode(rng, n1, infinite)
+    if rng.random() < 0.1:
+        infinite[-1] += 1
+    b2 = _grid_barcode(rng, n2, infinite)
+    assert interleaving_distance(b1, b2) == kuhn_distance(b1, b2)
+
+
+@pytest.mark.parametrize(
+    "n, delta", [(200, Fraction(1, 3)), (200, Fraction(7, 20)), (600, Fraction(3, 4))]
+)
+def test_planted_shift_pairs_are_exactly_delta(n, delta):
+    b1, b2 = shift_pair(Random(n), n, delta)
+    assert interleaving_distance(b1, b2) == delta
+    assert interleaving_distance(b2, b1) == delta
