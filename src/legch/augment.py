@@ -5,12 +5,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .algebra import DGA, Element
+from .algebra import DGA, Element, StructureError
 
 # Partial assignments the augmentation search may visit.  Without pruning, k
 # grading-0 generators take 2^(k+1) - 1 of them, so this admits any DGA with up
 # to 17 such generators, among them the (2,17) torus knot.
 MAX_SEARCH_NODES = 1 << 18
+SEARCH_BOUND = "SEARCH_BOUND"
 
 
 @dataclass(frozen=True)
@@ -62,10 +63,6 @@ def augmentation_violations(dga: DGA, eps: Augmentation) -> list[str]:
         if evaluate(eps, dga.d(g.gid)) != 0:
             out.append(f"d({g.name}) does not evaluate to 0")
     return out
-
-
-def is_valid_augmentation(dga: DGA, eps: Augmentation) -> bool:
-    return not augmentation_violations(dga, eps)
 
 
 def check_augmentation(dga: DGA, eps: Augmentation) -> None:
@@ -130,8 +127,9 @@ def enumerate_augmentations(dga: DGA) -> list[Augmentation]:
     Variables are fixed in generator order, 0 before 1, and a branch is cut as
     soon as some differential is forced to evaluate to 1.  The result is
     therefore ordered lexicographically by the value vector, so augmentation
-    indices are stable across runs.  Raises ValueError once the search visits
-    more than ``MAX_SEARCH_NODES`` partial assignments.
+    indices are stable across runs.  Raises a StructureError coded
+    ``SEARCH_BOUND`` once the search visits more than ``MAX_SEARCH_NODES``
+    partial assignments.
     """
     zero_gens = [g.gid for g in dga.generators if g.grading == 0]
     polys = _monomials(dga, zero_gens)
@@ -146,9 +144,10 @@ def enumerate_augmentations(dga: DGA) -> list[Augmentation]:
         depth, value, live = stack.pop()
         nodes += 1
         if nodes > MAX_SEARCH_NODES:
-            raise ValueError(
+            raise StructureError(
                 f"augmentation search exceeds the bound of {MAX_SEARCH_NODES} search nodes "
-                f"({len(zero_gens)} grading-0 generators)"
+                f"({len(zero_gens)} grading-0 generators)",
+                SEARCH_BOUND,
             )
         if depth:
             live = _fix(live, 1 << (depth - 1), value)

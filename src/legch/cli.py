@@ -13,7 +13,6 @@ from .augment import enumerate_augmentations, linearized_differential
 from .diagram import area_inequalities, assign_heights, flood
 from .fileio import (
     KnotData,
-    KnotFileError,
     format_extended,
     load_barcode,
     load_knot,
@@ -84,10 +83,10 @@ def _names(kd: KnotData, gids) -> str:
 def _pick_augmentation(kd: KnotData, index: int):
     augs = enumerate_augmentations(kd.dga)
     if not augs:
-        raise KnotFileError("NO_AUGMENTATION", "this differential admits no augmentation")
+        raise StructureError("this differential admits no augmentation", "NO_AUGMENTATION")
     if not 0 <= index < len(augs):
-        raise KnotFileError(
-            "BAD_AUG_INDEX", f"augmentation index {index} out of range 0..{len(augs) - 1}"
+        raise StructureError(
+            f"augmentation index {index} out of range 0..{len(augs) - 1}", "BAD_AUG_INDEX"
         )
     return augs[index]
 
@@ -95,7 +94,7 @@ def _pick_augmentation(kd: KnotData, index: int):
 def _resolve_heights(kd: KnotData, mode: str | None) -> HeightAssignment:
     if mode == "file" or (mode is None and kd.heights is not None):
         if kd.heights is None:
-            raise KnotFileError("NO_HEIGHTS", "knot file carries no heights")
+            raise StructureError("knot file carries no heights", "NO_HEIGHTS")
         return kd.heights
     return assign_heights(_flood(kd))
 
@@ -240,7 +239,7 @@ def cli_dispatch(argv, stdout=None, stderr=None) -> int:
         except StructureError as exc:
             print(f"error: [{exc.code}] {exc}", file=sys.stderr)
             return EXIT_ERROR
-        except (KnotFileError, OSError, ValueError) as exc:
+        except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_ERROR
 

@@ -24,6 +24,7 @@ from .algebra import DGA, HeightAssignment, StructureError, validate_dga
 from .diagram import AreaPatch, LagrangianDiagramData
 from .persist import Bar, Barcode
 
+UNREADABLE_FILE = "UNREADABLE_FILE"
 MALFORMED_JSON = "MALFORMED_JSON"
 BAD_PATCH = "BAD_PATCH"
 INVALID_BAR = "INVALID_BAR"
@@ -32,15 +33,6 @@ INVALID_BAR = "INVALID_BAR"
 # decimal_str writes an accepted number back with no more digits, under Python's
 # 4300-digit limit, and Fraction never expands a huge exponent.
 MAX_NUMBER_DIGITS = 4000
-
-
-class KnotFileError(ValueError):
-    def __init__(self, code: str, message: str):
-        self.code = code
-        super().__init__(message)
-
-    def __str__(self) -> str:
-        return f"[{self.code}] {self.args[0]}"
 
 
 @dataclass(frozen=True)
@@ -150,7 +142,7 @@ def emit_json(value: Any) -> bytes:
 
 def _expect(condition: bool, code: str, message: str) -> None:
     if not condition:
-        raise KnotFileError(code, message)
+        raise StructureError(message, code)
 
 
 def _parse_decimal(literal: str) -> Fraction:
@@ -169,9 +161,9 @@ def _load_json(data: bytes | str) -> Any:
             data = data.decode("utf-8")
         return json.loads(data, parse_float=_parse_decimal)
     except ValueError as exc:  # also bad JSON, bad UTF-8 and oversized integers
-        raise KnotFileError(MALFORMED_JSON, f"not valid JSON: {exc}") from None
+        raise StructureError(f"not valid JSON: {exc}", MALFORMED_JSON) from None
     except RecursionError:
-        raise KnotFileError(MALFORMED_JSON, "not valid JSON: nested too deeply") from None
+        raise StructureError("not valid JSON: nested too deeply", MALFORMED_JSON) from None
 
 
 def parse_knot_file(data: bytes | str) -> KnotData:
@@ -206,17 +198,13 @@ def parse_knot_file(data: bytes | str) -> KnotData:
     _expect(isinstance(raw_diff, dict), BAD_SCHEMA, "'differential' must be an object")
     for name, words in raw_diff.items():
         _expect(isinstance(words, list), BAD_SCHEMA, f"differential[{name!r}] must be an array of words")
-        for w in words:
-            _expect(
-                isinstance(w, list) and all(isinstance(x, str) for x in w),
-                BAD_SCHEMA,
-                f"differential[{name!r}] words must be arrays of generator names",
-            )
-    try:
-        dga = DGA.from_data(gens, raw_diff)
-        validate_dga(dga)
-    except StructureError as exc:
-        raise KnotFileError(exc.code, str(exc)) from None
+        _expect(
+            all(isinstance(w, list) and all(isinstance(x, str) for x in w) for w in words),
+            BAD_SCHEMA,
+            f"differential[{name!r}] words must be arrays of generator names",
+        )
+    dga = DGA.from_data(gens, raw_diff)
+    validate_dga(dga)
 
     raw_patches = doc["patches"]
     _expect(isinstance(raw_patches, list), BAD_SCHEMA, "'patches' must be an array")
@@ -234,7 +222,7 @@ def parse_knot_file(data: bytes | str) -> KnotData:
             cname, coeff = corner["name"], corner["coeff"]
             _expect(isinstance(cname, str), BAD_SCHEMA, f"patches[{i}] corner names must be strings")
             if cname not in index:
-                raise KnotFileError(UNKNOWN_GENERATOR, f"patches[{i}] uses unknown generator {cname!r}")
+                raise StructureError(f"patches[{i}] uses unknown generator {cname!r}", UNKNOWN_GENERATOR)
             _expect(
                 isinstance(coeff, int) and not isinstance(coeff, bool),
                 BAD_SCHEMA,
@@ -244,7 +232,7 @@ def parse_knot_file(data: bytes | str) -> KnotData:
         try:
             patches.append(AreaPatch(tuple(pairs)))
         except ValueError as exc:
-            raise KnotFileError(BAD_PATCH, f"patches[{i}]: {exc}") from None
+            raise StructureError(f"patches[{i}]: {exc}", BAD_PATCH) from None
 
     ng_resolved = doc.get("ng_resolved", False)
     _expect(isinstance(ng_resolved, bool), BAD_SCHEMA, "'ng_resolved' must be a boolean")
@@ -258,16 +246,16 @@ def parse_knot_file(data: bytes | str) -> KnotData:
         _expect(isinstance(raw_heights, dict), BAD_SCHEMA, "'heights' must be an object")
         for name in raw_heights:
             if name not in index:
-                raise KnotFileError(UNKNOWN_GENERATOR, f"heights key {name!r} is not a generator")
+                raise StructureError(f"heights key {name!r} is not a generator", UNKNOWN_GENERATOR)
         table = {}
         for name, _ in gens:
             _expect(name in raw_heights, BAD_HEIGHT, f"missing height for generator {name!r}")
             value = raw_heights[name]
             if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
-                raise KnotFileError(BAD_HEIGHT, f"height of {name!r} must be a number")
+                raise StructureError(f"height of {name!r} must be a number", BAD_HEIGHT)
             if value <= 0:
-                raise KnotFileError(BAD_HEIGHT, f"height of {name!r} must be positive, got {value}")
-            table[index[name]] = Fraction(value)
+                raise StructureError(f"height of {name!r} must be positive, got {value}", BAD_HEIGHT)
+            table[index[name]] = value
         heights = HeightAssignment(table)
 
     meta = doc.get("meta", {})
@@ -300,9 +288,16 @@ def serialize_knot_file(kd: KnotData) -> bytes:
     return emit_json(doc)
 
 
+def _read(path) -> bytes:
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise StructureError(str(exc), UNREADABLE_FILE) from None
+
+
 def load_knot(path) -> KnotData:
-    with open(path, "rb") as fh:
-        return parse_knot_file(fh.read())
+    return parse_knot_file(_read(path))
 
 
 # ---------------------------------------------------------------------------
@@ -331,12 +326,12 @@ def parse_barcode_file(data: bytes | str) -> Barcode:
         )
         birth = entry["birth"]
         if isinstance(birth, bool) or not isinstance(birth, (int, Fraction)):
-            raise KnotFileError(BAD_SCHEMA, f"bars[{i}].birth must be a number")
+            raise StructureError(f"bars[{i}].birth must be a number", BAD_SCHEMA)
         death = entry["death"]
         if death == "inf":
             death = math.inf
         elif isinstance(death, bool) or not isinstance(death, (int, Fraction)):
-            raise KnotFileError(BAD_SCHEMA, f"bars[{i}].death must be a number or 'inf'")
+            raise StructureError(f"bars[{i}].death must be a number or 'inf'", BAD_SCHEMA)
         for key in ("birth_label", "death_label"):
             label = entry.get(key)
             _expect(label is None or isinstance(label, str), BAD_SCHEMA, f"bars[{i}].{key} must be a string")
@@ -351,7 +346,7 @@ def parse_barcode_file(data: bytes | str) -> Barcode:
                 )
             )
         except ValueError as exc:
-            raise KnotFileError(INVALID_BAR, f"bars[{i}]: {exc}") from None
+            raise StructureError(f"bars[{i}]: {exc}", INVALID_BAR) from None
     return Barcode(tuple(bars))
 
 
@@ -372,8 +367,7 @@ def serialize_barcode_file(b: Barcode) -> bytes:
 
 
 def load_barcode(path) -> Barcode:
-    with open(path, "rb") as fh:
-        return parse_barcode_file(fh.read())
+    return parse_barcode_file(_read(path))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,19 @@ from itertools import product
 from random import Random
 
 from legch import corpus
-from legch.algebra import DGA, Element, Generator, HeightAssignment, apply_differential
+from legch.algebra import (
+    D_SQUARED_NONZERO,
+    DGA,
+    GRADING_VIOLATION,
+    Element,
+    Generator,
+    HeightAssignment,
+    StructureError,
+    apply_differential,
+    format_element,
+    format_word,
+    word_grading,
+)
 from legch.augment import Augmentation, evaluate
 from legch.diagram import InequalitySystem
 from legch.persist import Bar, Barcode, FilteredComplex
@@ -76,6 +88,41 @@ def torus_2n_count(n: int) -> int:
                 nxt[state] = nxt.get(state, 0) + c
         counts = nxt
     return sum(c for (cur, _), c in counts.items() if cur == 1)
+
+
+# ---------------------------------------------------------------------------
+# the former validation: d² accumulated one letter at a time, gradings looked
+# up per letter through the DGA
+
+def apply_differential_per_letter(elem: Element, dga: DGA) -> Element:
+    """Extend the generator-level differential by linearity and the Leibniz rule."""
+    out = Element.zero()
+    for word in elem.words:
+        for i, letter in enumerate(word):
+            prefix, suffix = word[:i], word[i + 1 :]
+            out = out + Element(prefix + dw + suffix for dw in dga.d(letter).words)
+    return out
+
+
+def validate_dga_per_letter(dga: DGA) -> None:
+    """Check that every differential word drops the grading by exactly 1 and that
+    the differential squares to zero on every generator; raise at the first fault,
+    checking every grading before any d²."""
+    for g in dga.generators:
+        for word in dga.d(g.gid).words:
+            wg = word_grading(word, dga)
+            if wg != g.grading - 1:
+                raise StructureError(
+                    f"word {format_word(word, dga)} in d({g.name}) has grading "
+                    f"{wg}, expected {g.grading - 1}",
+                    GRADING_VIOLATION,
+                )
+    for g in dga.generators:
+        dd = apply_differential_per_letter(dga.d(g.gid), dga)
+        if dd:
+            raise StructureError(
+                f"d(d({g.name})) = {format_element(dd, dga)} is nonzero", D_SQUARED_NONZERO
+            )
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 import math
+from random import Random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from legch.algebra import (
@@ -9,6 +10,7 @@ from legch.algebra import (
     DGA,
     GRADING_VIOLATION,
     Element,
+    Generator,
     HeightAssignment,
     StructureError,
     apply_differential,
@@ -18,7 +20,15 @@ from legch.algebra import (
     word_grading,
 )
 
-from support import gid_of, load_corpus
+from support import (
+    apply_differential_per_letter,
+    dga_from_complex,
+    gid_of,
+    load_corpus,
+    planted_complex,
+    torus_2n_dga,
+    validate_dga_per_letter,
+)
 
 TREFOIL = load_corpus("trefoil").dga
 TREFOIL_H = load_corpus("trefoil").heights
@@ -231,6 +241,69 @@ def test_every_grading_is_checked_before_any_d_squared():
         validate_dga(dga)
     assert info.value.code == GRADING_VIOLATION
     assert str(info.value) == "word x in d(x) has grading 1, expected 0"
+
+
+# --- validation at scale, against the former per-letter code ----------------
+
+def outcome(validate, dga):
+    try:
+        validate(dga)
+    except StructureError as exc:
+        return exc.code, str(exc)
+    return None
+
+
+def test_torus_2_19_validates():
+    dga = torus_2n_dga(19)
+    assert sum(len(elem.words) for elem in dga.differential) == 13532
+    validate_dga(dga)
+
+
+def test_planted_complex_validates_and_a_toggled_word_fails_as_before():
+    fc, _ = planted_complex(Random(20), max_n=400)
+    dga = dga_from_complex(fc)
+    assert len(dga) > 300
+    validate_dga(dga)
+    # Toggling p in d(g) changes d(d(g)) by d(p), which is nonzero here.
+    g, p = next(
+        (g, p)
+        for g in dga.generators
+        for p in dga.generators
+        if p.grading == g.grading - 1 and dga.d(p.gid)
+    )
+    for word, code in [((p.gid,), D_SQUARED_NONZERO), ((g.gid,), GRADING_VIOLATION)]:
+        cols = list(dga.differential)
+        cols[g.gid] = cols[g.gid] + Element.from_word(word)
+        toggled = DGA(dga.generators, tuple(cols))
+        assert outcome(validate_dga, toggled)[0] == code
+        assert outcome(validate_dga, toggled) == outcome(validate_dga_per_letter, toggled)
+
+
+@st.composite
+def dgas_with_an_element(draw):
+    """Arbitrary gradings and words, and an element over the same generators.
+    Half of the DGAs keep only the words that drop the grading by 1, so that
+    validation reaches d², which need not vanish."""
+    n = draw(st.integers(1, 6))
+    word = st.lists(st.integers(0, n - 1), max_size=3).map(tuple)
+    gradings = [draw(st.integers(0, 2)) for _ in range(n)]
+    graded = draw(st.booleans())
+    cols = []
+    for k in gradings:
+        words = draw(st.lists(word, max_size=6))
+        if graded:
+            words = [w for w in words if sum(gradings[x] for x in w) == k - 1]
+        cols.append(Element(words))
+    gens = tuple(Generator(i, f"g{i}", k) for i, k in enumerate(gradings))
+    return DGA(gens, tuple(cols)), Element(draw(st.lists(word, max_size=6)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(dgas_with_an_element())
+def test_differential_and_validation_match_the_former_code(case):
+    dga, elem = case
+    assert apply_differential(elem, dga) == apply_differential_per_letter(elem, dga)
+    assert outcome(validate_dga, dga) == outcome(validate_dga_per_letter, dga)
 
 
 def test_dga_structure_checks():

@@ -5,14 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from legch import augment
-from legch.algebra import DGA, Element
+from legch.algebra import DGA, Element, StructureError
 from legch.persist import FilteredComplex
 from legch.augment import (
     MAX_SEARCH_NODES,
+    SEARCH_BOUND,
     Augmentation,
+    augmentation_violations,
     enumerate_augmentations,
     evaluate,
-    is_valid_augmentation,
     linearized_differential,
 )
 
@@ -112,8 +113,9 @@ def test_enumeration_bound_guard():
     dga = DGA.from_data(
         [(f"g{i}", 0) for i in range(n)], {f"g{i}": [] for i in range(n)}
     )
-    with pytest.raises(ValueError, match=str(MAX_SEARCH_NODES)):
+    with pytest.raises(StructureError, match=str(MAX_SEARCH_NODES)) as exc:
         enumerate_augmentations(dga)
+    assert exc.value.code == SEARCH_BOUND
 
 
 def test_search_bound_counts_partial_assignments(monkeypatch):
@@ -167,10 +169,10 @@ def test_evaluate_trefoil_differential():
 
 def test_augmentation_validity_checks():
     eps = trefoil_aug((1, 0, 0))
-    assert is_valid_augmentation(TREFOIL, eps)
+    assert not augmentation_violations(TREFOIL, eps)
     bad = Augmentation((1, 0, 0, 0, 0))  # nonzero value in grading 1
-    assert not is_valid_augmentation(TREFOIL, bad)
-    assert not is_valid_augmentation(TREFOIL, trefoil_aug((0, 0, 0)))
+    assert augmentation_violations(TREFOIL, bad)
+    assert augmentation_violations(TREFOIL, trefoil_aug((0, 0, 0)))
 
 
 # --- linearized differential --------------------------------------------------
@@ -256,7 +258,7 @@ def test_linearized_complexes_square_to_zero_with_degree_drop(seed):
     fc, _ = planted_complex(Random(seed))
     dga = dga_from_complex(fc)
     eps = Augmentation((0,) * len(dga))
-    if not is_valid_augmentation(dga, eps):
+    if augmentation_violations(dga, eps):
         return
     lin = linearized_differential(dga, eps)
     # from_columns raises unless every entry drops the degree by 1 and d^2 = 0

@@ -9,7 +9,7 @@ from random import Random
 
 import pytest
 
-from legch import corpus
+from legch import augment, corpus
 from legch.cli import cli_dispatch
 from legch.fileio import serialize_barcode_file
 
@@ -183,9 +183,29 @@ def test_svg_renders_heights_beyond_float_range(tmp_path):
 
 
 def test_missing_file_is_an_input_error(tmp_path):
-    code, _, err = run("validate", str(tmp_path / "nope.json"))
-    assert code == 1
-    assert err
+    missing = str(tmp_path / "nope.json")
+    expected = f"error: [UNREADABLE_FILE] [Errno 2] No such file or directory: {missing!r}\n"
+    # validate reads a knot file, distance two barcode files.
+    assert run("validate", missing) == (1, "", expected)
+    assert run("distance", missing, missing) == (1, "", expected)
+    code, out, err = run("validate", str(tmp_path))  # a directory
+    assert (code, out) == (1, "")
+    assert err.startswith("error: [UNREADABLE_FILE] [Errno ")
+
+
+def test_search_bound_is_coded(tmp_path, monkeypatch):
+    # Unpruned, six free grading-0 generators take 127 search nodes.
+    monkeypatch.setattr(augment, "MAX_SEARCH_NODES", 2**6 - 1)
+    names = [f"g{i}" for i in range(6)]
+    knot = {
+        "generators": [{"name": name, "grading": 0} for name in names],
+        "differential": {name: [] for name in names},
+        "patches": [],
+    }
+    free = tmp_path / "free.json"
+    free.write_text(json.dumps(knot))
+    message = "augmentation search exceeds the bound of 63 search nodes (6 grading-0 generators)"
+    assert run("augment", str(free)) == (1, "", f"error: [SEARCH_BOUND] {message}\n")
 
 
 def test_augment_listing():

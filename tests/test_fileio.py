@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from legch import corpus
+from legch.algebra import StructureError
 from legch.augment import enumerate_augmentations, linearized_differential
 from legch.cli import cli_dispatch
 from legch.fileio import (
@@ -23,7 +24,6 @@ from legch.fileio import (
     UNKNOWN_GENERATOR,
     MAX_NUMBER_DIGITS,
     KnotData,
-    KnotFileError,
     decimal_str,
     parse_barcode_file,
     parse_knot_file,
@@ -82,7 +82,7 @@ def test_corpus_files_parse():
 
 
 def err_code(data) -> str:
-    with pytest.raises(KnotFileError) as exc:
+    with pytest.raises(StructureError) as exc:
         parse_knot_file(data)
     return exc.value.code
 
@@ -134,7 +134,7 @@ def test_error_codes():
     ids=["invalid_utf8", "deeply_nested"],
 )
 def test_undecodable_input_is_malformed_json(parse, payload):
-    with pytest.raises(KnotFileError) as exc:
+    with pytest.raises(StructureError) as exc:
         parse(payload)
     assert exc.value.code == MALFORMED_JSON
 
@@ -156,7 +156,7 @@ def test_largest_accepted_literal_round_trips(largest, too_long):
     barcode = parse_barcode_file(_bar_born_at(largest))
     assert barcode.bars[0].birth == Fraction(largest)
     assert parse_barcode_file(serialize_barcode_file(barcode)) == barcode
-    with pytest.raises(KnotFileError, match=f"more than {MAX_NUMBER_DIGITS} digits") as exc:
+    with pytest.raises(StructureError, match=f"more than {MAX_NUMBER_DIGITS} digits") as exc:
         parse_barcode_file(_bar_born_at(too_long))
     assert exc.value.code == MALFORMED_JSON
 
@@ -181,7 +181,7 @@ VALUES = st.one_of(
 @given(st.sampled_from(corpus.NAMES), st.data())
 def test_mutated_corpus_files_parse_or_fail_with_a_code(name, data):
     """Drop or rename keys, swap value types, rename letters: the parser either
-    accepts the file or raises KnotFileError, never anything else."""
+    accepts the file or raises StructureError, never anything else."""
     doc = json.loads(corpus.corpus_path(name).read_bytes())
     for _ in range(data.draw(st.integers(1, 3))):
         slots = _slots(doc, [])
@@ -201,7 +201,7 @@ def test_mutated_corpus_files_parse_or_fail_with_a_code(name, data):
             del container[key]
     try:
         assert isinstance(parse_knot_file(json.dumps(doc)), KnotData)
-    except KnotFileError:
+    except StructureError:
         pass
 
 
@@ -217,7 +217,7 @@ NUMBERS = st.sampled_from(
 def test_mutated_barcode_files_parse_or_fail_with_a_code(tmp_path_factory, name, data):
     """Drop or rename keys, swap value types, write huge, tiny or negative
     numbers, put a death at or before its birth: parse_barcode_file gives a
-    Barcode or raises KnotFileError, and legch distance exits 0 or 1 with a
+    Barcode or raises StructureError, and legch distance exits 0 or 1 with a
     coded error, never a traceback."""
     other = serialize_barcode_file(barcode_of(load_corpus(name), 2))
     doc = json.loads(other)
@@ -243,7 +243,7 @@ def test_mutated_barcode_files_parse_or_fail_with_a_code(tmp_path_factory, name,
     text = re.sub(r'"<number ([^"]*)>"', r"\1", json.dumps(doc))
     try:
         parsed = isinstance(parse_barcode_file(text), Barcode)
-    except KnotFileError:
+    except StructureError:
         parsed = False
     folder = tmp_path_factory.mktemp("fuzz")
     mutated, base = folder / "mutated.json", folder / "base.json"
@@ -294,17 +294,17 @@ def test_barcode_parse_inf_and_errors():
     barcode = parse_barcode_file(json.dumps(doc))
     assert barcode.bars[0].death == math.inf
 
-    with pytest.raises(KnotFileError) as exc:
+    with pytest.raises(StructureError) as exc:
         parse_barcode_file(json.dumps({"bars": [{"degree": 0, "birth": 2, "death": 1}]}))
     assert exc.value.code == INVALID_BAR
-    with pytest.raises(KnotFileError) as exc:
+    with pytest.raises(StructureError) as exc:
         parse_barcode_file(json.dumps({"bars": [{"degree": 0, "birth": 1}]}))
     assert exc.value.code == BAD_SCHEMA
-    with pytest.raises(KnotFileError):
+    with pytest.raises(StructureError):
         parse_barcode_file(b"nope")
     # Labels order tied bars, so a label that is not a string cannot be sorted.
     tied = [{"degree": 0, "birth": 1, "death": 2, "birth_label": label} for label in ("q", [])]
-    with pytest.raises(KnotFileError, match=r"bars\[1\]\.birth_label must be a string") as exc:
+    with pytest.raises(StructureError, match=r"bars\[1\]\.birth_label must be a string") as exc:
         parse_barcode_file(json.dumps({"bars": tied}))
     assert exc.value.code == BAD_SCHEMA
 

@@ -1,14 +1,20 @@
 """The benchmark harness reaches legch through module attributes
 (``lg.fileio.parse_knot_file``, ...) after importing only ``legch.cli`` and
-``legch.corpus``.  These tests pin that contract; they read ``perfbench/`` and
-never run it.
+``legch.corpus``, and its traced run reads attributes of the arguments and
+results of those functions.  These tests pin that contract; they read
+``perfbench/`` and never run the benchmark.
 """
 
 import ast
+import importlib
+import importlib.util
+import io
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from legch import corpus
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -48,3 +54,45 @@ def test_harness_names_resolve_after_importing_cli_and_corpus():
 def test_package_import_loads_no_submodule():
     loaded = run_python("import sys, legch\nprint(sorted(m for m in sys.modules if m.startswith('legch.')))")
     assert loaded == "[]\n"
+
+
+def test_traced_counters_read_attributes_the_library_has():
+    """Evaluate every ``COUNTERS`` lambda on the arguments and result of its
+    function, over one pass of the trefoil through the pipeline."""
+    spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)  # spans.py imports nothing from legch
+    called, counted = set(), {}
+
+    def call(name, *args):
+        module, function = name.split(".")
+        result = getattr(importlib.import_module(f"legch.{module}"), function)(*args)
+        on_args, on_result = spans.COUNTERS[name]
+        for counters in (on_args and on_args(args), on_result and on_result(result)):
+            for key, value in (counters or {}).items():
+                assert isinstance(value, int) and value >= 0, (name, key, value)
+                counted[f"{name}.{key}"] = value
+        called.add(name)
+        return result
+
+    path = corpus.corpus_path("trefoil")
+    kd = call("fileio.parse_knot_file", path.read_bytes())
+    call("algebra.validate_dga", kd.dga)
+    eps = call("augment.enumerate_augmentations", kd.dga)[2]
+    lin = call("augment.linearized_differential", kd.dga, eps)
+    inequalities = importlib.import_module("legch.diagram").area_inequalities(kd.diagram)
+    tiering = call("diagram.flood", inequalities, kd.diagram.crossings)
+    call("diagram.assign_heights", tiering)
+    barcode = call("persist.compute_barcode", call("persist.build_filtered_complex", lin, kd.heights))
+    data = call("fileio.serialize_barcode_file", barcode)
+    call("fileio.render_barcode", barcode, "text")
+    call("metrics.interleaving_distance", call("fileio.parse_barcode_file", data), barcode)
+    call("metrics.check_strong_morse", kd.dga, barcode)
+    call("cli.cli_dispatch", ["validate", str(path)], io.StringIO(), io.StringIO())
+
+    assert called == set(traced_names())
+    assert counted["algebra.validate_dga.words"] == 8
+    assert counted["augment.enumerate_augmentations.found"] == 5
+    assert counted["persist.compute_barcode.bars_finite"] == 1
+    assert counted["metrics.check_strong_morse.fails"] == 0
+    assert counted["cli.cli_dispatch.nonzero_exits"] == 0
