@@ -6,14 +6,11 @@ mod-2 reduced finite sets of words.  Everything is immutable.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 Word = tuple[int, ...]
-
-UNIT_WORD: Word = ()
 
 # Error codes, shared with the file parser, which reports them as they are.
 BAD_SCHEMA = "BAD_SCHEMA"
@@ -57,26 +54,11 @@ class Element:
                 acc.add(w)
         object.__setattr__(self, "words", frozenset(acc))
 
-    @classmethod
-    def zero(cls) -> "Element":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "Element":
-        return cls((UNIT_WORD,))
-
-    @classmethod
-    def from_word(cls, word: Sequence[int]) -> "Element":
-        return cls((tuple(word),))
-
     def __bool__(self) -> bool:
         return bool(self.words)
 
     def __add__(self, other: "Element") -> "Element":
         return Element(self.words.symmetric_difference(other.words))
-
-    def __mul__(self, other: "Element") -> "Element":
-        return Element(a + b for a in self.words for b in other.words)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Element) and self.words == other.words
@@ -148,9 +130,6 @@ class DGA:
         except IndexError:
             raise StructureError(f"unknown generator id {gid}") from None
 
-    def grading_of(self, gid: int) -> int:
-        return self.generator(gid).grading
-
     def d(self, gid: int) -> Element:
         self.generator(gid)
         return self.differential[gid]
@@ -189,22 +168,6 @@ class HeightAssignment:
         merged = dict(self.heights)
         merged.update(extra)
         return HeightAssignment(merged)
-
-
-def word_grading(word: Sequence[int], dga: DGA) -> int:
-    """Sum of letter gradings; the unit word has grading 0."""
-    return sum(dga.generator(g).grading for g in word)
-
-
-def height_of_word(word: Sequence[int], h: HeightAssignment) -> Fraction:
-    return sum((h.of(g) for g in word), Fraction(0))
-
-
-def height_of_element(elem: Element, h: HeightAssignment):
-    """Max over word heights; -inf for the zero element, 0 for the unit word."""
-    if not elem.words:
-        return -math.inf
-    return max(height_of_word(w, h) for w in elem.words)
 
 
 def apply_differential(elem: Element, dga: DGA) -> Element:

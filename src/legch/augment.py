@@ -20,9 +20,6 @@ class Augmentation:
 
     values: tuple[int, ...]
 
-    def of(self, gid: int) -> int:
-        return self.values[gid]
-
     @classmethod
     def from_zero_grading_values(cls, dga: DGA, bits: Sequence[int]) -> "Augmentation":
         zero_gens = [g.gid for g in dga.generators if g.grading == 0]
@@ -32,11 +29,8 @@ class Augmentation:
             )
         values = [0] * len(dga)
         for gid, bit in zip(zero_gens, bits):
-            values[gid] = int(bit)
+            values[gid] = bit
         return cls(tuple(values))
-
-    def zero_grading_values(self, dga: DGA) -> tuple[int, ...]:
-        return tuple(self.values[g.gid] for g in dga.generators if g.grading == 0)
 
 
 def evaluate(eps: Augmentation, elem: Element) -> int:
@@ -53,9 +47,15 @@ def evaluate(eps: Augmentation, elem: Element) -> int:
 
 
 def augmentation_violations(dga: DGA, eps: Augmentation) -> list[str]:
-    out = []
     if len(eps.values) != len(dga):
         return [f"value vector has length {len(eps.values)}, expected {len(dga)}"]
+    out = [
+        f"value {v!r} on {g.name} is not 0 or 1"
+        for g, v in zip(dga.generators, eps.values)
+        if v not in (0, 1)
+    ]
+    if out:  # evaluating such values would blame a differential instead
+        return out
     for g in dga.generators:
         if g.grading != 0 and eps.values[g.gid] != 0:
             out.append(f"nonzero value on {g.name}, which has grading {g.grading}")

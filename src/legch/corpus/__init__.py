@@ -29,8 +29,10 @@ def trefoil_after_rii(delta: Fraction) -> KnotData:
     crossings a (grading 1) and b (grading 0) whose bigon has area ``delta``:
     the shipped trefoil_rii.json (delta = 0.3) with h(a) = 2 + delta.
 
-    Valid for 0 < delta < 1.
+    Valid for 0 < delta < 1.  Like a height, ``delta`` must be exact.
     """
+    if isinstance(delta, float):
+        raise TypeError("delta must be exact (int, Fraction or decimal string), not float")
     delta = Fraction(delta)
     if not 0 < delta < 1:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")

@@ -103,18 +103,3 @@ def assign_heights(t: Tiering) -> HeightAssignment:
         for g in tier:
             heights[g] = Fraction(level[k])
     return HeightAssignment(heights)
-
-
-@dataclass(frozen=True)
-class HeightReport:
-    ok: bool
-    violations: tuple[int, ...]  # indices of inequalities that are not strictly positive
-
-
-def validate_heights(h: HeightAssignment, sys: InequalitySystem) -> HeightReport:
-    bad = []
-    for i, form in enumerate(sys.forms):
-        value = sum((coeff * h.of(g) for g, coeff in form), Fraction(0))
-        if value <= 0:
-            bad.append(i)
-    return HeightReport(not bad, tuple(bad))

@@ -263,31 +263,6 @@ def parse_knot_file(data: bytes | str) -> KnotData:
     return KnotData(dga=dga, diagram=diagram, heights=heights, meta=meta)
 
 
-def serialize_knot_file(kd: KnotData) -> bytes:
-    name_of = {g.gid: g.name for g in kd.dga.generators}
-    doc: dict[str, Any] = {
-        "generators": [
-            {"name": g.name, "grading": g.grading} for g in kd.dga.generators
-        ],
-        "differential": {
-            g.name: [
-                [name_of[gid] for gid in word]
-                for word in sorted(kd.dga.d(g.gid).words, key=lambda w: (len(w), w))
-            ]
-            for g in kd.dga.generators
-        },
-        "patches": [
-            [{"name": name_of[gid], "coeff": coeff} for gid, coeff in patch.corners]
-            for patch in kd.diagram.patches
-        ],
-        "ng_resolved": kd.diagram.ng_resolved,
-        "meta": kd.meta,
-    }
-    if kd.heights is not None:
-        doc["heights"] = {name_of[gid]: h for gid, h in kd.heights.heights.items()}
-    return emit_json(doc)
-
-
 def _read(path) -> bytes:
     try:
         with open(path, "rb") as fh:
@@ -310,41 +285,39 @@ def parse_barcode_file(data: bytes | str) -> Barcode:
         BAD_SCHEMA,
         "barcode file must be an object with a 'bars' array",
     )
+    allowed = {"degree", "birth", "death", "birth_label", "death_label"}
     bars = []
+    # JSON gives plain types, so exact type tests stand for the isinstance checks
+    # (a bool is no int here); each integer becomes a Fraction once, and a death
+    # is compared with "inf" only when it is no number.
     for i, entry in enumerate(doc["bars"]):
-        _expect(isinstance(entry, dict), BAD_SCHEMA, f"bars[{i}] must be an object")
-        allowed = {"degree", "birth", "death", "birth_label", "death_label"}
+        if type(entry) is not dict:
+            raise StructureError(f"bars[{i}] must be an object", BAD_SCHEMA)
         for key in entry:
-            _expect(key in allowed, BAD_SCHEMA, f"bars[{i}] has unknown key {key!r}")
+            if key not in allowed:
+                raise StructureError(f"bars[{i}] has unknown key {key!r}", BAD_SCHEMA)
         for key in ("degree", "birth", "death"):
-            _expect(key in entry, BAD_SCHEMA, f"bars[{i}] is missing {key!r}")
-        degree = entry["degree"]
-        _expect(
-            isinstance(degree, int) and not isinstance(degree, bool),
-            BAD_SCHEMA,
-            f"bars[{i}].degree must be an integer",
-        )
-        birth = entry["birth"]
-        if isinstance(birth, bool) or not isinstance(birth, (int, Fraction)):
+            if key not in entry:
+                raise StructureError(f"bars[{i}] is missing {key!r}", BAD_SCHEMA)
+        degree, birth, death = entry["degree"], entry["birth"], entry["death"]
+        if type(degree) is not int:
+            raise StructureError(f"bars[{i}].degree must be an integer", BAD_SCHEMA)
+        if type(birth) is int:
+            birth = Fraction(birth)
+        elif type(birth) is not Fraction:
             raise StructureError(f"bars[{i}].birth must be a number", BAD_SCHEMA)
-        death = entry["death"]
-        if death == "inf":
+        if type(death) is int:
+            death = Fraction(death)
+        elif type(death) is not Fraction:
+            if death != "inf":
+                raise StructureError(f"bars[{i}].death must be a number or 'inf'", BAD_SCHEMA)
             death = math.inf
-        elif isinstance(death, bool) or not isinstance(death, (int, Fraction)):
-            raise StructureError(f"bars[{i}].death must be a number or 'inf'", BAD_SCHEMA)
-        for key in ("birth_label", "death_label"):
-            label = entry.get(key)
-            _expect(label is None or isinstance(label, str), BAD_SCHEMA, f"bars[{i}].{key} must be a string")
+        labels = entry.get("birth_label"), entry.get("death_label")
+        for key, label in zip(("birth_label", "death_label"), labels):
+            if label is not None and type(label) is not str:
+                raise StructureError(f"bars[{i}].{key} must be a string", BAD_SCHEMA)
         try:
-            bars.append(
-                Bar(
-                    degree=degree,
-                    birth=Fraction(birth),
-                    death=death if death == math.inf else Fraction(death),
-                    birth_label=entry.get("birth_label"),
-                    death_label=entry.get("death_label"),
-                )
-            )
+            bars.append(Bar(degree, birth, death, *labels))
         except ValueError as exc:
             raise StructureError(f"bars[{i}]: {exc}", INVALID_BAR) from None
     return Barcode(tuple(bars))

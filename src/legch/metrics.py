@@ -27,18 +27,8 @@ class LaurentPolynomial:
         object.__setattr__(self, "coeffs", {e: c for e, c in acc.items() if c != 0})
 
     @classmethod
-    def zero(cls) -> "LaurentPolynomial":
-        return cls()
-
-    @classmethod
     def z_plus_one(cls) -> "LaurentPolynomial":
         return cls({1: 1, 0: 1})
-
-    def __add__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0) + c
-        return LaurentPolynomial(out)
 
     def __sub__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
         out = dict(self.coeffs)
@@ -53,17 +43,8 @@ class LaurentPolynomial:
                 out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
         return LaurentPolynomial(out)
 
-    def evaluate(self, x) -> Fraction:
-        return sum((c * Fraction(x) ** e for e, c in self.coeffs.items()), Fraction(0))
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, LaurentPolynomial) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.coeffs.items()))
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
 
     def __str__(self) -> str:
         if not self.coeffs:

@@ -15,7 +15,6 @@ class HeightOrderError(StructureError):
     """The differential is not strictly height-decreasing for the given heights."""
 
     def __init__(self, source: str, entry: str):
-        self.pair = (entry, source)
         super().__init__(
             f"generator {entry} appears in d({source}) but does not sit strictly "
             f"below it; these heights are invalid for this differential",
@@ -89,10 +88,6 @@ class Bar:
     def finite(self) -> bool:
         return self.death != math.inf
 
-    @property
-    def length(self) -> Fraction | float:
-        return self.death - self.birth
-
 
 def _bar_key(bar: Bar):
     return (bar.degree, bar.birth, bar.death, bar.birth_label or "", bar.death_label or "")
@@ -110,10 +105,6 @@ class Barcode:
 
     def degrees(self) -> tuple[int, ...]:
         return tuple(sorted({b.degree for b in self.bars}))
-
-    def triples(self) -> tuple[tuple[int, Fraction, Fraction | float], ...]:
-        """The bar multiset without labels, for comparisons."""
-        return tuple((b.degree, b.birth, b.death) for b in self.bars)
 
 
 def compute_barcode(fc: FilteredComplex) -> Barcode:

@@ -25,10 +25,11 @@ from legch.algebra import (
     apply_differential,
     format_element,
     format_word,
-    word_grading,
 )
 from legch.augment import Augmentation, evaluate
 from legch.diagram import InequalitySystem
+from legch.fileio import KnotData, emit_json
+from legch.metrics import LaurentPolynomial
 from legch.persist import Bar, Barcode, FilteredComplex
 
 
@@ -40,6 +41,92 @@ def load_corpus(name: str):
 def gid_of(dga: DGA, name: str) -> int:
     """The id of the generator called ``name``, by a linear scan."""
     return next(g.gid for g in dga.generators if g.name == name)
+
+
+def zero_grading_values(eps: Augmentation, dga: DGA) -> tuple[int, ...]:
+    return tuple(eps.values[g.gid] for g in dga.generators if g.grading == 0)
+
+
+def triples(b: Barcode) -> tuple[tuple[int, Fraction, Fraction | float], ...]:
+    """The bar multiset without labels, for comparisons."""
+    return tuple((bar.degree, bar.birth, bar.death) for bar in b.bars)
+
+
+def evaluate_at(p: LaurentPolynomial, x) -> Fraction:
+    return sum((c * Fraction(x) ** e for e, c in p.coeffs.items()), Fraction(0))
+
+
+def serialize_knot_file(kd: KnotData) -> bytes:
+    """The knot file of ``kd`` in the canonical form the corpus files are stored in."""
+    name_of = {g.gid: g.name for g in kd.dga.generators}
+    doc = {
+        "generators": [
+            {"name": g.name, "grading": g.grading} for g in kd.dga.generators
+        ],
+        "differential": {
+            g.name: [
+                [name_of[gid] for gid in word]
+                for word in sorted(kd.dga.d(g.gid).words, key=lambda w: (len(w), w))
+            ]
+            for g in kd.dga.generators
+        },
+        "patches": [
+            [{"name": name_of[gid], "coeff": coeff} for gid, coeff in patch.corners]
+            for patch in kd.diagram.patches
+        ],
+        "ng_resolved": kd.diagram.ng_resolved,
+        "meta": kd.meta,
+    }
+    if kd.heights is not None:
+        doc["heights"] = {name_of[gid]: h for gid, h in kd.heights.heights.items()}
+    return emit_json(doc)
+
+
+def validate_heights(h: HeightAssignment, sys: InequalitySystem) -> tuple[int, ...]:
+    """The indices of the inequalities that ``h`` does not make strictly positive."""
+    return tuple(
+        i
+        for i, form in enumerate(sys.forms)
+        if sum((coeff * h.of(g) for g, coeff in form), Fraction(0)) <= 0
+    )
+
+
+# ---------------------------------------------------------------------------
+# words: gradings, heights and products
+
+ONE = Element([()])
+
+
+def times(a: Element, b: Element) -> Element:
+    return Element(x + y for x in a.words for y in b.words)
+
+
+def word_grading(word, dga: DGA) -> int:
+    """Sum of letter gradings; the unit word has grading 0."""
+    return sum(dga.generator(g).grading for g in word)
+
+
+def height_of_element(elem: Element, h: HeightAssignment):
+    """Max over word heights, a word's being the sum of its letters'; -inf for
+    the zero element, 0 for the unit word."""
+    if not elem.words:
+        return -math.inf
+    return max(sum((h.of(g) for g in w), Fraction(0)) for w in elem.words)
+
+
+def substitute(elem: Element, images: dict[int, Element]) -> Element:
+    """Image of ``elem`` under the algebra map that sends each key of
+    ``images`` to its value and fixes every other letter, fully expanded."""
+    out = []
+    for word in elem.words:
+        if images.keys().isdisjoint(word):
+            out.append(word)
+            continue
+        prod = ONE
+        for g in word:
+            prod = times(prod, images.get(g) or Element([(g,)]))
+        out.extend(prod.words)
+    return Element(out)
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +183,7 @@ def torus_2n_count(n: int) -> int:
 
 def apply_differential_per_letter(elem: Element, dga: DGA) -> Element:
     """Extend the generator-level differential by linearity and the Leibniz rule."""
-    out = Element.zero()
+    out = Element()
     for word in elem.words:
         for i, letter in enumerate(word):
             prefix, suffix = word[:i], word[i + 1 :]
@@ -128,28 +215,74 @@ def validate_dga_per_letter(dga: DGA) -> None:
 # ---------------------------------------------------------------------------
 # symbolic conjugation oracle for the linearized differential
 
-def substitute_units(elem: Element, eps: Augmentation) -> Element:
-    """Image of ``elem`` under the algebra map q -> q + eps(q), fully expanded."""
-    out = Element.zero()
-    for word in elem.words:
-        prod = Element.one()
-        for g in word:
-            term = Element.from_word((g,))
-            if eps.values[g]:
-                term = term + Element.one()
-            prod = prod * term
-        out = out + prod
-    return out
-
-
 def linearize_by_conjugation(dga: DGA, eps: Augmentation) -> tuple[frozenset[int], ...]:
-    """Conjugate the full differential symbolically, then keep length-1 words."""
+    """Conjugate the full differential symbolically by q -> q + eps(q), then
+    keep length-1 words."""
+    shift = {g.gid: Element([(g.gid,), ()]) for g in dga.generators if eps.values[g.gid]}
     cols = []
     for g in dga.generators:
-        pre = substitute_units(Element.from_word((g.gid,)), eps)
-        image = substitute_units(apply_differential(pre, dga), eps)
+        image = substitute(dga.d(g.gid), shift)
         cols.append(frozenset(w[0] for w in image.words if len(w) == 1))
     return tuple(cols)
+
+
+# ---------------------------------------------------------------------------
+# the two moves of the invariance theorem: stabilization, and conjugation by a
+# semimonotonic elementary automorphism
+
+def _unique_name(taken: set[str], base: str) -> str:
+    if base not in taken:
+        return base
+    i = 2
+    while f"{base}_{i}" in taken:
+        i += 1
+    return f"{base}_{i}"
+
+
+def stabilize(dga: DGA, k: int, h_top, h_bot, h: HeightAssignment):
+    """Adjoin a cancelling pair: a grading-k generator at height ``h_top`` mapping
+    to a grading-(k-1) generator at height ``h_bot``; their ids are len(dga) and
+    len(dga) + 1."""
+    if not h_top > h_bot > 0:
+        raise ValueError(f"need h_top > h_bot > 0, got {h_top}, {h_bot}")
+    n = len(dga)
+    taken = {g.name for g in dga.generators}
+    top_name = _unique_name(taken, f"e{k}")
+    taken.add(top_name)
+    top = Generator(n, top_name, k)
+    bot = Generator(n + 1, _unique_name(taken, f"e{k - 1}"), k - 1)
+    diff = dga.differential + (Element([(bot.gid,)]), Element())
+    return DGA(dga.generators + (top, bot), diff), h.with_entries({n: h_top, n + 1: h_bot})
+
+
+def conjugate(dga: DGA, target: int, addend: Element) -> DGA:
+    """Conjugate the differential by the elementary automorphism
+    target -> target + addend, which is its own inverse over Z2."""
+    grading = dga.generator(target).grading
+    for word in addend.words:
+        if target in word or word_grading(word, dga) != grading:
+            raise ValueError(
+                f"addend word {word} must avoid the target {target} and have grading {grading}"
+            )
+
+    image = {target: Element([(target,), *addend.words])}
+    cols = []
+    for g, col in zip(dga.generators, dga.differential):
+        if g.gid == target:  # d(phi(q)) = d(q) + d(addend)
+            col = col + apply_differential(addend, dga)
+        cols.append(substitute(col, image))
+    return DGA(dga.generators, tuple(cols))
+
+
+def is_semimonotonic(target: int, addend: Element, h: HeightAssignment) -> bool:
+    """True when every letter of every addend word sits strictly below the target.
+
+    A word may still outweigh the target: this letter-level reading is weaker
+    than comparing the addend's height to the target's.  It is the reading the
+    linearizations need, since each keeps one letter of a word.
+    """
+    bound = h.of(target)
+    return all(h.of(g) < bound for word in addend.words for g in word)
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +303,7 @@ def _match_cost(a: Bar, b: Bar):
 def _delete_cost(a: Bar):
     if not a.finite:
         return math.inf
-    return a.length / 2
+    return (a.death - a.birth) / 2
 
 
 def _bf_degree(bars1, bars2):

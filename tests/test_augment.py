@@ -24,8 +24,10 @@ from support import (
     linearize_by_conjugation,
     load_corpus,
     planted_complex,
+    ONE,
     torus_2n_count,
     torus_2n_dga,
+    zero_grading_values,
 )
 
 UNKNOT = load_corpus("unknot").dga
@@ -52,7 +54,7 @@ def test_unknot_has_exactly_one_augmentation():
 def test_trefoil_has_exactly_five_augmentations():
     augs = enumerate_augmentations(TREFOIL)
     assert len(augs) == 5
-    assert [a.zero_grading_values(TREFOIL) for a in augs] == TREFOIL_TRIPLES
+    assert [zero_grading_values(a, TREFOIL) for a in augs] == TREFOIL_TRIPLES
 
 
 def test_enumeration_is_the_lexicographic_filter():
@@ -135,7 +137,7 @@ def test_enumeration_is_lexicographic_and_complete_on_island():
     island = load_corpus("island").dga
     augs = enumerate_augmentations(island)
     assert len(augs) == 2**9
-    vectors = [a.zero_grading_values(island) for a in augs]
+    vectors = [zero_grading_values(a, island) for a in augs]
     assert vectors == sorted(vectors)
     assert len(set(vectors)) == len(vectors)
 
@@ -153,12 +155,12 @@ def test_rii_augmentations_extend_trefoil_ones():
 
 def test_evaluate_zero_element():
     eps = trefoil_aug((1, 0, 0))
-    assert evaluate(eps, Element.zero()) == 0
+    assert evaluate(eps, Element()) == 0
 
 
 def test_evaluate_unit_element():
     eps = trefoil_aug((1, 0, 0))
-    assert evaluate(eps, Element.one()) == 1
+    assert evaluate(eps, ONE) == 1
 
 
 def test_evaluate_trefoil_differential():
@@ -173,6 +175,14 @@ def test_augmentation_validity_checks():
     bad = Augmentation((1, 0, 0, 0, 0))  # nonzero value in grading 1
     assert augmentation_violations(TREFOIL, bad)
     assert augmentation_violations(TREFOIL, trefoil_aug((0, 0, 0)))
+
+
+def test_values_other_than_zero_and_one_are_reported():
+    for bits in ((3, 0, 0), (-1, 0, 0), (2, 0, 0)):
+        eps = trefoil_aug(bits)
+        assert augmentation_violations(TREFOIL, eps) == [f"value {bits[0]} on q3 is not 0 or 1"]
+        with pytest.raises(ValueError, match="is not 0 or 1$"):
+            linearized_differential(TREFOIL, eps)
 
 
 # --- linearized differential --------------------------------------------------

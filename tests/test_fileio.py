@@ -29,11 +29,10 @@ from legch.fileio import (
     parse_knot_file,
     render_barcode,
     serialize_barcode_file,
-    serialize_knot_file,
 )
 from legch.persist import Barcode, build_filtered_complex, compute_barcode
 
-from support import gid_of, load_corpus
+from support import gid_of, load_corpus, serialize_knot_file
 
 UNKNOT = load_corpus("unknot")
 TREFOIL = load_corpus("trefoil")
@@ -277,6 +276,12 @@ def test_knot_round_trip_is_identity():
 def test_trefoil_rii_file_matches_builder():
     built = corpus.trefoil_after_rii(Fraction(3, 10))
     assert serialize_knot_file(built) == corpus.corpus_path("trefoil_rii").read_bytes()
+
+
+def test_trefoil_after_rii_needs_an_exact_delta():
+    with pytest.raises(TypeError):
+        corpus.trefoil_after_rii(0.3)
+    assert corpus.trefoil_after_rii("0.3").meta["bigon_area"] == Fraction(3, 10)
 
 
 # --- barcode files ----------------------------------------------------------------

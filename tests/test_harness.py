@@ -2,7 +2,8 @@
 (``lg.fileio.parse_knot_file``, ...) after importing only ``legch.cli`` and
 ``legch.corpus``, and its traced run reads attributes of the arguments and
 results of those functions.  These tests pin that contract; they read
-``perfbench/`` and never run the benchmark.
+``perfbench/`` and never run the benchmark.  The last test keeps the library
+to what the CLI, ``scripts/`` and ``perfbench/`` use.
 """
 
 import ast
@@ -10,8 +11,10 @@ import importlib
 import importlib.util
 import io
 import os
+import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 from legch import corpus
@@ -96,3 +99,28 @@ def test_traced_counters_read_attributes_the_library_has():
     assert counted["persist.compute_barcode.bars_finite"] == 1
     assert counted["metrics.check_strong_morse.fails"] == 0
     assert counted["cli.cli_dispatch.nonzero_exits"] == 0
+
+
+def test_every_public_library_name_has_a_program_caller():
+    """Each public module-level function, class and constant of ``src/legch``
+    occurs as a word in ``src/legch``, ``scripts/`` or ``perfbench/`` beyond
+    its definition.  What only tests use belongs in ``tests/support.py``."""
+    sources = [
+        path.read_text(encoding="utf-8")
+        for folder in ("src/legch", "scripts", "perfbench")
+        for path in sorted((ROOT / folder).rglob("*.py"))
+    ]
+    words = Counter(w for text in sources for w in re.findall(r"\w+", text))
+    unused = []
+    for path in sorted((ROOT / "src" / "legch").rglob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                names = []
+            unused += [name for name in names if not name.startswith("_") and words[name] < 2]
+    assert unused == []

@@ -1,3 +1,11 @@
+"""The two moves of the invariance theorem, stabilization and conjugation by a
+semimonotonic elementary automorphism (Chekanov 2002), and the theorem itself
+as an oracle over the whole pipeline: a stabilization with gap delta adds one
+bar [h_bot, h_top) to every barcode, which therefore moves by at most delta/2,
+and a semimonotonic conjugation leaves the barcodes of all augmentations as
+they were.
+"""
+
 from fractions import Fraction
 from random import Random
 
@@ -5,26 +13,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from legch.algebra import (
-    DGA,
-    Element,
-    HeightAssignment,
-    height_of_element,
-    validate_dga,
-)
+from legch.algebra import DGA, Element, HeightAssignment, validate_dga
 from legch.augment import Augmentation, enumerate_augmentations, linearized_differential
-from legch.persist import FilteredComplex, build_filtered_complex, compute_barcode
-from legch.transform import (
-    ElementaryAutomorphism,
-    TameIsomorphism,
-    apply_elementary,
-    apply_tame,
-    induced_linear_map,
-    is_semimonotonic,
-    stabilize,
-)
+from legch.diagram import InequalitySystem, assign_heights, flood
+from legch.metrics import interleaving_distance
+from legch.persist import build_filtered_complex, compute_barcode
 
-from support import gid_of, load_corpus
+from support import (
+    conjugate,
+    dga_from_complex,
+    gid_of,
+    height_of_element,
+    is_semimonotonic,
+    load_corpus,
+    planted_complex,
+    stabilize,
+    torus_2n_dga,
+    triples,
+)
 
 UNKNOT = load_corpus("unknot")
 TREFOIL = load_corpus("trefoil")
@@ -34,6 +40,19 @@ def gid(name):
     return gid_of(TREFOIL.dga, name)
 
 
+def word(*letters) -> Element:
+    return Element([letters])
+
+
+def barcode(dga, h, eps):
+    return compute_barcode(build_filtered_complex(linearized_differential(dga, eps), h))
+
+
+def all_barcodes(dga, h):
+    """The sorted bar multisets of every augmentation."""
+    return sorted(triples(barcode(dga, h, eps)) for eps in enumerate_augmentations(dga))
+
+
 # --- stabilization ----------------------------------------------------------
 
 def test_stabilize_unknot_at_grading_two():
@@ -41,8 +60,8 @@ def test_stabilize_unknot_at_grading_two():
     assert len(dga) == len(UNKNOT.dga) + 2
     top = gid_of(dga, "e2")
     bot = gid_of(dga, "e1")
-    assert dga.grading_of(top) == 2 and dga.grading_of(bot) == 1
-    assert dga.d(top) == Element.from_word((bot,))
+    assert dga.generator(top).grading == 2 and dga.generator(bot).grading == 1
+    assert dga.d(top) == word(bot)
     assert not dga.d(bot)
     assert h.of(top) == 5 and h.of(bot) == 3
     validate_dga(dga)
@@ -67,33 +86,24 @@ def test_stabilize_twice_picks_fresh_names():
     validate_dga(dga)
 
 
-def _barcode_of(kd, eps_index=0):
-    eps = enumerate_augmentations(kd.dga)[eps_index]
-    lin = linearized_differential(kd.dga, eps)
-    return compute_barcode(build_filtered_complex(lin, kd.heights))
-
-
 def test_stabilization_adds_exactly_one_finite_bar():
-    base = _barcode_of(TREFOIL)
+    eps = enumerate_augmentations(TREFOIL.dga)[0]
+    base = barcode(TREFOIL.dga, TREFOIL.heights, eps)
     dga, h = stabilize(TREFOIL.dga, 3, Fraction(9), Fraction(8), TREFOIL.heights)
-    eps = enumerate_augmentations(dga)[0]
-    lin = linearized_differential(dga, eps)
-    stabilized = compute_barcode(build_filtered_complex(lin, h))
+    stabilized = barcode(dga, h, enumerate_augmentations(dga)[0])
     extra = (2, Fraction(8), Fraction(9))  # degree k-1, [h_bot, h_top)
-    assert sorted(stabilized.triples()) == sorted(base.triples() + (extra,))
+    assert sorted(triples(stabilized)) == sorted(triples(base) + (extra,))
 
 
 # --- elementary automorphisms -------------------------------------------------
 
 def test_zero_addend_is_identity():
-    phi = ElementaryAutomorphism(gid("q1"), Element.zero())
-    assert apply_elementary(TREFOIL.dga, phi) == TREFOIL.dga
+    assert conjugate(TREFOIL.dga, gid("q1"), Element()) == TREFOIL.dga
 
 
 def test_elementary_automorphism_is_an_involution():
-    phi = ElementaryAutomorphism(gid("q1"), Element.from_word((gid("q2"),)))
-    once = apply_elementary(TREFOIL.dga, phi)
-    twice = apply_elementary(once, phi)
+    once = conjugate(TREFOIL.dga, gid("q1"), word(gid("q2")))
+    twice = conjugate(once, gid("q1"), word(gid("q2")))
     assert twice == TREFOIL.dga
     assert once != TREFOIL.dga
 
@@ -101,8 +111,7 @@ def test_elementary_automorphism_is_an_involution():
 def test_conjugation_by_q1_to_q1_plus_q2():
     # d(q1) + d(q2) leaves only the two length-3 words; the constant and
     # length-1 words cancel in pairs over Z2.
-    phi = ElementaryAutomorphism(gid("q1"), Element.from_word((gid("q2"),)))
-    out = apply_elementary(TREFOIL.dga, phi)
+    out = conjugate(TREFOIL.dga, gid("q1"), word(gid("q2")))
     expected = Element(
         [
             (gid("q5"), gid("q4"), gid("q3")),
@@ -117,125 +126,41 @@ def test_conjugation_by_q1_to_q1_plus_q2():
 
 def test_addend_must_avoid_target():
     with pytest.raises(ValueError):
-        ElementaryAutomorphism(gid("q1"), Element.from_word((gid("q1"), gid("q3"))))
+        conjugate(TREFOIL.dga, gid("q1"), word(gid("q1"), gid("q3")))
 
 
 def test_inhomogeneous_addend_rejected():
-    phi = ElementaryAutomorphism(gid("q1"), Element.from_word((gid("q3"),)))
     with pytest.raises(ValueError):
-        apply_elementary(TREFOIL.dga, phi)
+        conjugate(TREFOIL.dga, gid("q1"), word(gid("q3")))
 
 
 def test_apply_elementary_preserves_validity():
     # q3 -> q3 + q5 touches words inside the trefoil differential.
-    phi = ElementaryAutomorphism(gid("q3"), Element.from_word((gid("q5"),)))
-    out = apply_elementary(TREFOIL.dga, phi)
+    out = conjugate(TREFOIL.dga, gid("q3"), word(gid("q5")))
     validate_dga(out)
-    assert apply_elementary(out, phi) == TREFOIL.dga
+    assert conjugate(out, gid("q3"), word(gid("q5"))) == TREFOIL.dga
 
 
-def test_apply_tame_relabels():
-    phi = ElementaryAutomorphism(gid("q3"), Element.from_word((gid("q5"),)))
-    relabel = (1, 0, 2, 3, 4)  # swap q1 and q2, same gradings
-    iso = TameIsomorphism((phi,), relabel)
-    out = apply_tame(TREFOIL.dga, iso)
-    validate_dga(out)
-    assert out.generator(0).name == "q2"
-    assert out.generator(1).name == "q1"
+# --- semimonotonicity ---------------------------------------------------------
 
-
-# --- semimonotonicity and the induced linear map ------------------------------
-
-# Three grading-0 crossings with trivial differential: the strand-slide shape
-# with one high crossing over two low ones.
-TRIPLE = DGA.from_data(
-    [("a", 0), ("b", 0), ("c", 0)], {"a": [], "b": [], "c": []}
-)
+# Three grading-0 crossings, one high crossing over two low ones.
 TRIPLE_H = HeightAssignment({0: 3, 1: 1, 2: 1})
 
 
-def triple_phi(*words) -> ElementaryAutomorphism:
-    return ElementaryAutomorphism(0, Element(words))
-
-
 def test_semimonotonic_when_addend_sits_below():
-    phi = triple_phi((1,), (2,))  # a -> a + b + c
-    assert is_semimonotonic(phi, TRIPLE_H)
+    assert is_semimonotonic(0, Element([(1,), (2,)]), TRIPLE_H)  # a -> a + b + c
 
 
 def test_not_semimonotonic_when_a_letter_sits_above():
     h = HeightAssignment({0: 3, 1: 1, 2: 5})
-    phi = triple_phi((1,), (2,))
-    assert not is_semimonotonic(phi, h)
+    assert not is_semimonotonic(0, Element([(1,), (2,)]), h)
 
 
 def test_zero_addend_is_semimonotonic():
-    assert is_semimonotonic(triple_phi(), TRIPLE_H)
+    assert is_semimonotonic(0, Element(), TRIPLE_H)
 
 
-def test_letter_level_reading_differs_from_element_height():
-    # With h(b) = h(c) = 2 below h(a) = 3, the word bc passes the letter-level
-    # test even though its height 4 exceeds the target: the two readings differ
-    # exactly on multi-letter words.  The induced linear map only ever picks up
-    # single letters, so height preservation survives.
-    h = HeightAssignment({0: 3, 1: 2, 2: 2})
-    phi = triple_phi((1, 2))
-    assert height_of_element(phi.addend, h) > h.of(0)
-    assert is_semimonotonic(phi, h)
-    for eps in enumerate_augmentations(TRIPLE):
-        cols = induced_linear_map(TRIPLE, phi, eps)
-        assert max(h.of(p) for p in cols[0]) == h.of(0)
-
-
-def triple_eps(b, c) -> Augmentation:
-    return Augmentation((0, b, c))
-
-
-def slide_move_phi(eps: Augmentation) -> ElementaryAutomorphism:
-    # a -> a + eps(c) b + eps(b) c: the eps values are coefficients of the addend.
-    words = []
-    if eps.values[2]:
-        words.append((1,))
-    if eps.values[1]:
-        words.append((2,))
-    return ElementaryAutomorphism(0, Element(words))
-
-
-def test_induced_map_identity_when_values_vanish():
-    eps = triple_eps(0, 0)
-    cols = induced_linear_map(TRIPLE, slide_move_phi(eps), eps)
-    assert cols == {0: frozenset({0}), 1: frozenset({1}), 2: frozenset({2})}
-
-
-def test_induced_map_on_strand_slide_addend():
-    # With eps(c) = 1 and eps(b) = 0 the addend element is b alone, and the
-    # induced map sends a to a + b.
-    eps = triple_eps(0, 1)
-    phi = slide_move_phi(eps)
-    assert phi.addend == Element([(1,)])
-    cols = induced_linear_map(TRIPLE, phi, eps)
-    assert cols[0] == frozenset({0, 1})
-    assert cols[1] == frozenset({1})
-    assert cols[2] == frozenset({2})
-
-
-def test_induced_map_of_semimonotonic_step_preserves_heights():
-    phi = triple_phi((1,), (2,), (1, 2))
-    assert is_semimonotonic(phi, TRIPLE_H)
-    for eps in enumerate_augmentations(TRIPLE):
-        cols = induced_linear_map(TRIPLE, phi, eps)
-        for g, col in cols.items():
-            assert max(TRIPLE_H.of(p) for p in col) == TRIPLE_H.of(g)
-
-
-def test_induced_map_requires_valid_augmentation():
-    phi = triple_phi((1,))
-    with pytest.raises(ValueError):
-        induced_linear_map(TRIPLE, phi, Augmentation((1, 1)))  # wrong length
-
-
-# --- conjugated linearized differential stays filtered -------------------------
-
+# d(x) = a + bc, with x above a above b and c.
 CONJ = DGA.from_data(
     [("x", 1), ("a", 0), ("b", 0), ("c", 0)],
     {"x": [["a"], ["b", "c"]], "a": [], "b": [], "c": []},
@@ -243,26 +168,28 @@ CONJ = DGA.from_data(
 CONJ_H = HeightAssignment({0: 5, 1: 3, 2: 1, 3: 1})
 
 
+def test_letter_level_reading_differs_from_element_height():
+    # With h(b) = h(c) = 2 below h(a) = 3, the word bc passes the letter-level
+    # test even though its height 4 exceeds the target's: the two readings
+    # differ exactly on multi-letter words.  Each linearization keeps one
+    # letter of a word, so the barcodes survive a -> a + bc, which here
+    # reduces d(x) to a.
+    h = HeightAssignment({0: 5, 1: 3, 2: 2, 3: 2})
+    a, addend = gid_of(CONJ, "a"), word(gid_of(CONJ, "b"), gid_of(CONJ, "c"))
+    assert height_of_element(addend, h) > h.of(a)
+    assert is_semimonotonic(a, addend, h)
+    conjugated = conjugate(CONJ, a, addend)
+    assert conjugated.d(gid_of(CONJ, "x")) == word(a)
+    assert all_barcodes(conjugated, h) == all_barcodes(CONJ, h)
+
+
 def test_conjugated_linearized_differential_is_strictly_height_decreasing():
-    phi = ElementaryAutomorphism(gid_of(CONJ, "a"), Element.from_word((gid_of(CONJ, "c"),)))
-    assert is_semimonotonic(phi, CONJ_H)
-    for eps in enumerate_augmentations(CONJ):
-        lin = linearized_differential(CONJ, eps)
-        cols = {g: set(col) for g, col in enumerate(lin.columns)}
-        phi_cols = induced_linear_map(CONJ, phi, eps)
-
-        def apply_map(mapping, support):
-            out = set()
-            for p in support:
-                out ^= mapping[p]
-            return out
-
-        conjugated = tuple(
-            frozenset(apply_map(phi_cols, apply_map(cols, phi_cols[g])))
-            for g in range(len(CONJ))
-        )
+    a, c = gid_of(CONJ, "a"), gid_of(CONJ, "c")
+    assert is_semimonotonic(a, word(c), CONJ_H)
+    conjugated = conjugate(CONJ, a, word(c))
+    for eps in enumerate_augmentations(conjugated):
         # Filtration validity is exactly what FilteredComplex enforces.
-        FilteredComplex.from_columns(CONJ.generators, CONJ_H, conjugated)
+        build_filtered_complex(linearized_differential(conjugated, eps), CONJ_H)
 
 
 @settings(max_examples=40, deadline=None)
@@ -273,16 +200,125 @@ def test_random_elementary_automorphisms_are_involutions(seed):
     grading_one = [g.gid for g in dga.generators if g.grading == 1]
     grading_zero = [g.gid for g in dga.generators if g.grading == 0]
     target = rng.choice(grading_one + grading_zero)
-    pool = grading_one if dga.grading_of(target) == 1 else grading_zero
+    pool = grading_one if dga.generator(target).grading == 1 else grading_zero
     words = []
     for other in pool:
         if other != target and rng.random() < 0.6:
             words.append((other,))
-    if dga.grading_of(target) == 0 and rng.random() < 0.5:
+    if dga.generator(target).grading == 0 and rng.random() < 0.5:
         lows = [g for g in grading_zero if g != target]
         if len(lows) >= 2:
             words.append((lows[0], lows[1], lows[0]))
-    phi = ElementaryAutomorphism(target, Element(words))
-    once = apply_elementary(dga, phi)
+    once = conjugate(dga, target, Element(words))
     validate_dga(once)
-    assert apply_elementary(once, phi) == dga
+    assert conjugate(once, target, Element(words)) == dga
+
+
+# --- the invariance theorem as an oracle ---------------------------------------
+
+def flood_heights(dga: DGA) -> HeightAssignment:
+    """Flood the inequalities h(q) > h(w), one for each word w of d(q)."""
+    forms = []
+    for g, col in zip(dga.generators, dga.differential):
+        for w in col.words:
+            form = {g.gid: 1}
+            for x in w:
+                form[x] = form.get(x, 0) - 1
+            forms.append(tuple(sorted(form.items())))
+    tiering = flood(InequalitySystem(tuple(forms)), range(len(dga)))
+    return assign_heights(tiering)
+
+
+def filtered_dga(rng: Random):
+    """A (2,n) torus knot with flood heights, a planted complex, or the corpus
+    trefoil with its file heights."""
+    kind = rng.choice(("torus", "planted", "trefoil"))
+    if kind == "torus":
+        dga = torus_2n_dga(rng.randint(3, 9))
+        h = flood_heights(dga)
+    elif kind == "planted":
+        fc, _ = planted_complex(rng, max_n=10)
+        dga, h = dga_from_complex(fc), fc.heights
+    else:
+        dga, h = TREFOIL.dga, TREFOIL.heights
+    # the hypothesis of the theorem: d lowers the height of every word
+    for g, col in zip(dga.generators, dga.differential):
+        assert height_of_element(col, h) < h.of(g.gid)
+    return dga, h
+
+
+def stabilization(rng: Random):
+    """A degree k and heights h_bot, gap = h_top - h_bot, in quarters."""
+    return rng.randint(0, 2), Fraction(rng.randint(1, 40), 4), Fraction(rng.randint(1, 40), 4)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9))
+def test_stabilization_adds_one_bar_to_every_barcode(seed):
+    rng = Random(seed)
+    (dga, h), (k, h_bot, gap) = filtered_dga(rng), stabilization(rng)
+    h_top = h_bot + gap
+    stabilized, sh = stabilize(dga, k, h_top, h_bot, h)
+    augs = enumerate_augmentations(dga)
+    # the new grading-0 generator of a degree-0 stabilization takes either value
+    tops = (0, 1) if k == 0 else (0,)
+    extended = [(eps, Augmentation(eps.values + (top, 0))) for eps in augs for top in tops]
+    assert enumerate_augmentations(stabilized) == [ext for _, ext in extended]
+    distances = {}  # many augmentations share a barcode
+    for eps, ext in extended:
+        base, moved = barcode(dga, h, eps), barcode(stabilized, sh, ext)
+        assert sorted(triples(moved)) == sorted(triples(base) + ((k - 1, h_bot, h_top),))
+        if triples(base) not in distances:
+            distances[triples(base)] = interleaving_distance(base, moved)
+    assert max(distances.values(), default=0) <= gap / 2
+
+
+def random_step(rng: Random, dga: DGA, h: HeightAssignment):
+    """A random elementary map (target, addend), or None if no letter qualifies
+    as a target.
+
+    Each of the one to three addend words has one letter of the target's
+    grading among up to two of grading 0, and no letter sits above the
+    target.  Letters tied with it come up often, the target itself among
+    them, and the semimonotonic test must turn the target down.  Substituting
+    into a word multiplies it, so targets are letters of at most eight words:
+    the torus b_i, in dozens of words, are left alone.
+    """
+    occurs = {}
+    for col in dga.differential:
+        for w in col.words:
+            for g in set(w):
+                occurs[g] = occurs.get(g, 0) + 1
+    targets = [t.gid for t in dga.generators if occurs.get(t.gid, 0) <= 8]
+    if not targets:
+        return None
+    target = rng.choice(targets)
+    grading, bound = dga.generator(target).grading, h.of(target)
+    below = [g for g in dga.generators if h.of(g.gid) <= bound]
+    ends = [g.gid for g in below if g.grading == grading]
+    zeros = [g.gid for g in below if g.grading == 0]
+    words = []
+    for _ in range(rng.randint(1, 3)):
+        letters = [rng.choice(zeros) for _ in range(rng.randint(0, 2) if zeros else 0)]
+        letters.insert(rng.randint(0, len(letters)), rng.choice(ends))
+        words.append(tuple(letters))
+    return target, Element(words)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9))
+def test_semimonotonic_conjugations_keep_every_barcode(seed):
+    rng = Random(seed)
+    (dga, h), (k, h_bot, gap) = filtered_dga(rng), stabilization(rng)
+    dga, h = stabilize(dga, k, h_bot + gap, h_bot, h)
+    before = all_barcodes(dga, h)
+    steps = rng.randint(2, 20)
+    for _ in range(400):  # proposals, about one in eight of them semimonotonic
+        step = random_step(rng, dga, h)
+        if not steps or step is None:
+            break
+        if is_semimonotonic(*step, h):
+            dga = conjugate(dga, *step)
+            steps -= 1
+    validate_dga(dga)
+    assert all_barcodes(dga, h) == before
