@@ -46,28 +46,25 @@ def evaluate(eps: Augmentation, elem: Element) -> int:
     return total
 
 
-def augmentation_violations(dga: DGA, eps: Augmentation) -> list[str]:
-    if len(eps.values) != len(dga):
-        return [f"value vector has length {len(eps.values)}, expected {len(dga)}"]
-    out = [
-        f"value {v!r} on {g.name} is not 0 or 1"
-        for g, v in zip(dga.generators, eps.values)
-        if v not in (0, 1)
-    ]
-    if out:  # evaluating such values would blame a differential instead
-        return out
-    for g in dga.generators:
-        if g.grading != 0 and eps.values[g.gid] != 0:
-            out.append(f"nonzero value on {g.name}, which has grading {g.grading}")
-    for g in dga.generators:
-        if evaluate(eps, dga.d(g.gid)) != 0:
-            out.append(f"d({g.name}) does not evaluate to 0")
-    return out
-
-
 def check_augmentation(dga: DGA, eps: Augmentation) -> None:
-    """Raise ValueError unless ``eps`` is an augmentation of ``dga``."""
-    problems = augmentation_violations(dga, eps)
+    """Raise ValueError, naming every fault, unless ``eps`` is an augmentation of ``dga``."""
+    if len(eps.values) != len(dga):
+        problems = [f"value vector has length {len(eps.values)}, expected {len(dga)}"]
+    else:
+        problems = [
+            f"value {v!r} on {g.name} is not 0 or 1"
+            for g, v in zip(dga.generators, eps.values)
+            if v not in (0, 1)
+        ]
+    if not problems:  # evaluating other values would blame a differential instead
+        problems = [
+            f"nonzero value on {g.name}, which has grading {g.grading}"
+            for g in dga.generators
+            if g.grading != 0 and eps.values[g.gid] != 0
+        ]
+        problems += [
+            f"d({g.name}) does not evaluate to 0" for g in dga.generators if evaluate(eps, dga.d(g.gid))
+        ]
     if problems:
         raise ValueError("invalid augmentation: " + "; ".join(problems))
 
@@ -192,7 +189,10 @@ def linear_part(elem: Element, eps: Augmentation) -> frozenset[int]:
 class LinearizedComplex:
     """Z2 chain complex on the generator span; columns[q] is the support of d1(q).
 
-    Unchecked: ``FilteredComplex.from_columns`` checks degree and d^2."""
+    Not checked, and needs no check: ``dga`` passed ``validate_dga`` and the
+    augmentation ``check_augmentation``.  So the differential conjugated by
+    q -> q + eps(q) squares to zero and has no constant term, and its linear
+    part drops the degree by 1 and squares to zero."""
 
     dga: DGA
     columns: tuple[frozenset[int], ...]

@@ -6,48 +6,23 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Literal
 
-from .algebra import HeightAssignment, StructureError
-
-ALLOWED_COEFFS = {-2, -1, 1, 2}
-
-LinearForm = tuple[tuple[int, int], ...]  # sorted (generator id, coefficient) pairs
-
-
-@dataclass(frozen=True)
-class AreaPatch:
-    """Signed corners of one bounded complementary region; its area is positive."""
-
-    corners: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        gids = [g for g, _ in self.corners]
-        if len(set(gids)) != len(gids):
-            raise ValueError("each generator may appear at most once per patch")
-        for g, c in self.corners:
-            if c not in ALLOWED_COEFFS:
-                raise ValueError(f"corner coefficient {c} at generator {g} not in {{-2,-1,1,2}}")
-        object.__setattr__(
-            self, "corners", tuple(sorted(self.corners))
-        )
+from .algebra import HeightAssignment
 
 
 @dataclass(frozen=True)
 class LagrangianDiagramData:
+    """Crossing ids and one patch per bounded region.  A patch is the linear
+    form of the region's positive area: its (crossing id, coefficient) corners,
+    sorted by id, as ``parse_knot_file`` checks and builds them."""
+
     crossings: tuple[int, ...]
-    patches: tuple[AreaPatch, ...]
+    patches: tuple[tuple[tuple[int, int], ...], ...]
     ng_resolved: bool = False
 
 
-@dataclass(frozen=True)
-class InequalitySystem:
-    """Sparse integer linear forms over crossing ids, each constrained > 0."""
-
-    forms: tuple[LinearForm, ...]
-
-
-def area_inequalities(d: LagrangianDiagramData) -> InequalitySystem:
+def area_inequalities(d: LagrangianDiagramData) -> tuple[tuple[tuple[int, int], ...], ...]:
     """One strict positivity inequality per patch, in patch order."""
-    return InequalitySystem(tuple(patch.corners for patch in d.patches))
+    return d.patches
 
 
 @dataclass(frozen=True)
@@ -57,20 +32,17 @@ class Tiering:
     unassigned: frozenset[int]
 
 
-def flood(sys: InequalitySystem, crossings: Iterable[int]) -> Tiering:
+def flood(forms: Iterable[tuple[tuple[int, int], ...]], crossings: Iterable[int]) -> Tiering:
     """Tier the crossings by repeatedly extracting those that appear with only
     nonnegative coefficients, dropping every inequality such a crossing solves.
+    Each form is a patch over ``crossings``, as the parser builds it.
 
     Fails (without error) when a round extracts nothing while inequalities
     remain; the unassigned crossings are reported.  When the inequality set
     empties, one final tier collects whatever is left, possibly nothing.
     """
     untiered = set(crossings)
-    for form in sys.forms:
-        for g, _ in form:
-            if g not in untiered:
-                raise StructureError(f"inequality variable {g} is not a listed crossing")
-    remaining = [dict(form) for form in sys.forms]
+    remaining = [dict(form) for form in forms]
     tiers: list[frozenset[int]] = []
     while True:
         tier = frozenset(

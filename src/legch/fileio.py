@@ -21,7 +21,7 @@ from .algebra import (  # also the parser's codes
     UNKNOWN_GENERATOR,
 )
 from .algebra import DGA, HeightAssignment, StructureError, validate_dga
-from .diagram import AreaPatch, LagrangianDiagramData
+from .diagram import LagrangianDiagramData
 from .persist import Bar, Barcode
 
 UNREADABLE_FILE = "UNREADABLE_FILE"
@@ -167,8 +167,10 @@ def _load_json(data: bytes | str) -> Any:
 
 
 def parse_knot_file(data: bytes | str) -> KnotData:
+    """Check a knot file and build its data.  JSON gives plain types, so exact
+    type tests stand for the isinstance checks (a bool is no int here)."""
     doc = _load_json(data)
-    _expect(isinstance(doc, dict), BAD_SCHEMA, "top level must be a JSON object")
+    _expect(type(doc) is dict, BAD_SCHEMA, "top level must be a JSON object")
 
     known = {"generators", "differential", "patches", "heights", "ng_resolved", "meta"}
     for key in doc:
@@ -177,29 +179,25 @@ def parse_knot_file(data: bytes | str) -> KnotData:
         _expect(key in doc, BAD_SCHEMA, f"missing required key {key!r}")
 
     raw_gens = doc["generators"]
-    _expect(isinstance(raw_gens, list), BAD_SCHEMA, "'generators' must be an array")
+    _expect(type(raw_gens) is list, BAD_SCHEMA, "'generators' must be an array")
     gens: list[tuple[str, int]] = []
     for i, entry in enumerate(raw_gens):
         _expect(
-            isinstance(entry, dict) and set(entry) == {"name", "grading"},
+            type(entry) is dict and set(entry) == {"name", "grading"},
             BAD_SCHEMA,
             f"generators[{i}] must be an object with keys 'name' and 'grading'",
         )
         name, grading = entry["name"], entry["grading"]
-        _expect(isinstance(name, str) and name != "", BAD_SCHEMA, f"generators[{i}].name must be a nonempty string")
-        _expect(
-            isinstance(grading, int) and not isinstance(grading, bool),
-            BAD_SCHEMA,
-            f"generators[{i}].grading must be an integer",
-        )
+        _expect(type(name) is str and name != "", BAD_SCHEMA, f"generators[{i}].name must be a nonempty string")
+        _expect(type(grading) is int, BAD_SCHEMA, f"generators[{i}].grading must be an integer")
         gens.append((name, grading))
 
     raw_diff = doc["differential"]
-    _expect(isinstance(raw_diff, dict), BAD_SCHEMA, "'differential' must be an object")
+    _expect(type(raw_diff) is dict, BAD_SCHEMA, "'differential' must be an object")
     for name, words in raw_diff.items():
-        _expect(isinstance(words, list), BAD_SCHEMA, f"differential[{name!r}] must be an array of words")
+        _expect(type(words) is list, BAD_SCHEMA, f"differential[{name!r}] must be an array of words")
         _expect(
-            all(isinstance(w, list) and all(isinstance(x, str) for x in w) for w in words),
+            all(type(w) is list and all(type(x) is str for x in w) for w in words),
             BAD_SCHEMA,
             f"differential[{name!r}] words must be arrays of generator names",
         )
@@ -207,35 +205,34 @@ def parse_knot_file(data: bytes | str) -> KnotData:
     validate_dga(dga)
 
     raw_patches = doc["patches"]
-    _expect(isinstance(raw_patches, list), BAD_SCHEMA, "'patches' must be an array")
+    _expect(type(raw_patches) is list, BAD_SCHEMA, "'patches' must be an array")
     index = {name: gid for gid, (name, _) in enumerate(gens)}
     patches = []
     for i, corners in enumerate(raw_patches):
-        _expect(isinstance(corners, list), BAD_SCHEMA, f"patches[{i}] must be an array of corners")
-        pairs = []
+        _expect(type(corners) is list, BAD_SCHEMA, f"patches[{i}] must be an array of corners")
+        _expect(corners != [], BAD_PATCH, f"patches[{i}] has no corners")  # the inequality 0 > 0
+        form: dict[int, int] = {}
         for corner in corners:
             _expect(
-                isinstance(corner, dict) and set(corner) == {"name", "coeff"},
+                type(corner) is dict and set(corner) == {"name", "coeff"},
                 BAD_SCHEMA,
                 f"patches[{i}] corners must be objects with keys 'name' and 'coeff'",
             )
             cname, coeff = corner["name"], corner["coeff"]
-            _expect(isinstance(cname, str), BAD_SCHEMA, f"patches[{i}] corner names must be strings")
-            if cname not in index:
-                raise StructureError(f"patches[{i}] uses unknown generator {cname!r}", UNKNOWN_GENERATOR)
+            _expect(type(cname) is str, BAD_SCHEMA, f"patches[{i}] corner names must be strings")
+            _expect(cname in index, UNKNOWN_GENERATOR, f"patches[{i}] uses unknown generator {cname!r}")
+            _expect(type(coeff) is int, BAD_SCHEMA, f"patches[{i}] coefficient for {cname!r} must be an integer")
             _expect(
-                isinstance(coeff, int) and not isinstance(coeff, bool),
-                BAD_SCHEMA,
-                f"patches[{i}] coefficient for {cname!r} must be an integer",
+                coeff in (-2, -1, 1, 2),
+                BAD_PATCH,
+                f"patches[{i}] coefficient {coeff} for {cname!r} is not in {{-2,-1,1,2}}",
             )
-            pairs.append((index[cname], coeff))
-        try:
-            patches.append(AreaPatch(tuple(pairs)))
-        except ValueError as exc:
-            raise StructureError(f"patches[{i}]: {exc}", BAD_PATCH) from None
+            _expect(index[cname] not in form, BAD_PATCH, f"patches[{i}] uses {cname!r} twice")
+            form[index[cname]] = coeff
+        patches.append(tuple(sorted(form.items())))
 
     ng_resolved = doc.get("ng_resolved", False)
-    _expect(isinstance(ng_resolved, bool), BAD_SCHEMA, "'ng_resolved' must be a boolean")
+    _expect(type(ng_resolved) is bool, BAD_SCHEMA, "'ng_resolved' must be a boolean")
     diagram = LagrangianDiagramData(
         crossings=tuple(range(len(gens))), patches=tuple(patches), ng_resolved=ng_resolved
     )
@@ -243,7 +240,7 @@ def parse_knot_file(data: bytes | str) -> KnotData:
     heights = None
     if "heights" in doc:
         raw_heights = doc["heights"]
-        _expect(isinstance(raw_heights, dict), BAD_SCHEMA, "'heights' must be an object")
+        _expect(type(raw_heights) is dict, BAD_SCHEMA, "'heights' must be an object")
         for name in raw_heights:
             if name not in index:
                 raise StructureError(f"heights key {name!r} is not a generator", UNKNOWN_GENERATOR)
@@ -251,7 +248,7 @@ def parse_knot_file(data: bytes | str) -> KnotData:
         for name, _ in gens:
             _expect(name in raw_heights, BAD_HEIGHT, f"missing height for generator {name!r}")
             value = raw_heights[name]
-            if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+            if type(value) not in (int, Fraction):
                 raise StructureError(f"height of {name!r} must be a number", BAD_HEIGHT)
             if value <= 0:
                 raise StructureError(f"height of {name!r} must be positive, got {value}", BAD_HEIGHT)
@@ -259,7 +256,7 @@ def parse_knot_file(data: bytes | str) -> KnotData:
         heights = HeightAssignment(table)
 
     meta = doc.get("meta", {})
-    _expect(isinstance(meta, dict), BAD_SCHEMA, "'meta' must be an object")
+    _expect(type(meta) is dict, BAD_SCHEMA, "'meta' must be an object")
     return KnotData(dga=dga, diagram=diagram, heights=heights, meta=meta)
 
 
@@ -281,15 +278,14 @@ def load_knot(path) -> KnotData:
 def parse_barcode_file(data: bytes | str) -> Barcode:
     doc = _load_json(data)
     _expect(
-        isinstance(doc, dict) and "bars" in doc and isinstance(doc["bars"], list),
+        type(doc) is dict and "bars" in doc and type(doc["bars"]) is list,
         BAD_SCHEMA,
         "barcode file must be an object with a 'bars' array",
     )
     allowed = {"degree", "birth", "death", "birth_label", "death_label"}
     bars = []
-    # JSON gives plain types, so exact type tests stand for the isinstance checks
-    # (a bool is no int here); each integer becomes a Fraction once, and a death
-    # is compared with "inf" only when it is no number.
+    # Exact type tests, as in parse_knot_file; each integer becomes a Fraction
+    # once, and a death is compared with "inf" only when it is no number.
     for i, entry in enumerate(doc["bars"]):
         if type(entry) is not dict:
             raise StructureError(f"bars[{i}] must be an object", BAD_SCHEMA)

@@ -4,82 +4,47 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
 
 from .algebra import DGA
 from .persist import Bar, Barcode
 
 
-class LaurentPolynomial:
-    """Integer-coefficient Laurent polynomial, stored sparsely without zeros."""
+class LaurentPolynomial(Counter):
+    """Integer coefficients by exponent: a count of generators or bars per degree.
 
-    __slots__ = ("coeffs",)
-
-    coeffs: dict[int, int]
-
-    def __init__(self, coeffs: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        acc: dict[int, int] = {}
-        for exp, c in items:
-            acc[exp] = acc.get(exp, 0) + c
-        object.__setattr__(self, "coeffs", {e: c for e, c in acc.items() if c != 0})
-
-    @classmethod
-    def z_plus_one(cls) -> "LaurentPolynomial":
-        return cls({1: 1, 0: 1})
-
-    def __sub__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0) - c
-        return LaurentPolynomial(out)
-
-    def __mul__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
-        out: dict[int, int] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
-        return LaurentPolynomial(out)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, LaurentPolynomial) and self.coeffs == other.coeffs
+    Counter's ``+`` and ``-`` drop non-positive counts, so differences are
+    taken with ``subtract``.  Equality treats a missing exponent as zero."""
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
         parts = []
-        for e in sorted(self.coeffs, reverse=True):
-            c = self.coeffs[e]
+        for e, c in sorted(self.items(), reverse=True):
+            if c == 0:
+                continue
             mag = abs(c)
             if e == 0:
                 body = str(mag)
             else:
                 var = "z" if e == 1 else f"z^{e}"
                 body = var if mag == 1 else f"{mag}{var}"
-            if not parts:
-                parts.append(("-" if c < 0 else "") + body)
-            else:
-                parts.append(("-" if c < 0 else "+") + body)
-        return "".join(parts)
-
-    def __repr__(self) -> str:
-        return f"LaurentPolynomial({self})"
+            parts.append(("-" if c < 0 else "+" if parts else "") + body)
+        return "".join(parts) or "0"
 
 
 def morse_chekanov(dga: DGA) -> LaurentPolynomial:
     """Generator counts by grading."""
-    return LaurentPolynomial((g.grading, 1) for g in dga.generators)
+    return LaurentPolynomial(g.grading for g in dga.generators)
 
 
 def poincare_chekanov(b: Barcode) -> LaurentPolynomial:
     """Infinite-bar counts by degree: the rank of the full homology."""
-    return LaurentPolynomial((bar.degree, 1) for bar in b.bars if not bar.finite)
+    return LaurentPolynomial(bar.degree for bar in b.bars if not bar.finite)
 
 
 def finite_bar_polynomial(b: Barcode) -> LaurentPolynomial:
-    return LaurentPolynomial((bar.degree, 1) for bar in b.bars if bar.finite)
+    return LaurentPolynomial(bar.degree for bar in b.bars if bar.finite)
 
 
 @dataclass(frozen=True)
@@ -87,21 +52,21 @@ class StrongMorseReport:
     mc: LaurentPolynomial
     pc: LaurentPolynomial
     finite_bars: LaurentPolynomial
-    lhs: LaurentPolynomial
-    rhs: LaurentPolynomial
     holds: bool
 
 
 def check_strong_morse(dga: DGA, b: Barcode) -> StrongMorseReport:
-    """Exact comparison of the generator-count defect against (z+1) times the
-    finite-bar polynomial.  The two sides come from independent code paths, so
-    equality genuinely cross-checks the barcode against the input data."""
+    """Exact comparison of the generator-count defect MC - PC against (z+1) times
+    the finite-bar polynomial R.  The two sides come from independent code paths,
+    so equality genuinely cross-checks the barcode against the input data."""
     mc = morse_chekanov(dga)
     pc = poincare_chekanov(b)
     r = finite_bar_polynomial(b)
-    lhs = mc - pc
-    rhs = LaurentPolynomial.z_plus_one() * r
-    return StrongMorseReport(mc, pc, r, lhs, rhs, lhs == rhs)
+    lhs = mc.copy()
+    lhs.subtract(pc)
+    rhs = r.copy()
+    rhs.update({e + 1: c for e, c in r.items()})
+    return StrongMorseReport(mc, pc, r, lhs == rhs)
 
 
 def _point(bar: Bar, scale: int) -> tuple[int, int]:

@@ -11,19 +11,15 @@ from .algebra import BAD_HEIGHT, Generator, HeightAssignment, StructureError
 from .augment import LinearizedComplex
 
 
-class HeightOrderError(StructureError):
-    """The differential is not strictly height-decreasing for the given heights."""
-
-    def __init__(self, source: str, entry: str):
-        super().__init__(
-            f"generator {entry} appears in d({source}) but does not sit strictly "
-            f"below it; these heights are invalid for this differential",
-            BAD_HEIGHT,
-        )
-
-
 @dataclass(frozen=True)
 class FilteredComplex:
+    """A linearized complex with a height per generator.
+
+    ``from_columns`` checks only the heights: each generator has one, and each
+    entry of a column sits strictly below it.  The columns drop the degree by 1
+    and square to zero without a check, for the reason ``LinearizedComplex``
+    gives."""
+
     generators: tuple[Generator, ...]
     heights: HeightAssignment
     columns: tuple[frozenset[int], ...]
@@ -36,34 +32,17 @@ class FilteredComplex:
         columns: Sequence[frozenset[int]],
     ) -> "FilteredComplex":
         generators = tuple(generators)
-        columns = tuple(frozenset(c) for c in columns)
-        if len(columns) != len(generators):
-            raise StructureError("one column per generator required")
-        grading = {g.gid: g.grading for g in generators}
-        name = {g.gid: g.name for g in generators}
         for g in generators:
             heights.of(g.gid)
-        for gid, col in enumerate(columns):
+        for g, col in zip(generators, columns):
             for p in col:
-                if grading[p] != grading[gid] - 1:
+                if not heights.of(p) < heights.of(g.gid):
                     raise StructureError(
-                        f"entry ({name[p]}, {name[gid]}) violates the degree -1 rule"
+                        f"generator {generators[p].name} appears in d({g.name}) but does not sit "
+                        f"strictly below it; these heights are invalid for this differential",
+                        BAD_HEIGHT,
                     )
-                if not heights.of(p) < heights.of(gid):
-                    raise HeightOrderError(name[gid], name[p])
-        for gid in range(len(columns)):
-            square: set[int] = set()
-            for p in columns[gid]:
-                square ^= columns[p]
-            if square:
-                raise StructureError(f"differential does not square to zero at {name[gid]}")
-        return cls(generators, heights, columns)
-
-    def name_of(self, gid: int) -> str:
-        return self.generators[gid].name
-
-    def grading_of(self, gid: int) -> int:
-        return self.generators[gid].grading
+        return cls(generators, heights, tuple(columns))
 
 
 def build_filtered_complex(
@@ -146,7 +125,7 @@ def compute_barcode(fc: FilteredComplex) -> Barcode:
             low = mask & -mask
             gids.append(order[low.bit_length() - 1])
             mask ^= low
-        return "+".join(fc.name_of(g) for g in sorted(gids))
+        return "+".join(fc.generators[g].name for g in sorted(gids))
 
     bars = []
     killed = set()
@@ -156,18 +135,18 @@ def compute_barcode(fc: FilteredComplex) -> Barcode:
             killed.add(i)
             bars.append(
                 Bar(
-                    degree=fc.grading_of(i),
+                    degree=fc.generators[i].grading,
                     birth=fc.heights.of(i),
                     death=fc.heights.of(g),
                     birth_label=label(reduced[j]),
-                    death_label=fc.name_of(g),
+                    death_label=fc.generators[g].name,
                 )
             )
     for j, g in enumerate(order):
         if not reduced[j] and g not in killed:
             bars.append(
                 Bar(
-                    degree=fc.grading_of(g),
+                    degree=fc.generators[g].grading,
                     birth=fc.heights.of(g),
                     death=math.inf,
                     birth_label=label(combo[j]),

@@ -27,7 +27,6 @@ from legch.algebra import (
     format_word,
 )
 from legch.augment import Augmentation, evaluate
-from legch.diagram import InequalitySystem
 from legch.fileio import KnotData, emit_json
 from legch.metrics import LaurentPolynomial
 from legch.persist import Bar, Barcode, FilteredComplex
@@ -36,6 +35,32 @@ from legch.persist import Bar, Barcode, FilteredComplex
 @lru_cache(maxsize=None)
 def load_corpus(name: str):
     return corpus.load(name)
+
+
+# Acceptance criterion 10's CLI commands, each naming its corpus knot in place
+# of the file path.
+CRITERION_10_COMMANDS = [
+    ["validate", "unknot"],
+    ["validate", "trefoil"],
+    ["augment", "trefoil"],
+    ["augment", "island"],
+    ["linearize", "trefoil", "--aug", "2"],
+    ["flood", "trefoil"],
+    ["flood", "island"],
+    ["barcode", "unknot"],
+    ["barcode", "trefoil", "--aug", "2"],
+    ["barcode", "trefoil", "--aug", "2", "--heights", "flood"],
+    ["barcode", "trefoil_rii", "--aug", "2", "--render", "text"],
+    ["barcode", "trefoil", "--aug", "2", "--render", "svg"],
+    ["morse", "unknot"],
+    ["morse", "trefoil", "--aug", "0"],
+    ["morse", "trefoil_rii", "--aug", "2"],
+]
+
+
+def corpus_argv(command: list[str]) -> list[str]:
+    """``command`` with its knot name replaced by the corpus file's path."""
+    return [command[0], str(corpus.corpus_path(command[1])), *command[2:]]
 
 
 def gid_of(dga: DGA, name: str) -> int:
@@ -53,7 +78,7 @@ def triples(b: Barcode) -> tuple[tuple[int, Fraction, Fraction | float], ...]:
 
 
 def evaluate_at(p: LaurentPolynomial, x) -> Fraction:
-    return sum((c * Fraction(x) ** e for e, c in p.coeffs.items()), Fraction(0))
+    return sum((c * Fraction(x) ** e for e, c in p.items()), Fraction(0))
 
 
 def serialize_knot_file(kd: KnotData) -> bytes:
@@ -71,7 +96,7 @@ def serialize_knot_file(kd: KnotData) -> bytes:
             for g in kd.dga.generators
         },
         "patches": [
-            [{"name": name_of[gid], "coeff": coeff} for gid, coeff in patch.corners]
+            [{"name": name_of[gid], "coeff": coeff} for gid, coeff in patch]
             for patch in kd.diagram.patches
         ],
         "ng_resolved": kd.diagram.ng_resolved,
@@ -82,11 +107,11 @@ def serialize_knot_file(kd: KnotData) -> bytes:
     return emit_json(doc)
 
 
-def validate_heights(h: HeightAssignment, sys: InequalitySystem) -> tuple[int, ...]:
+def validate_heights(h: HeightAssignment, forms) -> tuple[int, ...]:
     """The indices of the inequalities that ``h`` does not make strictly positive."""
     return tuple(
         i
-        for i, form in enumerate(sys.forms)
+        for i, form in enumerate(forms)
         if sum((coeff * h.of(g) for g, coeff in form), Fraction(0)) <= 0
     )
 
@@ -500,8 +525,26 @@ def planted_complex(rng: Random, max_n: int = 12):
         HeightAssignment(heights),
         tuple(frozenset(c) for c in columns),
     )
-    planted = tuple(sorted(bars))
-    return fc, planted
+    check_chain_complex(fc.generators, fc.columns)
+    return fc, tuple(sorted(bars))
+
+
+def check_chain_complex(generators, columns) -> None:
+    """Raise unless there is one column per generator, every entry sits one
+    degree below its column and the columns square to zero: what
+    ``FilteredComplex`` trusts of a linearized differential."""
+    if len(columns) != len(generators):
+        raise StructureError("one column per generator required")
+    for g, col in zip(generators, columns):
+        for p in col:
+            if generators[p].grading != g.grading - 1:
+                raise StructureError(f"entry ({generators[p].name}, {g.name}) violates the degree -1 rule")
+    for g, col in zip(generators, columns):
+        square: set[int] = set()
+        for p in col:
+            square ^= columns[p]
+        if square:
+            raise StructureError(f"differential does not square to zero at {g.name}")
 
 
 def gf2_rank(vectors) -> int:
@@ -523,8 +566,8 @@ def homology_rank_oracle(fc: FilteredComplex, degree: int, t) -> int:
     """Rank of the homology of the sub-complex of generators with height <= t,
     by plain Gaussian elimination.  Cross-checks compute_barcode."""
     inside = [g.gid for g in fc.generators if fc.heights.of(g.gid) <= t]
-    at = [g for g in inside if fc.grading_of(g) == degree]
-    above = [g for g in inside if fc.grading_of(g) == degree + 1]
+    at = [g for g in inside if fc.generators[g].grading == degree]
+    above = [g for g in inside if fc.generators[g].grading == degree + 1]
 
     def mask(gid: int) -> int:
         m = 0
@@ -570,4 +613,4 @@ def random_inequality_system(rng: Random, max_vars: int = 8, max_forms: int = 10
             sorted((v, rng.choice((-2, -1, 1, 1, 2, 2))) for v in variables)
         )
         forms.append(form)
-    return InequalitySystem(tuple(forms)), frozenset(range(n))
+    return tuple(forms), frozenset(range(n))

@@ -6,18 +6,18 @@ from hypothesis import strategies as st
 
 from legch import augment
 from legch.algebra import DGA, Element, StructureError
-from legch.persist import FilteredComplex
 from legch.augment import (
     MAX_SEARCH_NODES,
     SEARCH_BOUND,
     Augmentation,
-    augmentation_violations,
+    check_augmentation,
     enumerate_augmentations,
     evaluate,
     linearized_differential,
 )
 
 from support import (
+    check_chain_complex,
     dga_from_complex,
     enumerate_augmentations_brute,
     gid_of,
@@ -170,18 +170,24 @@ def test_evaluate_trefoil_differential():
 
 
 def test_augmentation_validity_checks():
-    eps = trefoil_aug((1, 0, 0))
-    assert not augmentation_violations(TREFOIL, eps)
-    bad = Augmentation((1, 0, 0, 0, 0))  # nonzero value in grading 1
-    assert augmentation_violations(TREFOIL, bad)
-    assert augmentation_violations(TREFOIL, trefoil_aug((0, 0, 0)))
+    check_augmentation(TREFOIL, trefoil_aug((1, 0, 0)))
+    unsolved = r"d\(q1\) does not evaluate to 0; d\(q2\) does not evaluate to 0$"
+    with pytest.raises(ValueError, match=f"^invalid augmentation: {unsolved}"):
+        check_augmentation(TREFOIL, trefoil_aug((0, 0, 0)))
+    graded = "nonzero value on q1, which has grading 1"
+    with pytest.raises(ValueError, match=f"^invalid augmentation: {graded}; {unsolved}"):
+        check_augmentation(TREFOIL, Augmentation((1, 0, 0, 0, 0)))
+    with pytest.raises(ValueError, match="^invalid augmentation: value vector has length 3, expected 5$"):
+        check_augmentation(TREFOIL, Augmentation((1, 0, 0)))
 
 
 def test_values_other_than_zero_and_one_are_reported():
     for bits in ((3, 0, 0), (-1, 0, 0), (2, 0, 0)):
         eps = trefoil_aug(bits)
-        assert augmentation_violations(TREFOIL, eps) == [f"value {bits[0]} on q3 is not 0 or 1"]
-        with pytest.raises(ValueError, match="is not 0 or 1$"):
+        message = f"^invalid augmentation: value {bits[0]} on q3 is not 0 or 1$"
+        with pytest.raises(ValueError, match=message):
+            check_augmentation(TREFOIL, eps)
+        with pytest.raises(ValueError, match=message):
             linearized_differential(TREFOIL, eps)
 
 
@@ -267,10 +273,10 @@ def test_zero_augmentation_gives_naive_truncation():
 def test_linearized_complexes_square_to_zero_with_degree_drop(seed):
     fc, _ = planted_complex(Random(seed))
     dga = dga_from_complex(fc)
-    eps = Augmentation((0,) * len(dga))
-    if augmentation_violations(dga, eps):
-        return
+    eps = Augmentation((0,) * len(dga))  # valid: every word is one letter
     lin = linearized_differential(dga, eps)
-    # from_columns raises unless every entry drops the degree by 1 and d^2 = 0
-    FilteredComplex.from_columns(dga.generators, fc.heights, lin.columns)
+    check_chain_complex(dga.generators, lin.columns)
     assert lin.columns == linearize_by_conjugation(dga, eps)
+    torus = torus_2n_dga(3 + 2 * (seed % 3))
+    for eps in enumerate_augmentations(torus):
+        check_chain_complex(torus.generators, linearized_differential(torus, eps).columns)

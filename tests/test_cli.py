@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -13,7 +14,7 @@ from legch import augment, corpus
 from legch.cli import cli_dispatch
 from legch.fileio import serialize_barcode_file
 
-from support import shift_pair
+from support import CRITERION_10_COMMANDS, corpus_argv, load_corpus, shift_pair
 
 
 def run(*argv):
@@ -24,6 +25,46 @@ def run(*argv):
 
 def path(name):
     return str(corpus.corpus_path(name))
+
+
+GOLDEN = Path(__file__).with_name("cli_golden.json")
+
+
+def golden_commands() -> list[list[str]]:
+    """Criterion 10's commands; per corpus knot ``validate``, ``augment``,
+    ``flood`` and ``barcode --render svg``; then five commands at augmentation
+    0, 2, the last index and one past it."""
+    commands = [list(c) for c in CRITERION_10_COMMANDS]
+    for name in corpus.NAMES:
+        commands += [["validate", name], ["augment", name], ["flood", name], ["barcode", name, "--render", "svg"]]
+        last = len(augment.enumerate_augmentations(load_corpus(name).dga)) - 1
+        for aug in sorted({0, 2, last, last + 1}):
+            for extra in ([], ["--render", "text"], ["--heights", "flood"]):
+                commands.append(["barcode", name, "--aug", str(aug), *extra])
+            commands += [["linearize", name, "--aug", str(aug)], ["morse", name, "--aug", str(aug)]]
+    return commands
+
+
+def golden_transcript() -> dict[str, dict]:
+    """Exit code, stdout and stderr of each golden command, keyed by the
+    command with the knot's name in place of its path."""
+    transcript = {}
+    for command in golden_commands():
+        code, out, err = run(*corpus_argv(command))
+        transcript[" ".join(command)] = {"exit": code, "stdout": out, "stderr": err}
+    return transcript
+
+
+def test_cli_output_matches_the_golden_transcript():
+    """Every golden command prints exactly what ``tests/cli_golden.json`` holds.
+
+    A change that means to alter CLI output regenerates the file, from the
+    repository root, with
+
+        PYTHONPATH=src:tests python -c "import json, test_cli; \\
+            test_cli.GOLDEN.write_text(json.dumps(test_cli.golden_transcript(), indent=1, sort_keys=True) + '\\n')"
+    """
+    assert golden_transcript() == json.loads(GOLDEN.read_text(encoding="utf-8"))
 
 
 def test_validate_ok():
@@ -105,6 +146,22 @@ SINGLE_FAULTS = {
         "validate",
         "[UNKNOWN_GENERATOR] patches[2] uses unknown generator 'zz'",
     ),
+    "patch_coefficient_3": (
+        lambda k: k["patches"][0][0].update(coeff=3),
+        "validate",
+        "[BAD_PATCH] patches[0] coefficient 3 for 'q' is not in {-2,-1,1,2}",
+    ),
+    "patch_coefficient_0": (
+        lambda k: k["patches"][1][1].update(coeff=0),
+        "validate",
+        "[BAD_PATCH] patches[1] coefficient 0 for 'p' is not in {-2,-1,1,2}",
+    ),
+    "repeated_patch_corner": (
+        lambda k: k["patches"][1].append({"name": "q", "coeff": -1}),
+        "validate",
+        "[BAD_PATCH] patches[1] uses 'q' twice",
+    ),
+    "empty_patch": (lambda k: k["patches"].append([]), "flood", "[BAD_PATCH] patches[2] has no corners"),
     "grading_violation": (
         lambda k: k["generators"][0].update(grading=2),
         "validate",

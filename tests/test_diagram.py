@@ -4,14 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from legch.algebra import HeightAssignment, StructureError
-from legch.diagram import (
-    AreaPatch,
-    InequalitySystem,
-    area_inequalities,
-    assign_heights,
-    flood,
-)
+from legch.algebra import HeightAssignment
+from legch.diagram import area_inequalities, assign_heights, flood
 
 from support import load_corpus, random_inequality_system, validate_heights
 
@@ -27,38 +21,27 @@ def named_form(kd, form):
 # --- area inequalities ---------------------------------------------------
 
 def test_unknot_inequalities():
-    sys = area_inequalities(UNKNOT.diagram)
-    assert [named_form(UNKNOT, f) for f in sys.forms] == [{"q": 1}, {"q": 1}]
+    forms = area_inequalities(UNKNOT.diagram)
+    assert [named_form(UNKNOT, f) for f in forms] == [{"q": 1}, {"q": 1}]
 
 
 def test_trefoil_topmost_inequality():
-    sys = area_inequalities(TREFOIL.diagram)
-    assert named_form(TREFOIL, sys.forms[2]) == {"q1": 1, "q3": -1, "q4": -1, "q5": -1}
+    forms = area_inequalities(TREFOIL.diagram)
+    assert named_form(TREFOIL, forms[2]) == {"q1": 1, "q3": -1, "q4": -1, "q5": -1}
 
 
 def test_island_inequalities():
-    sys = area_inequalities(ISLAND.diagram)
-    forms = [named_form(ISLAND, f) for f in sys.forms]
+    forms = [named_form(ISLAND, f) for f in area_inequalities(ISLAND.diagram)]
     assert len(forms) == 10
     assert {"q2": 1, "q3": -1, "q5": 1, "q7": -1, "q9": -1} in forms
     assert {"q8": 1, "q9": -1} in forms
     assert {"q7": 1, "q6": -1, "q5": -1} in forms
 
 
-def test_patch_invariants():
-    with pytest.raises(ValueError):
-        AreaPatch(((0, 3),))
-    with pytest.raises(ValueError):
-        AreaPatch(((0, 0),))
-    with pytest.raises(ValueError):
-        AreaPatch(((0, 1), (0, -1)))
-
-
 # --- flooding ---------------------------------------------------------------
 
 def test_island_flooding_fails_with_two_tiers():
-    sys = area_inequalities(ISLAND.diagram)
-    t = flood(sys, ISLAND.diagram.crossings)
+    t = flood(area_inequalities(ISLAND.diagram), ISLAND.diagram.crossings)
     assert t.status == "failure"
     name = lambda gids: {ISLAND.dga.generator(g).name for g in gids}
     assert [name(tier) for tier in t.tiers] == [{"q1", "q2"}, {"q3"}]
@@ -66,42 +49,35 @@ def test_island_flooding_fails_with_two_tiers():
 
 
 def test_single_free_inequality():
-    t = flood(InequalitySystem((((0, 1),),)), {0})
+    t = flood((((0, 1),),), {0})
     assert t.status == "success"
     assert t.tiers == (frozenset({0}), frozenset())
 
 
 def test_two_step_chain():
-    sys = InequalitySystem((((0, 1), (1, -1)), ((1, 1),)))
-    t = flood(sys, {0, 1})
+    t = flood((((0, 1), (1, -1)), ((1, 1),)), {0, 1})
     assert t.status == "success"
     assert t.tiers == (frozenset({0}), frozenset({1}), frozenset())
 
 
 def test_trefoil_floods_in_two_rounds():
-    sys = area_inequalities(TREFOIL.diagram)
-    t = flood(sys, TREFOIL.diagram.crossings)
+    t = flood(area_inequalities(TREFOIL.diagram), TREFOIL.diagram.crossings)
     assert t.status == "success"
     name = lambda gids: {TREFOIL.dga.generator(g).name for g in gids}
     assert [name(tier) for tier in t.tiers] == [{"q1", "q2"}, {"q3", "q4", "q5"}, set()]
 
 
-def test_unknown_variable_is_structural_error():
-    with pytest.raises(StructureError):
-        flood(InequalitySystem((((7, 1),),)), {0})
-
-
 # --- height assignment ---------------------------------------------------
 
 def test_assign_heights_two_step_chain():
-    t = flood(InequalitySystem((((0, 1), (1, -1)), ((1, 1),))), {0, 1})
+    t = flood((((0, 1), (1, -1)), ((1, 1),)), {0, 1})
     h = assign_heights(t)
     assert h.of(1) == 1
     assert h.of(0) == 3
 
 
 def test_assign_heights_single_tier():
-    t = flood(InequalitySystem((((0, 1),),)), {0})
+    t = flood((((0, 1),),), {0})
     assert assign_heights(t).of(0) == 1
 
 
@@ -126,13 +102,11 @@ def test_unknot_flooding_reproduces_height_one():
 # --- height validation -----------------------------------------------------
 
 def test_file_trefoil_heights_satisfy_all_inequalities():
-    sys = area_inequalities(TREFOIL.diagram)
-    assert validate_heights(TREFOIL.heights, sys) == ()
+    assert validate_heights(TREFOIL.heights, area_inequalities(TREFOIL.diagram)) == ()
 
 
 def test_equal_heights_fail_a_difference_inequality():
-    sys = InequalitySystem((((0, 1), (1, -1)),))
-    assert validate_heights(HeightAssignment({0: 1, 1: 1}), sys) == (0,)
+    assert validate_heights(HeightAssignment({0: 1, 1: 1}), (((0, 1), (1, -1)),)) == (0,)
 
 
 # --- properties ----------------------------------------------------------------
@@ -143,35 +117,34 @@ seeds = st.integers(min_value=0, max_value=10**9)
 @settings(max_examples=150, deadline=None)
 @given(seeds)
 def test_flood_halts_within_bound(seed):
-    sys, crossings = random_inequality_system(Random(seed))
-    t = flood(sys, crossings)
+    forms, crossings = random_inequality_system(Random(seed))
+    t = flood(forms, crossings)
     assert len(t.tiers) <= len(crossings) + 1
 
 
 @settings(max_examples=150, deadline=None)
 @given(seeds)
 def test_successful_flooding_validates(seed):
-    sys, crossings = random_inequality_system(Random(seed))
-    t = flood(sys, crossings)
+    forms, crossings = random_inequality_system(Random(seed))
+    t = flood(forms, crossings)
     if t.status != "success":
         return
     assert frozenset().union(*t.tiers) == crossings
-    assert validate_heights(assign_heights(t), sys) == ()
+    assert validate_heights(assign_heights(t), forms) == ()
 
 
 @settings(max_examples=100, deadline=None)
 @given(seeds, seeds)
 def test_flood_invariant_under_shuffle_and_relabel(seed, shuffle_seed):
-    sys, crossings = random_inequality_system(Random(seed))
+    forms, crossings = random_inequality_system(Random(seed))
     rng = Random(shuffle_seed)
     n = len(crossings)
     relabel = list(range(n))
     rng.shuffle(relabel)
-    forms = [tuple(sorted((relabel[g], c) for g, c in form)) for form in sys.forms]
-    rng.shuffle(forms)
-    permuted = InequalitySystem(tuple(forms))
+    permuted = [tuple(sorted((relabel[g], c) for g, c in form)) for form in forms]
+    rng.shuffle(permuted)
 
-    base = flood(sys, crossings)
+    base = flood(forms, crossings)
     other = flood(permuted, frozenset(relabel[g] for g in crossings))
     assert base.status == other.status
     mapped = [frozenset(relabel[g] for g in tier) for tier in base.tiers]
@@ -182,12 +155,11 @@ def test_flood_invariant_under_shuffle_and_relabel(seed, shuffle_seed):
 @settings(max_examples=100, deadline=None)
 @given(seeds, seeds)
 def test_failure_is_stable_under_added_inequalities(seed, extra_seed):
-    sys, crossings = random_inequality_system(Random(seed))
-    if flood(sys, crossings).status != "failure":
+    forms, crossings = random_inequality_system(Random(seed))
+    if flood(forms, crossings).status != "failure":
         return
     rng = Random(extra_seed)
     n = len(crossings)
     k = rng.randint(1, min(n, 4))
     extra = tuple(sorted((v, rng.choice((-2, -1, 1, 2))) for v in rng.sample(range(n), k)))
-    bigger = InequalitySystem(sys.forms + (extra,))
-    assert flood(bigger, crossings).status == "failure"
+    assert flood(forms + (extra,), crossings).status == "failure"

@@ -7,12 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from legch.algebra import BAD_HEIGHT, Generator, HeightAssignment
+from legch.algebra import BAD_HEIGHT, Generator, HeightAssignment, StructureError
 from legch.augment import enumerate_augmentations, linearized_differential
 from legch.persist import (
     Bar,
     FilteredComplex,
-    HeightOrderError,
     build_filtered_complex,
     compute_barcode,
 )
@@ -55,20 +54,16 @@ def test_equal_heights_rejected_naming_the_pair():
     eps = enumerate_augmentations(TREFOIL.dga)[2]
     lin = linearized_differential(TREFOIL.dga, eps)
     flat = HeightAssignment({g.gid: 1 for g in TREFOIL.dga.generators})
-    with pytest.raises(HeightOrderError) as exc:
+    with pytest.raises(StructureError) as exc:
         build_filtered_complex(lin, flat)
     assert exc.value.code == BAD_HEIGHT
     assert re.match(r"generator q[35] appears in d\(q[12]\) but does not sit strictly below it", str(exc.value))
 
 
-def test_degree_rule_enforced():
-    from legch.algebra import StructureError
-
-    gens = (Generator(0, "a", 0), Generator(1, "b", 0))
-    with pytest.raises(StructureError):
-        FilteredComplex.from_columns(
-            gens, HeightAssignment({0: 1, 1: 2}), (frozenset(), frozenset({0}))
-        )
+def test_missing_height_rejected():
+    gens = (Generator(0, "a", 0), Generator(1, "b", 1))
+    with pytest.raises(StructureError, match="no height assigned to generator id 1"):
+        FilteredComplex.from_columns(gens, HeightAssignment({0: 1}), (frozenset(), frozenset({0})))
 
 
 # --- barcodes ----------------------------------------------------------------

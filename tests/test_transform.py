@@ -15,11 +15,12 @@ from hypothesis import strategies as st
 
 from legch.algebra import DGA, Element, HeightAssignment, validate_dga
 from legch.augment import Augmentation, enumerate_augmentations, linearized_differential
-from legch.diagram import InequalitySystem, assign_heights, flood
+from legch.diagram import assign_heights, flood
 from legch.metrics import interleaving_distance
 from legch.persist import build_filtered_complex, compute_barcode
 
 from support import (
+    check_chain_complex,
     conjugate,
     dga_from_complex,
     gid_of,
@@ -45,7 +46,9 @@ def word(*letters) -> Element:
 
 
 def barcode(dga, h, eps):
-    return compute_barcode(build_filtered_complex(linearized_differential(dga, eps), h))
+    lin = linearized_differential(dga, eps)
+    check_chain_complex(dga.generators, lin.columns)
+    return compute_barcode(build_filtered_complex(lin, h))
 
 
 def all_barcodes(dga, h):
@@ -225,7 +228,7 @@ def flood_heights(dga: DGA) -> HeightAssignment:
             for x in w:
                 form[x] = form.get(x, 0) - 1
             forms.append(tuple(sorted(form.items())))
-    tiering = flood(InequalitySystem(tuple(forms)), range(len(dga)))
+    tiering = flood(forms, range(len(dga)))
     return assign_heights(tiering)
 
 
