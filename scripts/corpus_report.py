@@ -20,7 +20,7 @@ def report(name: str) -> None:
     if tiering.status == "success":
         flooded = assign_heights(tiering)
         tiers = "  ".join(
-            "T%d={%s}" % (i, " ".join(kd.dga.generator(g).name for g in sorted(t)))
+            "T%d={%s}" % (i, " ".join(kd.dga.generators[g].name for g in sorted(t)))
             for i, t in enumerate(tiering.tiers, start=1)
         )
         print(f"flooding: {tiers}")
@@ -29,7 +29,7 @@ def report(name: str) -> None:
         )
         print(f"flooded heights: {values}")
     else:
-        stuck = " ".join(kd.dga.generator(g).name for g in sorted(tiering.unassigned))
+        stuck = " ".join(kd.dga.generators[g].name for g in sorted(tiering.unassigned))
         print(f"flooding: FAILED, unassigned crossings: {stuck}")
 
     augs = enumerate_augmentations(kd.dga)

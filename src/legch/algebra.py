@@ -76,7 +76,7 @@ class Element:
 
 @dataclass(frozen=True)
 class DGA:
-    """Generators with gradings plus a differential, one Element per generator.
+    """Generators with gradings plus a differential, both indexed by generator id.
 
     Unchecked: ``from_data`` is where names and letters are checked, so code
     that builds a DGA directly keeps ids 0..n-1 in order, names distinct and
@@ -123,16 +123,6 @@ class DGA:
 
     def __len__(self) -> int:
         return len(self.generators)
-
-    def generator(self, gid: int) -> Generator:
-        try:
-            return self.generators[gid]
-        except IndexError:
-            raise StructureError(f"unknown generator id {gid}") from None
-
-    def d(self, gid: int) -> Element:
-        self.generator(gid)
-        return self.differential[gid]
 
 
 def _as_height(value) -> Fraction:
@@ -184,7 +174,7 @@ def apply_differential(elem: Element, dga: DGA) -> Element:
 def format_word(word: Sequence[int], dga: DGA) -> str:
     if not word:
         return "1"
-    return "".join(dga.generator(g).name for g in word)
+    return "".join(dga.generators[g].name for g in word)
 
 
 def format_element(elem: Element, dga: DGA) -> str:

@@ -63,7 +63,9 @@ def check_augmentation(dga: DGA, eps: Augmentation) -> None:
             if g.grading != 0 and eps.values[g.gid] != 0
         ]
         problems += [
-            f"d({g.name}) does not evaluate to 0" for g in dga.generators if evaluate(eps, dga.d(g.gid))
+            f"d({g.name}) does not evaluate to 0"
+            for g, d in zip(dga.generators, dga.differential)
+            if evaluate(eps, d)
         ]
     if problems:
         raise ValueError("invalid augmentation: " + "; ".join(problems))
@@ -164,24 +166,15 @@ def linear_part(elem: Element, eps: Augmentation) -> frozenset[int]:
 
     Per word q_{i1}..q_{ik}, position l contributes q_{il} with coefficient
     prod_{m != l} eps(q_{im}); only words with at most one eps-zero letter survive.
+    Letters are toggled, so repeated ones cancel mod 2.
     """
+    values = eps.values
     acc: set[int] = set()
-
-    def toggle(g: int) -> None:
-        if g in acc:
-            acc.discard(g)
-        else:
-            acc.add(g)
-
     for word in elem.words:
-        zero_positions = [i for i, g in enumerate(word) if eps.values[g] == 0]
-        if len(zero_positions) > 1:
-            continue
-        if len(zero_positions) == 1:
-            toggle(word[zero_positions[0]])
-        else:
-            for g in word:
-                toggle(g)
+        zeros = [g for g in word if not values[g]]
+        if len(zeros) < 2:
+            for g in zeros or word:
+                acc ^= {g}
     return frozenset(acc)
 
 
@@ -205,5 +198,5 @@ def linearized_differential(dga: DGA, eps: Augmentation) -> LinearizedComplex:
     kept as a test oracle.
     """
     check_augmentation(dga, eps)
-    columns = tuple(linear_part(dga.d(g.gid), eps) for g in dga.generators)
+    columns = tuple(linear_part(d, eps) for d in dga.differential)
     return LinearizedComplex(dga, columns)

@@ -77,7 +77,7 @@ def _build_parser() -> _Parser:
 
 
 def _names(kd: KnotData, gids) -> str:
-    return " ".join(kd.dga.generator(g).name for g in sorted(gids))
+    return " ".join(kd.dga.generators[g].name for g in sorted(gids))
 
 
 def _pick_augmentation(kd: KnotData, index: int):
@@ -138,7 +138,7 @@ def _cmd_linearize(args) -> int:
     for g in kd.dga.generators:
         col = sorted(lin.columns[g.gid])
         if col:
-            rhs = " + ".join(kd.dga.generator(p).name for p in col)
+            rhs = " + ".join(kd.dga.generators[p].name for p in col)
         else:
             rhs = "0"
         print(f"d({g.name}) = {rhs}")

@@ -8,9 +8,9 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any
 
 from .algebra import (  # also the parser's codes
     BAD_HEIGHT,
@@ -33,6 +33,9 @@ INVALID_BAR = "INVALID_BAR"
 # decimal_str writes an accepted number back with no more digits, under Python's
 # 4300-digit limit, and Fraction never expands a huge exponent.
 MAX_NUMBER_DIGITS = 4000
+
+# JSON's "\ud800" escape gives a string that no UTF-8 output can hold.
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 @dataclass(frozen=True)
@@ -90,53 +93,6 @@ def format_extended(x) -> str:
         return str(Fraction(x))
 
 
-def _json_escape(s: str) -> str:
-    return json.dumps(s, ensure_ascii=False)
-
-
-def _emit(value: Any, indent: int, out: list[str]) -> None:
-    pad = "  " * indent
-    if isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        out.append("{\n")
-        items = sorted(value.items())
-        for i, (k, v) in enumerate(items):
-            out.append(f"{pad}  {_json_escape(str(k))}: ")
-            _emit(v, indent + 1, out)
-            out.append(",\n" if i < len(items) - 1 else "\n")
-        out.append(pad + "}")
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, v in enumerate(value):
-            out.append(pad + "  ")
-            _emit(v, indent + 1, out)
-            out.append(",\n" if i < len(value) - 1 else "\n")
-        out.append(pad + "]")
-    elif isinstance(value, bool):
-        out.append("true" if value else "false")
-    elif value is None:
-        out.append("null")
-    elif isinstance(value, str):
-        out.append(_json_escape(value))
-    elif isinstance(value, (int, Fraction)):
-        out.append(decimal_str(value))
-    else:
-        raise TypeError(f"cannot serialize {type(value).__name__}")
-
-
-def emit_json(value: Any) -> bytes:
-    """Deterministic JSON: sorted keys, two-space indent, exact decimals."""
-    out: list[str] = []
-    _emit(value, 0, out)
-    out.append("\n")
-    return "".join(out).encode("utf-8")
-
-
 # ---------------------------------------------------------------------------
 # knot files
 
@@ -153,7 +109,7 @@ def _parse_decimal(literal: str) -> Fraction:
     return Fraction(literal)
 
 
-def _load_json(data: bytes | str) -> Any:
+def _load_json(data: bytes | str):
     """Decode UTF-8 and parse JSON with exact, bounded decimals; any failure is
     MALFORMED_JSON."""
     try:
@@ -189,6 +145,7 @@ def parse_knot_file(data: bytes | str) -> KnotData:
         )
         name, grading = entry["name"], entry["grading"]
         _expect(type(name) is str and name != "", BAD_SCHEMA, f"generators[{i}].name must be a nonempty string")
+        _expect(not _SURROGATE.search(name), BAD_SCHEMA, f"generators[{i}].name is not valid Unicode")
         _expect(type(grading) is int, BAD_SCHEMA, f"generators[{i}].grading must be an integer")
         gens.append((name, grading))
 
@@ -320,19 +277,20 @@ def parse_barcode_file(data: bytes | str) -> Barcode:
 
 
 def serialize_barcode_file(b: Barcode) -> bytes:
-    bars = []
+    """The file ``parse_barcode_file`` reads: each bar's keys in sorted order,
+    two-space indent, exact decimals, and a label only when it is set."""
+    entries = []
     for bar in b.bars:
-        entry: dict[str, Any] = {
-            "degree": bar.degree,
-            "birth": bar.birth,
-            "death": "inf" if not bar.finite else bar.death,
-        }
+        fields = [f'"birth": {decimal_str(bar.birth)}']
         if bar.birth_label is not None:
-            entry["birth_label"] = bar.birth_label
+            fields.append(f'"birth_label": {json.dumps(bar.birth_label, ensure_ascii=False)}')
+        fields.append(f'"death": {decimal_str(bar.death)}' if bar.finite else '"death": "inf"')
         if bar.death_label is not None:
-            entry["death_label"] = bar.death_label
-        bars.append(entry)
-    return emit_json({"bars": bars})
+            fields.append(f'"death_label": {json.dumps(bar.death_label, ensure_ascii=False)}')
+        fields.append(f'"degree": {decimal_str(bar.degree)}')
+        entries.append("    {\n      " + ",\n      ".join(fields) + "\n    }")
+    bars = "[\n" + ",\n".join(entries) + "\n  ]" if entries else "[]"
+    return f'{{\n  "bars": {bars}\n}}\n'.encode("utf-8")
 
 
 def load_barcode(path) -> Barcode:
@@ -368,6 +326,10 @@ def _render_text(b: Barcode, color: bool) -> bytes:
                 line += f" -> {bar.death_label}"
         lines.append(line)
     return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def _xml_text(s: str) -> str:
+    return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _render_svg(b: Barcode) -> bytes:
@@ -426,11 +388,11 @@ def _render_svg(b: Barcode) -> bytes:
         if bar.birth_label:
             caption += f" {bar.birth_label}"
         parts.append(
-            f'<text x="{x0 - 6:.1f}" y="{y + 4:.1f}" text-anchor="end">{caption}</text>'
+            f'<text x="{x0 - 6:.1f}" y="{y + 4:.1f}" text-anchor="end">{_xml_text(caption)}</text>'
         )
         if bar.death_label:
             parts.append(
-                f'<text x="{x1 + 6:.1f}" y="{y + 4:.1f}" text-anchor="start">{bar.death_label}</text>'
+                f'<text x="{x1 + 6:.1f}" y="{y + 4:.1f}" text-anchor="start">{_xml_text(bar.death_label)}</text>'
             )
     parts.append("</svg>")
     return ("\n".join(parts) + "\n").encode("utf-8")

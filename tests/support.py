@@ -13,6 +13,8 @@ from functools import lru_cache
 from itertools import product
 from random import Random
 
+from hypothesis import strategies as st
+
 from legch import corpus
 from legch.algebra import (
     D_SQUARED_NONZERO,
@@ -26,10 +28,9 @@ from legch.algebra import (
     format_element,
     format_word,
 )
-from legch.augment import Augmentation, evaluate
-from legch.fileio import KnotData, emit_json
+from legch.augment import Augmentation, enumerate_augmentations, evaluate, linearized_differential
 from legch.metrics import LaurentPolynomial
-from legch.persist import Bar, Barcode, FilteredComplex
+from legch.persist import Bar, Barcode, FilteredComplex, build_filtered_complex, compute_barcode
 
 
 @lru_cache(maxsize=None)
@@ -68,6 +69,12 @@ def gid_of(dga: DGA, name: str) -> int:
     return next(g.gid for g in dga.generators if g.name == name)
 
 
+def barcode_of(kd, aug_index: int = 0) -> Barcode:
+    """The barcode of ``kd`` at augmentation ``aug_index``, with the file's heights."""
+    lin = linearized_differential(kd.dga, enumerate_augmentations(kd.dga)[aug_index])
+    return compute_barcode(build_filtered_complex(lin, kd.heights))
+
+
 def zero_grading_values(eps: Augmentation, dga: DGA) -> tuple[int, ...]:
     return tuple(eps.values[g.gid] for g in dga.generators if g.grading == 0)
 
@@ -81,30 +88,44 @@ def evaluate_at(p: LaurentPolynomial, x) -> Fraction:
     return sum((c * Fraction(x) ** e for e, c in p.items()), Fraction(0))
 
 
-def serialize_knot_file(kd: KnotData) -> bytes:
-    """The knot file of ``kd`` in the canonical form the corpus files are stored in."""
-    name_of = {g.gid: g.name for g in kd.dga.generators}
-    doc = {
-        "generators": [
-            {"name": g.name, "grading": g.grading} for g in kd.dga.generators
-        ],
-        "differential": {
-            g.name: [
-                [name_of[gid] for gid in word]
-                for word in sorted(kd.dga.d(g.gid).words, key=lambda w: (len(w), w))
-            ]
-            for g in kd.dga.generators
-        },
-        "patches": [
-            [{"name": name_of[gid], "coeff": coeff} for gid, coeff in patch]
-            for patch in kd.diagram.patches
-        ],
-        "ng_resolved": kd.diagram.ng_resolved,
-        "meta": kd.meta,
-    }
-    if kd.heights is not None:
-        doc["heights"] = {name_of[gid]: h for gid, h in kd.heights.heights.items()}
-    return emit_json(doc)
+# ---------------------------------------------------------------------------
+# JSON file mutations, for the fuzz tests
+
+LETTERS = st.sampled_from(["q", "q1", "q3", "a", "b", "zz", ""])
+# fresh containers per draw: a later mutation must not leak into the next example
+VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 3), LETTERS, st.builds(list), st.builds(dict), st.builds(lambda: [[]])
+)
+
+
+def slots(node, out):
+    """Every (container, key) pair at or below ``node``."""
+    if isinstance(node, (dict, list)):
+        for key in list(node) if isinstance(node, dict) else range(len(node)):
+            out.append((node, key))
+            slots(node[key], out)
+    return out
+
+
+def mutate(doc, data, steps: int, letters=LETTERS) -> None:
+    """Drop or rename a key, or put a value of another type or a letter from
+    ``letters`` in its place: ``steps`` times, in place, drawn from ``data``."""
+    for _ in range(steps):
+        found = slots(doc, [])
+        if not found:
+            break
+        container, key = data.draw(st.sampled_from(found))
+        kind = data.draw(st.sampled_from(["drop", "rename_key", "value", "letter"]))
+        if kind == "value":
+            container[key] = data.draw(VALUES)
+        elif kind == "letter":
+            container[key] = data.draw(letters)
+        elif isinstance(container, dict):
+            value = container.pop(key)
+            if kind == "rename_key":
+                container[data.draw(letters)] = value
+        else:
+            del container[key]
 
 
 def validate_heights(h: HeightAssignment, forms) -> tuple[int, ...]:
@@ -128,7 +149,7 @@ def times(a: Element, b: Element) -> Element:
 
 def word_grading(word, dga: DGA) -> int:
     """Sum of letter gradings; the unit word has grading 0."""
-    return sum(dga.generator(g).grading for g in word)
+    return sum(dga.generators[g].grading for g in word)
 
 
 def height_of_element(elem: Element, h: HeightAssignment):
@@ -212,7 +233,7 @@ def apply_differential_per_letter(elem: Element, dga: DGA) -> Element:
     for word in elem.words:
         for i, letter in enumerate(word):
             prefix, suffix = word[:i], word[i + 1 :]
-            out = out + Element(prefix + dw + suffix for dw in dga.d(letter).words)
+            out = out + Element(prefix + dw + suffix for dw in dga.differential[letter].words)
     return out
 
 
@@ -221,7 +242,7 @@ def validate_dga_per_letter(dga: DGA) -> None:
     the differential squares to zero on every generator; raise at the first fault,
     checking every grading before any d²."""
     for g in dga.generators:
-        for word in dga.d(g.gid).words:
+        for word in dga.differential[g.gid].words:
             wg = word_grading(word, dga)
             if wg != g.grading - 1:
                 raise StructureError(
@@ -230,7 +251,7 @@ def validate_dga_per_letter(dga: DGA) -> None:
                     GRADING_VIOLATION,
                 )
     for g in dga.generators:
-        dd = apply_differential_per_letter(dga.d(g.gid), dga)
+        dd = apply_differential_per_letter(dga.differential[g.gid], dga)
         if dd:
             raise StructureError(
                 f"d(d({g.name})) = {format_element(dd, dga)} is nonzero", D_SQUARED_NONZERO
@@ -246,7 +267,7 @@ def linearize_by_conjugation(dga: DGA, eps: Augmentation) -> tuple[frozenset[int
     shift = {g.gid: Element([(g.gid,), ()]) for g in dga.generators if eps.values[g.gid]}
     cols = []
     for g in dga.generators:
-        image = substitute(dga.d(g.gid), shift)
+        image = substitute(dga.differential[g.gid], shift)
         cols.append(frozenset(w[0] for w in image.words if len(w) == 1))
     return tuple(cols)
 
@@ -283,7 +304,7 @@ def stabilize(dga: DGA, k: int, h_top, h_bot, h: HeightAssignment):
 def conjugate(dga: DGA, target: int, addend: Element) -> DGA:
     """Conjugate the differential by the elementary automorphism
     target -> target + addend, which is its own inverse over Z2."""
-    grading = dga.generator(target).grading
+    grading = dga.generators[target].grading
     for word in addend.words:
         if target in word or word_grading(word, dga) != grading:
             raise ValueError(

@@ -139,7 +139,7 @@ def test_criterion_5_flooding():
         island = load_corpus("island")
         tiering = flood(area_inequalities(island.diagram), island.diagram.crossings)
         assert tiering.status == "failure"
-        names = lambda gids: {island.dga.generator(g).name for g in gids}
+        names = lambda gids: {island.dga.generators[g].name for g in gids}
         assert [names(t) for t in tiering.tiers] == [{"q1", "q2"}, {"q3"}]
         assert names(tiering.unassigned) == {"q4", "q5", "q6", "q7", "q8", "q9"}
 

@@ -165,8 +165,8 @@ def test_evaluate_unit_element():
 
 def test_evaluate_trefoil_differential():
     eps = trefoil_aug((1, 0, 0))
-    assert evaluate(eps, TREFOIL.d(gid_of(TREFOIL, "q1"))) == 0
-    assert evaluate(eps, TREFOIL.d(gid_of(TREFOIL, "q2"))) == 0
+    assert evaluate(eps, TREFOIL.differential[gid_of(TREFOIL, "q1")]) == 0
+    assert evaluate(eps, TREFOIL.differential[gid_of(TREFOIL, "q2")]) == 0
 
 
 def test_augmentation_validity_checks():
@@ -195,8 +195,8 @@ def test_values_other_than_zero_and_one_are_reported():
 
 def cols_by_name(dga, lin):
     return {
-        dga.generator(gid).name: frozenset(
-            dga.generator(p).name for p in col
+        dga.generators[gid].name: frozenset(
+            dga.generators[p].name for p in col
         )
         for gid, col in enumerate(lin.columns)
     }

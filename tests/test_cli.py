@@ -1,20 +1,24 @@
 import copy
 import io
 import json
+import re
 import subprocess
 import sys
 import time
+import xml.etree.ElementTree as ET
 from fractions import Fraction
 from pathlib import Path
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from legch import augment, corpus
 from legch.cli import cli_dispatch
 from legch.fileio import serialize_barcode_file
 
-from support import CRITERION_10_COMMANDS, corpus_argv, load_corpus, shift_pair
+from support import CRITERION_10_COMMANDS, corpus_argv, load_corpus, mutate, shift_pair
 
 
 def run(*argv):
@@ -116,6 +120,11 @@ GOOD_KNOT = {
 }
 HEIGHT_ORDER = "generator p appears in d(q) but does not sit strictly below it; these heights are invalid for this differential"
 SINGLE_FAULTS = {
+    "surrogate_name": (  # a lone surrogate, from JSON's "\ud800" escape
+        lambda k: k.update(json.loads(json.dumps(k).replace('"p"', '"\\ud800"'))),
+        "augment",
+        "[BAD_SCHEMA] generators[1].name is not valid Unicode",
+    ),
     "duplicate_name": (
         lambda k: k["generators"].append({"name": "p", "grading": 0}),
         "validate",
@@ -352,6 +361,26 @@ def test_barcode_explicit_file_heights_missing():
     assert "NO_HEIGHTS" in err
 
 
+def test_svg_labels_are_escaped(tmp_path):
+    knot = tmp_path / "knot.json"
+    knot.write_text(corpus.corpus_path("trefoil").read_text(encoding="utf-8").replace('"q3"', '"<b>&"'))
+    code, out, err = run("barcode", str(knot), "--aug", "2", "--render", "svg")
+    assert (code, err) == (0, "")
+    labels = [t.text for t in ET.fromstring(out).iter("{http://www.w3.org/2000/svg}text")]
+    assert "H0 <b>&+q5" in labels and "q1" in labels
+
+
+def test_text_rendering_is_bold_on_a_terminal_unless_legch_color_is_0(monkeypatch):
+    tty = io.StringIO()
+    tty.isatty = lambda: True
+    argv = ["barcode", path("unknot"), "--render", "text"]
+    monkeypatch.delenv("LEGCH_COLOR", raising=False)
+    assert cli_dispatch(argv, stdout=tty) == 0
+    monkeypatch.setenv("LEGCH_COLOR", "0")
+    assert cli_dispatch(argv, stdout=tty) == 0
+    assert tty.getvalue() == "# bars: 1\n\x1b[1mH1\x1b[0m  [1, inf)  q\n# bars: 1\nH1  [1, inf)  q\n"
+
+
 def test_distance_of_barcode_with_itself(tmp_path):
     _, barcode_json, _ = run("barcode", path("trefoil"), "--aug", "2")
     f = tmp_path / "b.json"
@@ -447,3 +476,48 @@ def test_output_is_byte_identical_across_processes():
     assert first.stdout == second.stdout
     assert first.stdout
     json.loads(first.stdout)
+
+
+NAMES = st.text(st.sampled_from(["a", "b", "é", "<", "&", "\n"]), min_size=1, max_size=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(corpus.NAMES), st.data())
+def test_every_command_fails_cleanly_on_mutated_knot_files(tmp_path_factory, name, data):
+    """A corpus knot with drawn generator names and at most one mutation, through
+    all seven commands: no exception, exit 0, 1 or 2, UTF-8 output, SVG that parses
+    and a code on every error line; only a failed strong Morse check exits 1 silently."""
+    old = [g.name for g in load_corpus(name).dga.generators]
+    names = data.draw(st.lists(NAMES, min_size=len(old), max_size=len(old), unique=True))
+    if data.draw(st.integers(0, 3)) == 0:  # a lone surrogate, which UTF-8 cannot hold
+        names[data.draw(st.integers(0, len(old) - 1))] += "\ud800"
+    new = dict(zip(old, map(json.dumps, names)))  # every quoted name, keys and letters too
+    text = re.sub(r'"(\w+)"', lambda m: new.get(m.group(1), m.group(0)), corpus.corpus_path(name).read_text())
+    doc = json.loads(text)
+    mutate(doc, data, data.draw(st.integers(0, 1)), letters=st.sampled_from(names))
+    folder = tmp_path_factory.mktemp("cli_fuzz")
+    knot, bars = str(folder / "knot.json"), str(folder / "bars.json")
+    Path(knot).write_text(json.dumps(doc))
+    aug = str(data.draw(st.integers(-1, 5)))
+    heights = data.draw(st.sampled_from([[], ["--heights", "file"], ["--heights", "flood"]]))
+    render = data.draw(st.sampled_from([[], ["--render", "text"], ["--render", "svg"]]))
+    commands = [
+        ["validate", knot], ["augment", knot], ["linearize", knot, "--aug", aug], ["flood", knot],
+        ["barcode", knot, "--aug", aug, *heights, *render],
+        ["distance", bars, bars],  # on the barcode command's output
+        ["morse", knot, "--aug", aug],
+    ]
+    for argv in commands:
+        code, out, err = run(*argv)
+        out.encode("utf-8"), err.encode("utf-8")  # raises on a lone surrogate
+        assert code in (0, 1, 2)
+        if code != 1:
+            assert err == ""
+        elif not err:
+            assert argv[0] == "morse" and out.endswith("strong Morse identity: FAILS\n")
+        for line in err.splitlines():
+            assert not line.startswith("error:") or re.match(r"error: \[[A-Z_]+\] ", line), line
+        if argv[0] == "barcode":
+            Path(bars).write_text(out, encoding="utf-8")
+            if code == 0 and render == ["--render", "svg"]:
+                ET.fromstring(out)

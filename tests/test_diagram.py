@@ -15,7 +15,7 @@ ISLAND = load_corpus("island")
 
 
 def named_form(kd, form):
-    return {kd.dga.generator(g).name: c for g, c in form}
+    return {kd.dga.generators[g].name: c for g, c in form}
 
 
 # --- area inequalities ---------------------------------------------------
@@ -43,7 +43,7 @@ def test_island_inequalities():
 def test_island_flooding_fails_with_two_tiers():
     t = flood(area_inequalities(ISLAND.diagram), ISLAND.diagram.crossings)
     assert t.status == "failure"
-    name = lambda gids: {ISLAND.dga.generator(g).name for g in gids}
+    name = lambda gids: {ISLAND.dga.generators[g].name for g in gids}
     assert [name(tier) for tier in t.tiers] == [{"q1", "q2"}, {"q3"}]
     assert name(t.unassigned) == {"q4", "q5", "q6", "q7", "q8", "q9"}
 
@@ -63,7 +63,7 @@ def test_two_step_chain():
 def test_trefoil_floods_in_two_rounds():
     t = flood(area_inequalities(TREFOIL.diagram), TREFOIL.diagram.crossings)
     assert t.status == "success"
-    name = lambda gids: {TREFOIL.dga.generator(g).name for g in gids}
+    name = lambda gids: {TREFOIL.dga.generators[g].name for g in gids}
     assert [name(tier) for tier in t.tiers] == [{"q1", "q2"}, {"q3", "q4", "q5"}, set()]
 
 

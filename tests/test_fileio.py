@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from legch import corpus
 from legch.algebra import StructureError
-from legch.augment import enumerate_augmentations, linearized_differential
 from legch.cli import cli_dispatch
 from legch.fileio import (
     BAD_HEIGHT,
@@ -30,18 +29,12 @@ from legch.fileio import (
     render_barcode,
     serialize_barcode_file,
 )
-from legch.persist import Barcode, build_filtered_complex, compute_barcode
+from legch.persist import Bar, Barcode
 
-from support import gid_of, load_corpus, serialize_knot_file
+from support import LETTERS, VALUES, barcode_of, gid_of, load_corpus, mutate, slots
 
 UNKNOT = load_corpus("unknot")
 TREFOIL = load_corpus("trefoil")
-
-
-def barcode_of(kd, aug_index=0):
-    eps = enumerate_augmentations(kd.dga)[aug_index]
-    lin = linearized_differential(kd.dga, eps)
-    return compute_barcode(build_filtered_complex(lin, kd.heights))
 
 
 # --- numbers -----------------------------------------------------------------
@@ -60,8 +53,8 @@ def test_decimal_rendering():
 def test_corpus_files_parse():
     unknot = UNKNOT
     assert len(unknot.dga) == 1
-    assert unknot.dga.generator(0).grading == 1
-    assert not unknot.dga.d(0)
+    assert unknot.dga.generators[0].grading == 1
+    assert not unknot.dga.differential[0]
     assert len(unknot.diagram.patches) == 2
     assert unknot.heights is not None and unknot.heights.of(0) == 1
 
@@ -72,8 +65,8 @@ def test_corpus_files_parse():
 
     rii = load_corpus("trefoil_rii")
     assert rii.heights.of(gid_of(rii.dga, "a")) == Fraction(23, 10)
-    assert rii.dga.generator(gid_of(rii.dga, "a")).grading == 1
-    assert rii.dga.generator(gid_of(rii.dga, "b")).grading == 0
+    assert rii.dga.generators[gid_of(rii.dga, "a")].grading == 1
+    assert rii.dga.generators[gid_of(rii.dga, "b")].grading == 0
 
     island = load_corpus("island")
     assert island.heights is None
@@ -160,44 +153,13 @@ def test_largest_accepted_literal_round_trips(largest, too_long):
     assert exc.value.code == MALFORMED_JSON
 
 
-def _slots(node, out):
-    """Every (container, key) pair at or below ``node``."""
-    if isinstance(node, (dict, list)):
-        for key in list(node) if isinstance(node, dict) else range(len(node)):
-            out.append((node, key))
-            _slots(node[key], out)
-    return out
-
-
-LETTERS = st.sampled_from(["q", "q1", "q3", "a", "b", "zz", ""])
-# fresh containers per draw: a later mutation must not leak into the next example
-VALUES = st.one_of(
-    st.none(), st.booleans(), st.integers(-2, 3), LETTERS, st.builds(list), st.builds(dict), st.builds(lambda: [[]])
-)
-
-
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(corpus.NAMES), st.data())
 def test_mutated_corpus_files_parse_or_fail_with_a_code(name, data):
     """Drop or rename keys, swap value types, rename letters: the parser either
     accepts the file or raises StructureError, never anything else."""
     doc = json.loads(corpus.corpus_path(name).read_bytes())
-    for _ in range(data.draw(st.integers(1, 3))):
-        slots = _slots(doc, [])
-        if not slots:
-            break
-        container, key = data.draw(st.sampled_from(slots))
-        kind = data.draw(st.sampled_from(["drop", "rename_key", "value", "letter"]))
-        if kind == "value":
-            container[key] = data.draw(VALUES)
-        elif kind == "letter":
-            container[key] = data.draw(LETTERS)
-        elif isinstance(container, dict):
-            value = container.pop(key)
-            if kind == "rename_key":
-                container[data.draw(LETTERS)] = value
-        else:
-            del container[key]
+    mutate(doc, data, data.draw(st.integers(1, 3)))
     try:
         assert isinstance(parse_knot_file(json.dumps(doc)), KnotData)
     except StructureError:
@@ -221,7 +183,7 @@ def test_mutated_barcode_files_parse_or_fail_with_a_code(tmp_path_factory, name,
     other = serialize_barcode_file(barcode_of(load_corpus(name), 2))
     doc = json.loads(other)
     for _ in range(data.draw(st.integers(1, 3))):
-        container, key = data.draw(st.sampled_from(_slots(doc, [])))
+        container, key = data.draw(st.sampled_from(slots(doc, [])))
         kind = data.draw(st.sampled_from(["drop", "rename_key", "value", "number", "reverse"]))
         if kind == "value":
             container[key] = data.draw(VALUES)
@@ -237,7 +199,7 @@ def test_mutated_barcode_files_parse_or_fail_with_a_code(tmp_path_factory, name,
                 container[data.draw(LETTERS)] = value
         else:
             del container[key]
-        if not isinstance(doc, (dict, list)) or not _slots(doc, []):
+        if not isinstance(doc, (dict, list)) or not slots(doc, []):
             break
     text = re.sub(r'"<number ([^"]*)>"', r"\1", json.dumps(doc))
     try:
@@ -263,19 +225,9 @@ def test_heights_parse_exactly():
     assert kd.heights.of(0) == Fraction(23, 10)
 
 
-def test_knot_round_trip_is_identity():
-    for name in corpus.NAMES:
-        raw = corpus.corpus_path(name).read_bytes()
-        kd = parse_knot_file(raw)
-        emitted = serialize_knot_file(kd)
-        assert emitted == raw  # corpus files are stored in canonical form
-        again = parse_knot_file(emitted)
-        assert serialize_knot_file(again) == emitted
-
-
 def test_trefoil_rii_file_matches_builder():
     built = corpus.trefoil_after_rii(Fraction(3, 10))
-    assert serialize_knot_file(built) == corpus.corpus_path("trefoil_rii").read_bytes()
+    assert built == parse_knot_file(corpus.corpus_path("trefoil_rii").read_bytes())
 
 
 def test_trefoil_after_rii_needs_an_exact_delta():
@@ -292,6 +244,24 @@ def test_barcode_round_trip():
     again = parse_barcode_file(data)
     assert again == barcode
     assert serialize_barcode_file(again) == data
+
+
+def test_barcode_file_bytes():
+    """Sorted keys, JSON string labels, exact decimals; "inf" is in the golden transcript."""
+    bar = Bar(-1, Fraction(1, 8), Fraction(10**50), 'é"\n', "q1")
+    assert serialize_barcode_file(Barcode((bar,))).decode() == """{
+  "bars": [
+    {
+      "birth": 0.125,
+      "birth_label": "é\\"\\n",
+      "death": 1%s,
+      "death_label": "q1",
+      "degree": -1
+    }
+  ]
+}
+""" % ("0" * 50)
+    assert serialize_barcode_file(Barcode(())) == b'{\n  "bars": []\n}\n'
 
 
 def test_barcode_parse_inf_and_errors():

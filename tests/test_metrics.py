@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from legch.algebra import DGA
-from legch.augment import enumerate_augmentations, linearized_differential
 from legch.metrics import (
     LaurentPolynomial,
     check_strong_morse,
@@ -16,9 +15,10 @@ from legch.metrics import (
     morse_chekanov,
     poincare_chekanov,
 )
-from legch.persist import Bar, Barcode, build_filtered_complex, compute_barcode
+from legch.persist import Bar, Barcode, compute_barcode
 
 from support import (
+    barcode_of,
     brute_force_distance,
     dga_from_complex,
     evaluate_at,
@@ -32,12 +32,6 @@ from support import (
 UNKNOT = load_corpus("unknot")
 TREFOIL = load_corpus("trefoil")
 RII = load_corpus("trefoil_rii")
-
-
-def barcode_of(kd, aug_index):
-    eps = enumerate_augmentations(kd.dga)[aug_index]
-    lin = linearized_differential(kd.dga, eps)
-    return compute_barcode(build_filtered_complex(lin, kd.heights))
 
 
 UNKNOT_BARCODE = barcode_of(UNKNOT, 0)

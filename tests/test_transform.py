@@ -63,9 +63,9 @@ def test_stabilize_unknot_at_grading_two():
     assert len(dga) == len(UNKNOT.dga) + 2
     top = gid_of(dga, "e2")
     bot = gid_of(dga, "e1")
-    assert dga.generator(top).grading == 2 and dga.generator(bot).grading == 1
-    assert dga.d(top) == word(bot)
-    assert not dga.d(bot)
+    assert dga.generators[top].grading == 2 and dga.generators[bot].grading == 1
+    assert dga.differential[top] == word(bot)
+    assert not dga.differential[bot]
     assert h.of(top) == 5 and h.of(bot) == 3
     validate_dga(dga)
 
@@ -121,9 +121,9 @@ def test_conjugation_by_q1_to_q1_plus_q2():
             (gid("q3"), gid("q4"), gid("q5")),
         ]
     )
-    assert out.d(gid("q1")) == expected
+    assert out.differential[gid("q1")] == expected
     for name in ("q2", "q3", "q4", "q5"):
-        assert out.d(gid(name)) == TREFOIL.dga.d(gid(name))
+        assert out.differential[gid(name)] == TREFOIL.dga.differential[gid(name)]
     validate_dga(out)
 
 
@@ -182,7 +182,7 @@ def test_letter_level_reading_differs_from_element_height():
     assert height_of_element(addend, h) > h.of(a)
     assert is_semimonotonic(a, addend, h)
     conjugated = conjugate(CONJ, a, addend)
-    assert conjugated.d(gid_of(CONJ, "x")) == word(a)
+    assert conjugated.differential[gid_of(CONJ, "x")] == word(a)
     assert all_barcodes(conjugated, h) == all_barcodes(CONJ, h)
 
 
@@ -203,12 +203,12 @@ def test_random_elementary_automorphisms_are_involutions(seed):
     grading_one = [g.gid for g in dga.generators if g.grading == 1]
     grading_zero = [g.gid for g in dga.generators if g.grading == 0]
     target = rng.choice(grading_one + grading_zero)
-    pool = grading_one if dga.generator(target).grading == 1 else grading_zero
+    pool = grading_one if dga.generators[target].grading == 1 else grading_zero
     words = []
     for other in pool:
         if other != target and rng.random() < 0.6:
             words.append((other,))
-    if dga.generator(target).grading == 0 and rng.random() < 0.5:
+    if dga.generators[target].grading == 0 and rng.random() < 0.5:
         lows = [g for g in grading_zero if g != target]
         if len(lows) >= 2:
             words.append((lows[0], lows[1], lows[0]))
@@ -296,7 +296,7 @@ def random_step(rng: Random, dga: DGA, h: HeightAssignment):
     if not targets:
         return None
     target = rng.choice(targets)
-    grading, bound = dga.generator(target).grading, h.of(target)
+    grading, bound = dga.generators[target].grading, h.of(target)
     below = [g for g in dga.generators if h.of(g.gid) <= bound]
     ends = [g.gid for g in below if g.grading == grading]
     zeros = [g.gid for g in below if g.grading == 0]
