@@ -37,10 +37,9 @@ class Generator:
     grading: int
 
 
+@dataclass(frozen=True, init=False, slots=True)
 class Element:
     """A Z2-linear combination of words.  The empty combination is zero."""
-
-    __slots__ = ("words",)
 
     words: frozenset[Word]
 
@@ -59,19 +58,6 @@ class Element:
 
     def __add__(self, other: "Element") -> "Element":
         return Element(self.words.symmetric_difference(other.words))
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Element) and self.words == other.words
-
-    def __hash__(self) -> int:
-        return hash(self.words)
-
-    def __repr__(self) -> str:
-        if not self.words:
-            return "Element(0)"
-        return "Element(%s)" % " + ".join(
-            "1" if not w else "*".join(map(str, w)) for w in sorted(self.words)
-        )
 
 
 @dataclass(frozen=True)

@@ -37,9 +37,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 class _FloodFailure(Exception):
-    def __init__(self, kd: KnotData, tiering):
-        self.kd = kd
-        self.tiering = tiering
+    """Flooding failed; ``_flood`` has printed the report."""
 
 
 def _build_parser() -> _Parser:
@@ -102,7 +100,9 @@ def _resolve_heights(kd: KnotData, mode: str | None) -> HeightAssignment:
 def _flood(kd: KnotData):
     tiering = flood(area_inequalities(kd.diagram), kd.diagram.crossings)
     if tiering.status != "success":
-        raise _FloodFailure(kd, tiering)
+        _print_tiers(kd, tiering)
+        print(f"unassigned: {_names(kd, tiering.unassigned)}")
+        raise _FloodFailure
     return tiering
 
 
@@ -232,9 +232,7 @@ def cli_dispatch(argv, stdout=None, stderr=None) -> int:
             return EXIT_ERROR
         try:
             return _COMMANDS[args.command](args)
-        except _FloodFailure as exc:
-            _print_tiers(exc.kd, exc.tiering)
-            print(f"unassigned: {_names(exc.kd, exc.tiering.unassigned)}")
+        except _FloodFailure:
             return EXIT_FLOOD_FAILURE
         except StructureError as exc:
             print(f"error: [{exc.code}] {exc}", file=sys.stderr)

@@ -17,7 +17,6 @@ class LagrangianDiagramData:
 
     crossings: tuple[int, ...]
     patches: tuple[tuple[tuple[int, int], ...], ...]
-    ng_resolved: bool = False
 
 
 def area_inequalities(d: LagrangianDiagramData) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -63,15 +62,10 @@ def assign_heights(t: Tiering) -> HeightAssignment:
     weight of everything below it."""
     if t.status != "success":
         raise ValueError("cannot assign heights from a failed tiering")
-    m = len(t.tiers)
-    level = [0] * (m + 1)  # 1-indexed
-    for k in range(m, 0, -1):
-        if k == m:
-            level[k] = 1
-        else:
-            level[k] = 1 + sum(2 * level[i] * len(t.tiers[i - 1]) for i in range(k + 1, m + 1))
     heights = {}
-    for k, tier in enumerate(t.tiers, start=1):
-        for g in tier:
-            heights[g] = Fraction(level[k])
+    below = 0  # sum of 2 * level * size over the tiers already placed
+    for tier in reversed(t.tiers):
+        level = 1 + below
+        below += 2 * level * len(tier)
+        heights.update(dict.fromkeys(tier, Fraction(level)))
     return HeightAssignment(heights)

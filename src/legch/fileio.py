@@ -34,8 +34,10 @@ INVALID_BAR = "INVALID_BAR"
 # 4300-digit limit, and Fraction never expands a huge exponent.
 MAX_NUMBER_DIGITS = 4000
 
-# JSON's "\ud800" escape gives a string that no UTF-8 output can hold.
+# JSON's "\ud800" escape gives a string that no UTF-8 output can hold, and a
+# C0 or C1 control character would reach a terminal or an SVG as it is.
 _SURROGATE = re.compile("[\ud800-\udfff]")
+_CONTROL = re.compile("[\x00-\x1f\x7f-\x9f]")
 
 
 @dataclass(frozen=True)
@@ -101,6 +103,12 @@ def _expect(condition: bool, code: str, message: str) -> None:
         raise StructureError(message, code)
 
 
+def _check_text(text: str, where: str) -> None:
+    """Names and labels are printed as they are; no message echoes them."""
+    _expect(not _SURROGATE.search(text), BAD_SCHEMA, f"{where} is not valid Unicode")
+    _expect(not _CONTROL.search(text), BAD_SCHEMA, f"{where} has a control character")
+
+
 def _parse_decimal(literal: str) -> Fraction:
     mantissa, _, exponent = literal.lower().partition("e")
     digits = len(mantissa) - mantissa.count("-") - mantissa.count(".")
@@ -145,7 +153,7 @@ def parse_knot_file(data: bytes | str) -> KnotData:
         )
         name, grading = entry["name"], entry["grading"]
         _expect(type(name) is str and name != "", BAD_SCHEMA, f"generators[{i}].name must be a nonempty string")
-        _expect(not _SURROGATE.search(name), BAD_SCHEMA, f"generators[{i}].name is not valid Unicode")
+        _check_text(name, f"generators[{i}].name")
         _expect(type(grading) is int, BAD_SCHEMA, f"generators[{i}].grading must be an integer")
         gens.append((name, grading))
 
@@ -188,11 +196,8 @@ def parse_knot_file(data: bytes | str) -> KnotData:
             form[index[cname]] = coeff
         patches.append(tuple(sorted(form.items())))
 
-    ng_resolved = doc.get("ng_resolved", False)
-    _expect(type(ng_resolved) is bool, BAD_SCHEMA, "'ng_resolved' must be a boolean")
-    diagram = LagrangianDiagramData(
-        crossings=tuple(range(len(gens))), patches=tuple(patches), ng_resolved=ng_resolved
-    )
+    _expect(type(doc.get("ng_resolved", False)) is bool, BAD_SCHEMA, "'ng_resolved' must be a boolean")
+    diagram = LagrangianDiagramData(crossings=tuple(range(len(gens))), patches=tuple(patches))
 
     heights = None
     if "heights" in doc:
@@ -267,8 +272,9 @@ def parse_barcode_file(data: bytes | str) -> Barcode:
             death = math.inf
         labels = entry.get("birth_label"), entry.get("death_label")
         for key, label in zip(("birth_label", "death_label"), labels):
-            if label is not None and type(label) is not str:
-                raise StructureError(f"bars[{i}].{key} must be a string", BAD_SCHEMA)
+            if label is not None:
+                _expect(type(label) is str, BAD_SCHEMA, f"bars[{i}].{key} must be a string")
+                _check_text(label, f"bars[{i}].{key}")
         try:
             bars.append(Bar(degree, birth, death, *labels))
         except ValueError as exc:
@@ -349,8 +355,7 @@ def _render_svg(b: Barcode) -> bytes:
     def x(t: float) -> float:
         return left + span * t / t_max
 
-    rows = list(b.bars)
-    height = top * 2 + row_height * max(len(rows), 1) + 20.0
+    height = top * 2 + row_height * max(len(b.bars), 1) + 20.0
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" height="{height:.0f}" '
         f'viewBox="0 0 {width:.0f} {height:.0f}">',
@@ -361,7 +366,7 @@ def _render_svg(b: Barcode) -> bytes:
         f'<line x1="{x(0):.1f}" y1="{axis_y:.1f}" x2="{left + span:.1f}" y2="{axis_y:.1f}" '
         'stroke="black" stroke-width="1"/>'
     )
-    ticks = sorted({Fraction(0)} | {bar.birth for bar in b.bars} | {bar.death for bar in b.bars if bar.finite})
+    ticks = sorted({Fraction(0), *finite_ends})
     for t in ticks:
         parts.append(
             f'<line x1="{x(real(t)):.1f}" y1="{axis_y - 3:.1f}" x2="{x(real(t)):.1f}" '
@@ -371,7 +376,7 @@ def _render_svg(b: Barcode) -> bytes:
             f'<text x="{x(real(t)):.1f}" y="{axis_y + 14:.1f}" text-anchor="middle">'
             f"{format_extended(t)}</text>"
         )
-    for i, bar in enumerate(rows):
+    for i, bar in enumerate(b.bars):
         y = top + row_height * i + row_height / 2
         x0 = x(real(bar.birth))
         x1 = left + span + 16.0 if not bar.finite else x(real(bar.death))

@@ -33,20 +33,6 @@ class LaurentPolynomial(Counter):
         return "".join(parts) or "0"
 
 
-def morse_chekanov(dga: DGA) -> LaurentPolynomial:
-    """Generator counts by grading."""
-    return LaurentPolynomial(g.grading for g in dga.generators)
-
-
-def poincare_chekanov(b: Barcode) -> LaurentPolynomial:
-    """Infinite-bar counts by degree: the rank of the full homology."""
-    return LaurentPolynomial(bar.degree for bar in b.bars if not bar.finite)
-
-
-def finite_bar_polynomial(b: Barcode) -> LaurentPolynomial:
-    return LaurentPolynomial(bar.degree for bar in b.bars if bar.finite)
-
-
 @dataclass(frozen=True)
 class StrongMorseReport:
     mc: LaurentPolynomial
@@ -56,12 +42,12 @@ class StrongMorseReport:
 
 
 def check_strong_morse(dga: DGA, b: Barcode) -> StrongMorseReport:
-    """Exact comparison of the generator-count defect MC - PC against (z+1) times
-    the finite-bar polynomial R.  The two sides come from independent code paths,
-    so equality genuinely cross-checks the barcode against the input data."""
-    mc = morse_chekanov(dga)
-    pc = poincare_chekanov(b)
-    r = finite_bar_polynomial(b)
+    """MC counts generators by grading; PC (the rank of the full homology) and R
+    count infinite and finite bars by degree.  MC - PC and (z+1)R come from
+    independent code paths, so their equality cross-checks the barcode."""
+    mc = LaurentPolynomial(g.grading for g in dga.generators)
+    pc = LaurentPolynomial(bar.degree for bar in b.bars if not bar.finite)
+    r = LaurentPolynomial(bar.degree for bar in b.bars if bar.finite)
     lhs = mc.copy()
     lhs.subtract(pc)
     rhs = r.copy()
@@ -195,9 +181,8 @@ def interleaving_distance(b1: Barcode, b2: Barcode):
     bar costs half its length, and infinite bars must be matched; mismatched
     infinite-bar counts make the distance infinite.  Exact over rational input.
     """
-    degrees = set(b1.degrees()) | set(b2.degrees())
     worst = Fraction(0)
-    for k in sorted(degrees):
+    for k in sorted({b.degree for b in b1.bars + b2.bars}):
         d = _degree_distance(b1.in_degree(k), b2.in_degree(k))
         if d == math.inf:
             return math.inf

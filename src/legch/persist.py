@@ -82,21 +82,17 @@ class Barcode:
     def in_degree(self, degree: int) -> tuple[Bar, ...]:
         return tuple(b for b in self.bars if b.degree == degree)
 
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(sorted({b.degree for b in self.bars}))
-
 
 def compute_barcode(fc: FilteredComplex) -> Barcode:
     """Standard column reduction over Z2, columns ordered by (height, id).
 
     A surviving pivot pairs a killer with the cycle it caps, giving a finite
-    bar; unpaired cycle positions give infinite bars.  Ties in height are
-    harmless because the differential strictly decreases height, so equal-height
-    generators never pair with each other; the id tie-break fixes reproducible
-    representative labels.
+    bar; a zero column that is no column's pivot gives an infinite bar.  Ties
+    in height are harmless because the differential strictly decreases height,
+    so equal-height generators never pair with each other; the id tie-break
+    fixes reproducible representative labels.
     """
-    n = len(fc.generators)
-    order = sorted(range(n), key=lambda g: (fc.heights.of(g), g))
+    order = sorted(range(len(fc.generators)), key=fc.heights.of)  # stable: ids break ties
     pos = {g: i for i, g in enumerate(order)}
 
     reduced: list[int] = []  # column bitmasks over sorted positions
@@ -128,11 +124,9 @@ def compute_barcode(fc: FilteredComplex) -> Barcode:
         return "+".join(fc.generators[g].name for g in sorted(gids))
 
     bars = []
-    killed = set()
     for j, g in enumerate(order):
         if reduced[j]:
             i = order[reduced[j].bit_length() - 1]
-            killed.add(i)
             bars.append(
                 Bar(
                     degree=fc.generators[i].grading,
@@ -142,8 +136,7 @@ def compute_barcode(fc: FilteredComplex) -> Barcode:
                     death_label=fc.generators[g].name,
                 )
             )
-    for j, g in enumerate(order):
-        if not reduced[j] and g not in killed:
+        elif j not in pivot_owner:
             bars.append(
                 Bar(
                     degree=fc.generators[g].grading,

@@ -8,6 +8,7 @@ the main code paths are cross-checked rather than self-checked.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -92,6 +93,9 @@ def evaluate_at(p: LaurentPolynomial, x) -> Fraction:
 # JSON file mutations, for the fuzz tests
 
 LETTERS = st.sampled_from(["q", "q1", "q3", "a", "b", "zz", ""])
+# control characters for names and labels; no output may hold one but "\n"
+CONTROLS = ["\n", "\x1b", "\x01", "\x7f", "\x85"]
+CONTROL_IN_OUTPUT = re.compile("[\x00-\x09\x0b-\x1f\x7f-\x9f]")
 # fresh containers per draw: a later mutation must not leak into the next example
 VALUES = st.one_of(
     st.none(), st.booleans(), st.integers(-2, 3), LETTERS, st.builds(list), st.builds(dict), st.builds(lambda: [[]])
@@ -443,9 +447,8 @@ def _degree_distance(bars1: tuple[Bar, ...], bars2: tuple[Bar, ...]):
 
 
 def _max_over_degrees(b1: Barcode, b2: Barcode, degree_distance):
-    degrees = set(b1.degrees()) | set(b2.degrees())
     worst = Fraction(0)
-    for k in sorted(degrees):
+    for k in sorted({b.degree for b in b1.bars + b2.bars}):
         d = degree_distance(b1.in_degree(k), b2.in_degree(k))
         if d == math.inf:
             return math.inf

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import re
+import xml.etree.ElementTree as ET
 from dataclasses import replace
 from fractions import Fraction
 
@@ -31,7 +32,7 @@ from legch.fileio import (
 )
 from legch.persist import Bar, Barcode
 
-from support import LETTERS, VALUES, barcode_of, gid_of, load_corpus, mutate, slots
+from support import CONTROL_IN_OUTPUT, CONTROLS, LETTERS, VALUES, barcode_of, gid_of, load_corpus, mutate, slots
 
 UNKNOT = load_corpus("unknot")
 TREFOIL = load_corpus("trefoil")
@@ -173,26 +174,34 @@ NUMBERS = st.sampled_from(
 )
 
 
+# label text: plain, a lone surrogate, C0 and C1 control characters
+LABELS = st.lists(st.sampled_from(["q", "é", "\ud800", *CONTROLS]), max_size=3).map("".join)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(["trefoil", "trefoil_rii"]), st.data())
 def test_mutated_barcode_files_parse_or_fail_with_a_code(tmp_path_factory, name, data):
     """Drop or rename keys, swap value types, write huge, tiny or negative
-    numbers, put a death at or before its birth: parse_barcode_file gives a
-    Barcode or raises StructureError, and legch distance exits 0 or 1 with a
+    numbers, put a death at or before its birth, write a label with any text:
+    parse_barcode_file gives a Barcode that both writers and both renderers
+    take, or raises StructureError, and legch distance exits 0 or 1 with a
     coded error, never a traceback."""
     other = serialize_barcode_file(barcode_of(load_corpus(name), 2))
     doc = json.loads(other)
     for _ in range(data.draw(st.integers(1, 3))):
         container, key = data.draw(st.sampled_from(slots(doc, [])))
-        kind = data.draw(st.sampled_from(["drop", "rename_key", "value", "number", "reverse"]))
+        kind = data.draw(st.sampled_from(["drop", "rename_key", "value", "number", "reverse", "label"]))
         if kind == "value":
             container[key] = data.draw(VALUES)
         elif kind == "number":
             container[key] = f"<number {data.draw(NUMBERS)}>"
-        elif kind == "reverse":
+        elif kind in ("reverse", "label"):
             bars = doc.get("bars") if isinstance(doc, dict) else None
             if isinstance(bars, list) and bars and isinstance(bars[0], dict):
-                bars[0]["death"] = bars[0].get("birth")
+                if kind == "reverse":
+                    bars[0]["death"] = bars[0].get("birth")
+                else:
+                    bars[0][data.draw(st.sampled_from(["birth_label", "death_label"]))] = data.draw(LABELS)
         elif isinstance(container, dict):
             value = container.pop(key)
             if kind == "rename_key":
@@ -203,16 +212,20 @@ def test_mutated_barcode_files_parse_or_fail_with_a_code(tmp_path_factory, name,
             break
     text = re.sub(r'"<number ([^"]*)>"', r"\1", json.dumps(doc))
     try:
-        parsed = isinstance(parse_barcode_file(text), Barcode)
+        barcode = parse_barcode_file(text)
     except StructureError:
-        parsed = False
+        barcode = None
+    if barcode is not None:
+        assert parse_barcode_file(serialize_barcode_file(barcode)) == barcode
+        assert not CONTROL_IN_OUTPUT.search(render_barcode(barcode, "text").decode("utf-8"))
+        ET.fromstring(render_barcode(barcode, "svg"))
     folder = tmp_path_factory.mktemp("fuzz")
     mutated, base = folder / "mutated.json", folder / "base.json"
     mutated.write_text(text)
     base.write_bytes(other)
     out, err = io.StringIO(), io.StringIO()
     code = cli_dispatch(["distance", str(mutated), str(base)], stdout=out, stderr=err)
-    if parsed:
+    if barcode is not None:
         assert (code, err.getvalue()) == (0, "")
         assert re.fullmatch(r"(-?[0-9]+(\.[0-9]+)?|inf)\n", out.getvalue())
     else:
@@ -282,6 +295,22 @@ def test_barcode_parse_inf_and_errors():
     with pytest.raises(StructureError, match=r"bars\[1\]\.birth_label must be a string") as exc:
         parse_barcode_file(json.dumps({"bars": tied}))
     assert exc.value.code == BAD_SCHEMA
+
+
+@pytest.mark.parametrize("key", ["birth_label", "death_label"])
+@pytest.mark.parametrize(
+    "label, fault",
+    [("\ud800", "is not valid Unicode"), ("q\x1b[2J", "has a control character"), ("\x85", "has a control character")],
+    ids=["surrogate", "escape", "c1_control"],
+)
+def test_barcode_labels_must_be_printable(key, label, fault):
+    """The writers print labels as they are: UTF-8 cannot hold a lone surrogate
+    (JSON's "\\ud800" escape), and a control character would reach a terminal or
+    an SVG.  The message does not echo the label."""
+    doc = {"bars": [{"degree": 0, "birth": 1, "death": 2, key: label}]}
+    with pytest.raises(StructureError) as exc:
+        parse_barcode_file(json.dumps(doc))
+    assert (exc.value.code, str(exc.value)) == (BAD_SCHEMA, f"bars[0].{key} {fault}")
 
 
 # --- rendering --------------------------------------------------------------------
