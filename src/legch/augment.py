@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 from .algebra import DGA, Element, StructureError
 
-# Partial assignments the augmentation search may visit.  Without pruning, k
-# grading-0 generators take 2^(k+1) - 1 of them, so this admits any DGA with up
-# to 17 such generators, among them the (2,17) torus knot.
+# Nodes, or partial assignments, the augmentation search tree may have; a
+# subtree walked from its cached summary is charged its full size.  Without
+# pruning, k grading-0 generators take 2^(k+1) - 1 of them, so this admits any
+# DGA with up to 17 such generators, among them the (2,17) torus knot.
 MAX_SEARCH_NODES = 1 << 18
+# Search states whose subtree summaries are kept; past this many, states are
+# expanded each time they are met.
+MAX_CACHED_STATES = 1 << 10
 SEARCH_BOUND = "SEARCH_BOUND"
 
 
@@ -98,7 +103,7 @@ def _monomials(dga: DGA, zero_gens: list[int]) -> list[frozenset[int]]:
 _ONE = frozenset({0})
 
 
-def _fix(polys: list[frozenset[int]], bit: int, value: int) -> list[frozenset[int]] | None:
+def _fix(polys: Sequence[frozenset[int]], bit: int, value: int) -> list[frozenset[int]] | None:
     """Substitute ``value`` for the variable ``bit``; None once a polynomial is forced to 1.
 
     Setting 0 drops the monomials that contain the variable, setting 1 clears
@@ -120,45 +125,117 @@ def _fix(polys: list[frozenset[int]], bit: int, value: int) -> list[frozenset[in
     return out
 
 
-def enumerate_augmentations(dga: DGA) -> list[Augmentation]:
-    """All augmentations, by depth-first search over the grading-0 generators.
+def _search(dga: DGA, lo: int, hi: float) -> tuple[list[Augmentation], int]:
+    """The augmentations with index in ``[lo, hi)``, and how many there are in all.
 
-    Variables are fixed in generator order, 0 before 1, and a branch is cut as
-    soon as some differential is forced to evaluate to 1.  The result is
-    therefore ordered lexicographically by the value vector, so augmentation
-    indices are stable across runs.  Raises a StructureError coded
-    ``SEARCH_BOUND`` once the search visits more than ``MAX_SEARCH_NODES``
-    partial assignments.
+    A depth-first search over the grading-0 generators, in generator order, 0
+    before 1, cut as soon as some differential is forced to evaluate to 1, so
+    the leaves come in lexicographic order of the value vector.  A subtree
+    depends only on its depth and its live polynomials, so up to
+    ``MAX_CACHED_STATES`` such states are expanded once and summarised, after
+    their children, as (leaves below, nodes below, the children's summaries,
+    None for a cut).  A state met again is replayed from its summary where it
+    holds wanted leaves and skipped by its count elsewhere.  Every node of the
+    whole tree is charged to the bound, a cut branch as 1 and a repeated state
+    as its recorded size.  The walk uses explicit stacks, since the depth is
+    the number of grading-0 generators.
     """
     zero_gens = [g.gid for g in dga.generators if g.grading == 0]
     polys = _monomials(dga, zero_gens)
     if _ONE in polys:
-        return []
-    found = []
+        return [], 0
+    k = len(zero_gens)
+    found: list[Augmentation] = []
     values = [0] * len(dga)
-    # (variables fixed, value of the last one, polynomials before fixing it)
-    stack = [(0, 0, polys)]
-    nodes = 0
-    while stack:
-        depth, value, live = stack.pop()
-        nodes += 1
+    cache: dict[tuple, tuple] = {}
+    seen = nodes = 0  # leaves before the current position; nodes charged so far
+
+    def charge(n: int) -> None:
+        nonlocal nodes
+        nodes += n
         if nodes > MAX_SEARCH_NODES:
             raise StructureError(
                 f"augmentation search exceeds the bound of {MAX_SEARCH_NODES} search nodes "
-                f"({len(zero_gens)} grading-0 generators)",
+                f"({k} grading-0 generators)",
                 SEARCH_BOUND,
             )
+
+    def replay(summary: tuple, depth: int) -> None:
+        """Append the wanted leaves below a cached state; values above it are set."""
+        first = seen
+        stack = [(summary, depth, None)]
+        while stack:
+            (count, _, children), depth, value = stack.pop()
+            if value is not None:
+                values[zero_gens[depth - 1]] = value
+            if max(first, lo) >= min(first + count, hi):
+                first += count
+            elif depth == k:
+                found.append(Augmentation(tuple(values)))
+                first += 1
+            else:
+                stack += [(c, depth + 1, v) for v, c in ((1, children[1]), (0, children[0])) if c]
+
+    # Per expanded state on the current path: [key, seen, nodes, child summaries].
+    frames: list[list] = []
+    # (variables fixed, value of the last one, polynomials before fixing it);
+    # None closes the top frame once its children are done.
+    todo: list = [(0, 0, polys)]
+    while todo:
+        item = todo.pop()
+        if item is None:
+            key, seen0, nodes0, children = frames.pop()
+            # Nothing is cached past the cap, so a cached state's children are cached.
+            summary = None
+            if len(cache) < MAX_CACHED_STATES:
+                summary = cache[key] = (seen - seen0, nodes - nodes0, children)
+            if frames:
+                frames[-1][3].append(summary)
+            continue
+        depth, value, live = item
         if depth:
             live = _fix(live, 1 << (depth - 1), value)
             if live is None:
+                charge(1)
+                frames[-1][3].append(None)
                 continue
             values[zero_gens[depth - 1]] = value
-        if depth == len(zero_gens):
-            found.append(Augmentation(tuple(values)))
+        live = tuple(live)  # one copy serves as the key and for the children
+        key = (depth, live)
+        summary = cache.get(key)
+        if summary is not None:
+            charge(summary[1])  # before the replay, so a listing stays within the bound
+            replay(summary, depth)
+            seen += summary[0]
+            frames[-1][3].append(summary)
+            continue
+        charge(1)
+        frames.append([key, seen, nodes - 1, []])
+        todo.append(None)
+        if depth == k:
+            if lo <= seen < hi:
+                found.append(Augmentation(tuple(values)))
+            seen += 1
         else:
-            stack.append((depth + 1, 1, live))
-            stack.append((depth + 1, 0, live))
-    return found
+            todo.append((depth + 1, 1, live))
+            todo.append((depth + 1, 0, live))
+    return found, seen
+
+
+def enumerate_augmentations(dga: DGA) -> list[Augmentation]:
+    """All augmentations, ordered lexicographically by the value vector, so
+    augmentation indices are stable across runs.  Raises a StructureError coded
+    ``SEARCH_BOUND`` once the search tree has more than ``MAX_SEARCH_NODES``
+    nodes."""
+    return _search(dga, 0, math.inf)[0]
+
+
+def pick_augmentation(dga: DGA, index: int) -> tuple[Augmentation | None, int]:
+    """The augmentation at ``index`` of ``enumerate_augmentations(dga)``, or None
+    when out of range, and the number of augmentations.  Raises on the same
+    search bound as ``enumerate_augmentations``."""
+    found, count = _search(dga, index, index + 1)
+    return (found[0] if found else None), count
 
 
 def linear_part(elem: Element, eps: Augmentation) -> frozenset[int]:

@@ -9,7 +9,7 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 from .algebra import HeightAssignment, StructureError
-from .augment import enumerate_augmentations, linearized_differential
+from .augment import enumerate_augmentations, linearized_differential, pick_augmentation
 from .diagram import area_inequalities, assign_heights, flood
 from .fileio import (
     KnotData,
@@ -79,14 +79,14 @@ def _names(kd: KnotData, gids) -> str:
 
 
 def _pick_augmentation(kd: KnotData, index: int):
-    augs = enumerate_augmentations(kd.dga)
-    if not augs:
+    eps, count = pick_augmentation(kd.dga, index)
+    if not count:
         raise StructureError("this differential admits no augmentation", "NO_AUGMENTATION")
-    if not 0 <= index < len(augs):
+    if eps is None:
         raise StructureError(
-            f"augmentation index {index} out of range 0..{len(augs) - 1}", "BAD_AUG_INDEX"
+            f"augmentation index {index} out of range 0..{count - 1}", "BAD_AUG_INDEX"
         )
-    return augs[index]
+    return eps
 
 
 def _resolve_heights(kd: KnotData, mode: str | None) -> HeightAssignment:

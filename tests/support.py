@@ -194,6 +194,27 @@ def enumerate_augmentations_brute(dga: DGA) -> list[Augmentation]:
     return found
 
 
+def search_nodes_brute(dga: DGA) -> int:
+    """Nodes of the augmentation search tree, by exhaustion.
+
+    A partial assignment of the first grading-0 generators is live when no
+    differential evaluates to 1 on every completion of it.  The tree is the
+    root, if it is live, and both children of every live partial assignment
+    short of a full one.  ``masks[j]`` holds, as a bitmask over the
+    differentials, those that are 1 on every completion of the j-th partial
+    assignment at the current depth."""
+    k = sum(1 for g in dga.generators if g.grading == 0)
+    masks = []
+    for bits in product((0, 1), repeat=k):
+        eps = Augmentation.from_zero_grading_values(dga, bits)
+        masks.append(sum(1 << i for i, col in enumerate(dga.differential) if evaluate(eps, col)))
+    nodes = 0
+    for _ in range(k):
+        masks = [masks[j] & masks[j + 1] for j in range(0, len(masks), 2)]
+        nodes += 2 * masks.count(0)
+    return nodes + (masks[0] == 0)
+
+
 def continuant_words(letters: list[str]) -> list[list[str]]:
     """Words of the noncommutative continuant K(letters) = K(..x_{n-1}) x_n + K(..x_{n-2})."""
     older, prev = [], [[]]
@@ -202,15 +223,22 @@ def continuant_words(letters: list[str]) -> list[list[str]]:
     return prev
 
 
-def torus_2n_dga(n: int) -> DGA:
-    """The (2,n) torus knot: d(a2) = 1 + K(b1..bn), d(a1) = 1 + K(bn..b1)."""
+def torus_2n_knot(n: int) -> dict:
+    """Knot file, without patches or heights, of the (2,n) torus knot:
+    d(a2) = 1 + K(b1..bn), d(a1) = 1 + K(bn..b1)."""
     b = [f"b{i}" for i in range(1, n + 1)]
     differential = {
         "a1": [[]] + continuant_words(b[::-1]),
         "a2": [[]] + continuant_words(b),
     }
     differential.update({x: [] for x in b})
-    return DGA.from_data([("a1", 1), ("a2", 1)] + [(x, 0) for x in b], differential)
+    generators = [{"name": x, "grading": 1 if x[0] == "a" else 0} for x in ["a1", "a2"] + b]
+    return {"generators": generators, "differential": differential, "patches": []}
+
+
+def torus_2n_dga(n: int) -> DGA:
+    knot = torus_2n_knot(n)
+    return DGA.from_data([(g["name"], g["grading"]) for g in knot["generators"]], knot["differential"])
 
 
 def torus_2n_count(n: int) -> int:

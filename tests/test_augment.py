@@ -1,4 +1,5 @@
 from random import Random
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from legch.augment import (
     enumerate_augmentations,
     evaluate,
     linearized_differential,
+    pick_augmentation,
 )
 
 from support import (
@@ -24,6 +26,7 @@ from support import (
     linearize_by_conjugation,
     load_corpus,
     planted_complex,
+    search_nodes_brute,
     ONE,
     torus_2n_count,
     torus_2n_dga,
@@ -57,10 +60,29 @@ def test_trefoil_has_exactly_five_augmentations():
     assert [zero_grading_values(a, TREFOIL) for a in augs] == TREFOIL_TRIPLES
 
 
+# Cache sizes that leave the search uncached, cache only the first state or a
+# few, and the default; each small one forces the uncached walk past the cap.
+CACHE_CAPS = (0, 1, 3, augment.MAX_CACHED_STATES)
+
+
+def assert_listing_and_picks(dga, brute, indices) -> None:
+    """Under every cache cap, the listing and each pick agree with ``brute``,
+    and an index out of range picks nothing but still gets the count."""
+    count = len(brute)
+    for cap in CACHE_CAPS:
+        with patch.object(augment, "MAX_CACHED_STATES", cap):
+            assert enumerate_augmentations(dga) == brute, cap
+            for i in indices:
+                assert pick_augmentation(dga, i) == (brute[i], count), (cap, i)
+            for i in (-1, count, count + 1):
+                assert pick_augmentation(dga, i) == (None, count), (cap, i)
+
+
 def test_enumeration_is_the_lexicographic_filter():
     for name in ("unknot", "trefoil", "trefoil_rii", "island"):
         dga = load_corpus(name).dga
-        assert enumerate_augmentations(dga) == enumerate_augmentations_brute(dga), name
+        brute = enumerate_augmentations_brute(dga)
+        assert_listing_and_picks(dga, brute, sorted({0, len(brute) // 3, len(brute) - 1}))
 
 
 @st.composite
@@ -82,9 +104,29 @@ def random_dgas(draw):
 
 
 @settings(max_examples=100, deadline=None)
+@given(random_dgas(), st.data())
+def test_enumeration_matches_brute_force_on_random_dgas(dga, data):
+    brute = enumerate_augmentations_brute(dga)
+    indices = data.draw(st.lists(st.integers(0, len(brute) - 1), max_size=4)) if brute else []
+    assert_listing_and_picks(dga, brute, indices)
+
+
+@settings(max_examples=60, deadline=None)
 @given(random_dgas())
-def test_enumeration_matches_brute_force_on_random_dgas(dga):
-    assert enumerate_augmentations(dga) == enumerate_augmentations_brute(dga)
+def test_search_bound_charges_every_node_of_the_tree(dga):
+    # A cached state is charged its whole subtree and a cut branch 1, so the
+    # bound fires exactly past the size of the unshared tree.
+    nodes = search_nodes_brute(dga)
+    for cap in CACHE_CAPS:
+        with patch.object(augment, "MAX_CACHED_STATES", cap):
+            with patch.object(augment, "MAX_SEARCH_NODES", nodes):
+                enumerate_augmentations(dga)
+                pick_augmentation(dga, 0)
+            if nodes:
+                with patch.object(augment, "MAX_SEARCH_NODES", nodes - 1):
+                    for search in (enumerate_augmentations, lambda d: pick_augmentation(d, 0)):
+                        with pytest.raises(StructureError, match=f"bound of {nodes - 1} search nodes"):
+                            search(dga)
 
 
 @pytest.mark.parametrize("n", [3, 5, 7, 9, 11, 13, 15])
@@ -95,9 +137,11 @@ def test_torus_family_counts(n):
 
 
 def test_torus_family_matches_brute_force():
+    rng = Random(11)
     for n in (3, 5, 7, 9):
         dga = torus_2n_dga(n)
-        assert enumerate_augmentations(dga) == enumerate_augmentations_brute(dga)
+        brute = enumerate_augmentations_brute(dga)
+        assert_listing_and_picks(dga, brute, [0, len(brute) - 1] + rng.sample(range(len(brute)), 4))
 
 
 def test_torus_3_is_the_corpus_trefoil():

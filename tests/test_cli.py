@@ -16,10 +16,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from legch import augment, corpus
+from legch.algebra import StructureError
 from legch.cli import cli_dispatch
-from legch.fileio import serialize_barcode_file
+from legch.fileio import load_knot, serialize_barcode_file
 
-from support import CONTROL_IN_OUTPUT, CONTROLS, CRITERION_10_COMMANDS, corpus_argv, load_corpus, mutate, shift_pair
+from support import (
+    CONTROL_IN_OUTPUT,
+    CONTROLS,
+    CRITERION_10_COMMANDS,
+    corpus_argv,
+    load_corpus,
+    mutate,
+    shift_pair,
+    torus_2n_knot,
+)
 
 
 def run(*argv):
@@ -265,10 +275,9 @@ def test_missing_file_is_an_input_error(tmp_path):
     assert err.startswith("error: [UNREADABLE_FILE] [Errno ")
 
 
-def test_search_bound_is_coded(tmp_path, monkeypatch):
-    # Unpruned, six free grading-0 generators take 127 search nodes.
-    monkeypatch.setattr(augment, "MAX_SEARCH_NODES", 2**6 - 1)
-    names = [f"g{i}" for i in range(6)]
+def free_knot_file(tmp_path, k: int) -> str:
+    """A knot file of k grading-0 generators with zero differentials."""
+    names = [f"g{i}" for i in range(k)]
     knot = {
         "generators": [{"name": name, "grading": 0} for name in names],
         "differential": {name: [] for name in names},
@@ -276,8 +285,59 @@ def test_search_bound_is_coded(tmp_path, monkeypatch):
     }
     free = tmp_path / "free.json"
     free.write_text(json.dumps(knot))
+    return str(free)
+
+
+def test_search_bound_is_coded(tmp_path, monkeypatch):
+    # Unpruned, six free grading-0 generators take 127 search nodes.
+    monkeypatch.setattr(augment, "MAX_SEARCH_NODES", 2**6 - 1)
+    free = free_knot_file(tmp_path, 6)
     message = "augmentation search exceeds the bound of 63 search nodes (6 grading-0 generators)"
-    assert run("augment", str(free)) == (1, "", f"error: [SEARCH_BOUND] {message}\n")
+    # Free generators share every state, seven in all: a pick is charged the
+    # whole tree, as a listing is.
+    for argv in (["augment"], ["linearize", "--aug", "0"], ["morse", "--aug", "0"]):
+        assert run(argv[0], free, *argv[1:]) == (1, "", f"error: [SEARCH_BOUND] {message}\n")
+
+
+def test_search_bound_on_a_deep_search_is_coded(tmp_path):
+    # The first branch of the search runs 1200 levels deep before the bound.
+    free = free_knot_file(tmp_path, 1200)
+    dga = load_knot(free).dga
+    for search in (lambda d: augment.pick_augmentation(d, 0), augment.enumerate_augmentations):
+        with pytest.raises(StructureError, match=r"\(1200 grading-0 generators\)") as exc:
+            search(dga)
+        assert exc.value.code == augment.SEARCH_BOUND
+    code, out, err = run("linearize", free, "--aug", "0")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: [SEARCH_BOUND] augmentation search exceeds the bound of ")
+
+
+def test_a_pick_substitutes_once_per_search_state(tmp_path, monkeypatch):
+    # Nothing prunes on T(2,13), so its search tree has 2^14 - 1 nodes and,
+    # with no state cached, a pick substitutes 2^14 - 2 times.  With the
+    # cache, each of its 3n - 2 = 37 distinct states is substituted into at
+    # most twice.
+    calls = []
+    fix = augment._fix
+
+    def counted(*args):
+        calls.append(None)
+        return fix(*args)
+
+    monkeypatch.setattr(augment, "_fix", counted)
+    knot = tmp_path / "torus_2_13.json"
+    knot.write_text(json.dumps(torus_2n_knot(13)))
+    calls_by_cap, outputs = [], set()
+    for cap in (0, augment.MAX_CACHED_STATES):
+        calls.clear()
+        monkeypatch.setattr(augment, "MAX_CACHED_STATES", cap)
+        code, out, _ = run("linearize", str(knot), "--aug", "4000")
+        assert code == 0 and out.startswith("d(a1) = ")
+        calls_by_cap.append(len(calls))
+        outputs.add(out)
+    assert calls_by_cap[0] == 2**14 - 2
+    assert calls_by_cap[1] <= 200
+    assert len(outputs) == 1
 
 
 def test_augment_listing():
