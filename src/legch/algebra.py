@@ -6,8 +6,11 @@ mod-2 reduced finite sets of words.  Everything is immutable.
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 Word = tuple[int, ...]
@@ -30,7 +33,7 @@ class StructureError(ValueError):
         self.code = code
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Generator:
     gid: int
     name: str
@@ -110,6 +113,36 @@ class DGA:
     def __len__(self) -> int:
         return len(self.generators)
 
+    @cached_property
+    def compiled_words(self) -> tuple[tuple[frozenset[int], ...], tuple[tuple[tuple[int, int, int], ...], ...]]:
+        """The differential as augmentations read it, compiled on first use.
+
+        Two tuples indexed by generator id: the letters of its one-letter
+        words, and for each other word three gid bitmasks, of its letters, of
+        those with odd multiplicity and of those that occur once.  An
+        augmentation vanishes outside grading 0, so a word with two or more
+        letters there, counted with multiplicity, evaluates to 0 and has no
+        linear part; it is left out.  A one-letter word gets no mask: it
+        always contributes its letter.
+        """
+        gradings = [g.grading for g in self.generators]
+        linears, masks = [], []
+        for elem in self.differential:
+            linear, words = set(), []
+            for word in elem.words:
+                if len(word) == 1:
+                    linear.add(word[0])
+                elif sum(1 for g in word if gradings[g]) < 2:
+                    letters = odd = once = 0
+                    for g, count in Counter(word).items():
+                        letters |= 1 << g
+                        odd |= (count & 1) << g
+                        once |= (count == 1) << g
+                    words.append((letters, odd, once))
+            linears.append(frozenset(linear))
+            masks.append(tuple(words))
+        return tuple(linears), tuple(masks)
+
 
 def _as_height(value) -> Fraction:
     if isinstance(value, Fraction):
@@ -133,6 +166,13 @@ class HeightAssignment:
             if h <= 0:
                 raise ValueError(f"height of generator {gid} must be > 0, got {h}")
         object.__setattr__(self, "heights", fixed)
+
+    def scaled(self) -> dict[int, int]:
+        """Each height times the lcm of their denominators: integers that
+        compare as the heights do, at a fraction of the cost.  Built per call,
+        so that no copy outlives the comparisons."""
+        scale = math.lcm(*(h.denominator for h in self.heights.values()))
+        return {gid: h.numerator * (scale // h.denominator) for gid, h in self.heights.items()}
 
     def of(self, gid: int) -> Fraction:
         try:

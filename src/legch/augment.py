@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .algebra import DGA, Element, StructureError
+from .algebra import DGA, StructureError
 
 # Nodes, or partial assignments, the augmentation search tree may have; a
 # subtree walked from its cached summary is charged its full size.  Without
@@ -38,42 +38,47 @@ class Augmentation:
         return cls(tuple(values))
 
 
-def evaluate(eps: Augmentation, elem: Element) -> int:
-    """Algebra-map evaluation: unit word -> 1, word -> product of values, sums mod 2."""
-    total = 0
-    for word in elem.words:
-        term = 1
-        for g in word:
-            term &= eps.values[g]
-            if not term:
-                break
-        total ^= term
-    return total
+def check_augmentation(dga: DGA, eps: Augmentation) -> int:
+    """Return the generators where ``eps`` is 1, as a gid bitmask; raise
+    ValueError, naming every fault, unless ``eps`` is an augmentation of ``dga``.
 
-
-def check_augmentation(dga: DGA, eps: Augmentation) -> None:
-    """Raise ValueError, naming every fault, unless ``eps`` is an augmentation of ``dga``."""
-    if len(eps.values) != len(dga):
-        problems = [f"value vector has length {len(eps.values)}, expected {len(dga)}"]
+    An augmentation passes on the compiled words with one parity test per
+    word; anything else goes on to the checks that name its faults."""
+    values = eps.values
+    if len(values) == len(dga) and all(v in (0, 1) for v in values):
+        ones = sum(1 << gid for gid, v in enumerate(values) if v)
+        off = ~ones
+        if not any(values[g.gid] for g in dga.generators if g.grading):
+            # eps is 0 on every letter outside grading 0, so a dropped word evaluates to 0
+            for linear, words in zip(*dga.compiled_words):
+                parity = sum(map(values.__getitem__, linear))
+                for letters, _, _ in words:
+                    if not letters & off:
+                        parity += 1
+                if parity & 1:
+                    break
+            else:
+                return ones
+    if len(values) != len(dga):
+        problems = [f"value vector has length {len(values)}, expected {len(dga)}"]
     else:
         problems = [
             f"value {v!r} on {g.name} is not 0 or 1"
-            for g, v in zip(dga.generators, eps.values)
+            for g, v in zip(dga.generators, values)
             if v not in (0, 1)
         ]
     if not problems:  # evaluating other values would blame a differential instead
         problems = [
             f"nonzero value on {g.name}, which has grading {g.grading}"
             for g in dga.generators
-            if g.grading != 0 and eps.values[g.gid] != 0
+            if g.grading != 0 and values[g.gid] != 0
         ]
         problems += [
             f"d({g.name}) does not evaluate to 0"
             for g, d in zip(dga.generators, dga.differential)
-            if evaluate(eps, d)
+            if sum(all(values[x] for x in word) for word in d.words) & 1
         ]
-    if problems:
-        raise ValueError("invalid augmentation: " + "; ".join(problems))
+    raise ValueError("invalid augmentation: " + "; ".join(problems))
 
 
 def _monomials(dga: DGA, zero_gens: list[int]) -> list[frozenset[int]]:
@@ -82,6 +87,8 @@ def _monomials(dga: DGA, zero_gens: list[int]) -> list[frozenset[int]]:
     Bit i stands for ``zero_gens[i]``; the unit word is mask 0.  A word with a
     letter outside grading 0 evaluates to 0 and is dropped, and since values
     are 0 or 1, repeated letters collapse.  Zero polynomials are left out.
+    The bits are dense, not ``DGA.compiled_words``'s generator ids: where few
+    generators have grading 0, gid-wide masks make each substitution slower.
     """
     bit = {gid: 1 << i for i, gid in enumerate(zero_gens)}
     polys = []
@@ -238,26 +245,22 @@ def pick_augmentation(dga: DGA, index: int) -> tuple[Augmentation | None, int]:
     return (found[0] if found else None), count
 
 
-def linear_part(elem: Element, eps: Augmentation) -> frozenset[int]:
-    """Length-1 part of the image of ``elem`` under q -> q + eps(q), as a generator set.
-
-    Per word q_{i1}..q_{ik}, position l contributes q_{il} with coefficient
-    prod_{m != l} eps(q_{im}); only words with at most one eps-zero letter survive.
-    Letters are toggled, so repeated ones cancel mod 2.
-    """
-    values = eps.values
-    acc: set[int] = set()
-    for word in elem.words:
-        zeros = [g for g in word if not values[g]]
-        if len(zeros) < 2:
-            for g in zeros or word:
-                acc ^= {g}
-    return frozenset(acc)
+def _gids(mask: int) -> list[int]:
+    """The set bits of ``mask``, lowest first."""
+    gids = []
+    while mask:
+        low = mask & -mask
+        gids.append(low.bit_length() - 1)
+        mask ^= low
+    return gids
 
 
 @dataclass(frozen=True)
 class LinearizedComplex:
     """Z2 chain complex on the generator span; columns[q] is the support of d1(q).
+
+    Read from the words compiled once per DGA: a column that no longer word
+    changes is the DGA's own frozenset of one-letter words.
 
     Not checked, and needs no check: ``dga`` passed ``validate_dga`` and the
     augmentation ``check_augmentation``.  So the differential conjugated by
@@ -269,11 +272,28 @@ class LinearizedComplex:
 
 
 def linearized_differential(dga: DGA, eps: Augmentation) -> LinearizedComplex:
-    """Linearize the differential with respect to ``eps``.
+    """Linearize the differential with respect to ``eps``, after checking it.
 
-    Uses the per-word product formula above; the full symbolic conjugation is
-    kept as a test oracle.
+    The linear part of q -> q + eps(q) applied to a word q_{i1}..q_{ik} is the
+    sum over positions l of q_{il} times prod_{m != l} eps(q_{im}); mod 2,
+    over the compiled words (``DGA.compiled_words``):
+      - a one-letter word gives its letter;
+      - a word whose letters all have eps = 1 gives its letters of odd
+        multiplicity;
+      - a word with exactly one eps-zero letter, of multiplicity 1, gives that
+        letter;
+      - any other word gives nothing.
+    The full symbolic conjugation is kept as a test oracle.
     """
-    check_augmentation(dga, eps)
-    columns = tuple(linear_part(d, eps) for d in dga.differential)
-    return LinearizedComplex(dga, columns)
+    off = ~check_augmentation(dga, eps)
+    columns = []
+    for linear, words in zip(*dga.compiled_words):
+        acc = 0
+        for letters, odd, once in words:
+            zeros = letters & off
+            if not zeros:
+                acc ^= odd
+            elif zeros & once and not zeros & (zeros - 1):
+                acc ^= zeros
+        columns.append(linear.symmetric_difference(_gids(acc)) if acc else linear)
+    return LinearizedComplex(dga, tuple(columns))

@@ -4,6 +4,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -40,6 +41,7 @@ class _FloodFailure(Exception):
     """Flooding failed; ``_flood`` has printed the report."""
 
 
+@functools.cache  # parse_args keeps no state in the parser, so one serves every call
 def _build_parser() -> _Parser:
     parser = _Parser(prog="legch", description="Persistent contact homology of knot diagrams")
     sub = parser.add_subparsers(dest="command", metavar="command")

@@ -51,13 +51,16 @@ class KnotData:
 # ---------------------------------------------------------------------------
 # exact numbers
 
+_CHUNK = 10**1000
+
+
 def _digits(n: int) -> str:
     """str(n) for n >= 0, also past Python's 4300-digit limit on int-to-str
     conversion: the distance between two accepted numbers can need twice
-    MAX_NUMBER_DIGITS digits."""
+    MAX_NUMBER_DIGITS digits, and flood heights grow with the tiers."""
     chunks = []
-    while n >= 10**1000:
-        n, low = divmod(n, 10**1000)
+    while n >= _CHUNK:
+        n, low = divmod(n, _CHUNK)
         chunks.append(str(low).rjust(1000, "0"))
     return str(n) + "".join(reversed(chunks))
 
@@ -65,7 +68,13 @@ def _digits(n: int) -> str:
 def decimal_str(x) -> str:
     """Exact decimal rendering of a rational whose denominator divides a power
     of ten; raises otherwise rather than round."""
-    x = Fraction(x)
+    if type(x) is not int:
+        if not isinstance(x, Fraction):
+            x = Fraction(x)
+        if x.denominator == 1:
+            x = x.numerator
+    if type(x) is int:
+        return "-" + _digits(-x) if x < 0 else _digits(x)
     d = x.denominator
     twos = fives = 0
     while d % 2 == 0:
@@ -77,8 +86,6 @@ def decimal_str(x) -> str:
     if d != 1:
         raise ValueError(f"{x} has no finite decimal expansion")
     places = max(twos, fives)
-    if places == 0:
-        return str(x.numerator)
     scaled = abs(x.numerator) * 10**places // x.denominator
     digits = _digits(scaled).rjust(places + 1, "0")
     sign = "-" if x.numerator < 0 else ""
@@ -282,6 +289,10 @@ def parse_barcode_file(data: bytes | str) -> Barcode:
     return Barcode(tuple(bars))
 
 
+# json.dumps(s, ensure_ascii=False) for a str s, without building an encoder
+_json_string = json.encoder.encode_basestring
+
+
 def serialize_barcode_file(b: Barcode) -> bytes:
     """The file ``parse_barcode_file`` reads: each bar's keys in sorted order,
     two-space indent, exact decimals, and a label only when it is set."""
@@ -289,10 +300,10 @@ def serialize_barcode_file(b: Barcode) -> bytes:
     for bar in b.bars:
         fields = [f'"birth": {decimal_str(bar.birth)}']
         if bar.birth_label is not None:
-            fields.append(f'"birth_label": {json.dumps(bar.birth_label, ensure_ascii=False)}')
+            fields.append(f'"birth_label": {_json_string(bar.birth_label)}')
         fields.append(f'"death": {decimal_str(bar.death)}' if bar.finite else '"death": "inf"')
         if bar.death_label is not None:
-            fields.append(f'"death_label": {json.dumps(bar.death_label, ensure_ascii=False)}')
+            fields.append(f'"death_label": {_json_string(bar.death_label)}')
         fields.append(f'"degree": {decimal_str(bar.degree)}')
         entries.append("    {\n      " + ",\n      ".join(fields) + "\n    }")
     bars = "[\n" + ",\n".join(entries) + "\n  ]" if entries else "[]"

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import DGA
-from .persist import Bar, Barcode
+from .persist import Bar, Barcode, _scaled
 
 
 class LaurentPolynomial(Counter):
@@ -56,7 +56,7 @@ def check_strong_morse(dga: DGA, b: Barcode) -> StrongMorseReport:
 
 
 def _point(bar: Bar, scale: int) -> tuple[int, int]:
-    birth, death = (x.numerator * (scale // x.denominator) for x in (bar.birth, bar.death))
+    birth, death = _scaled(bar.birth, scale), _scaled(bar.death, scale)
     return death + birth, death - birth
 
 
@@ -116,21 +116,20 @@ def _covers(must, costs, orders, delta: int, size: int) -> bool:
                 lefts.append(w)
 
 
-def _finite_distance(bars1: list[Bar], bars2: list[Bar]) -> Fraction:
-    """Bottleneck distance of finite bars, each matched or deleted.
+def _finite_distance(bars1: list[Bar], bars2: list[Bar], scale: int) -> int:
+    """Bottleneck distance of finite bars, each matched or deleted, in units
+    of 1/(2L), L = ``scale``.
 
-    Every cost is an integer in units of 1/(2L), L the lcm of the endpoints'
-    denominators.  A bar [b, d) becomes the point (u, v) = L(d + b, d - b).
-    Deleting it costs v, and matching it to another costs |u - u'| + |v - v'|:
-    twice the larger endpoint displacement, since
-    max(|x|, |y|) = (|x + y| + |x - y|) / 2.
+    Every end times L is an integer, so every cost is one in these units.  A
+    bar [b, d) becomes the point (u, v) = L(d + b, d - b).  Deleting it costs
+    v, and matching it to another costs |u - u'| + |v - v'|: twice the larger
+    endpoint displacement, since max(|x|, |y|) = (|x + y| + |x - y|) / 2.
 
     A cost delta is feasible exactly when the bars whose deletion costs more
     than delta can all be matched at cost at most delta.  By Mendelsohn-Dulmage
     that holds exactly when the bars of each side can be so matched on their
     own.
     """
-    scale = math.lcm(*(x.denominator for b in bars1 + bars2 for x in (b.birth, b.death)))
     pts1 = [_point(b, scale) for b in bars1]
     pts2 = [_point(b, scale) for b in bars2]
     costs1 = [[abs(u1 - u2) + abs(v1 - v2) for u2, v2 in pts2] for u1, v1 in pts1]
@@ -157,19 +156,21 @@ def _finite_distance(bars1: list[Bar], bars2: list[Bar]) -> Fraction:
             hi = mid
         else:
             lo = mid + 1
-    return Fraction(candidates[lo], 2 * scale)
+    return candidates[lo]
 
 
-def _degree_distance(bars1: tuple[Bar, ...], bars2: tuple[Bar, ...]):
-    """Infinite bars match only each other, at the birth gap, so they form
-    their own problem: on a line, pairing them in sorted order is optimal."""
-    inf1 = sorted(b.birth for b in bars1 if not b.finite)
-    inf2 = sorted(b.birth for b in bars2 if not b.finite)
+def _degree_distance(bars1: tuple[Bar, ...], bars2: tuple[Bar, ...], scale: int):
+    """The distance in one degree, in units of 1/(2L), L = ``scale``.
+
+    Infinite bars match only each other, at the birth gap, so they form their
+    own problem: on a line, pairing them in sorted order is optimal."""
+    inf1 = sorted(_scaled(b.birth, scale) for b in bars1 if not b.finite)
+    inf2 = sorted(_scaled(b.birth, scale) for b in bars2 if not b.finite)
     if len(inf1) != len(inf2):
         return math.inf
-    infinite = max((abs(a - b) for a, b in zip(inf1, inf2)), default=Fraction(0))
+    infinite = 2 * max((abs(a - b) for a, b in zip(inf1, inf2)), default=0)
     finite = _finite_distance(
-        [b for b in bars1 if b.finite], [b for b in bars2 if b.finite]
+        [b for b in bars1 if b.finite], [b for b in bars2 if b.finite], scale
     )
     return max(infinite, finite)
 
@@ -179,12 +180,14 @@ def interleaving_distance(b1: Barcode, b2: Barcode):
 
     A matched pair costs its largest endpoint displacement, an unmatched finite
     bar costs half its length, and infinite bars must be matched; mismatched
-    infinite-bar counts make the distance infinite.  Exact over rational input.
+    infinite-bar counts make the distance infinite.  Exact over rational input:
+    every end is scaled once to an integer, by the lcm of both barcodes' scales.
     """
-    worst = Fraction(0)
+    scale = math.lcm(b1.scale, b2.scale)
+    worst = 0
     for k in sorted({b.degree for b in b1.bars + b2.bars}):
-        d = _degree_distance(b1.in_degree(k), b2.in_degree(k))
+        d = _degree_distance(b1.in_degree(k), b2.in_degree(k), scale)
         if d == math.inf:
             return math.inf
         worst = max(worst, d)
-    return worst
+    return Fraction(worst, 2 * scale)

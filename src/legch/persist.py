@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .algebra import BAD_HEIGHT, Generator, HeightAssignment, StructureError
@@ -34,9 +35,10 @@ class FilteredComplex:
         generators = tuple(generators)
         for g in generators:
             heights.of(g.gid)
+        scaled = heights.scaled()
         for g, col in zip(generators, columns):
             for p in col:
-                if not heights.of(p) < heights.of(g.gid):
+                if not scaled[p] < scaled[g.gid]:
                     raise StructureError(
                         f"generator {generators[p].name} appears in d({g.name}) but does not sit "
                         f"strictly below it; these heights are invalid for this differential",
@@ -51,7 +53,7 @@ def build_filtered_complex(
     return FilteredComplex.from_columns(lin.dga.generators, h, lin.columns)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Bar:
     degree: int
     birth: Fraction
@@ -65,19 +67,37 @@ class Bar:
 
     @property
     def finite(self) -> bool:
-        return self.death != math.inf
+        return not isinstance(self.death, float) or self.death != math.inf
 
 
-def _bar_key(bar: Bar):
-    return (bar.degree, bar.birth, bar.death, bar.birth_label or "", bar.death_label or "")
+def _scaled(x, scale: int) -> int:
+    return x.numerator * (scale // x.denominator)
 
 
 @dataclass(frozen=True)
 class Barcode:
+    """Bars sorted by degree, birth, death and labels."""
+
     bars: tuple[Bar, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "bars", tuple(sorted(self.bars, key=_bar_key)))
+        scale = self.scale
+
+        def key(bar: Bar):
+            finite = bar.finite
+            death = _scaled(bar.death, scale) if finite else 0
+            return (bar.degree, _scaled(bar.birth, scale), not finite, death, bar.birth_label or "", bar.death_label or "")
+
+        object.__setattr__(self, "bars", tuple(sorted(self.bars, key=key)))
+
+    @cached_property
+    def scale(self) -> int:
+        """The lcm of the denominators of the finite ends: each end times it is
+        an integer, and these integers compare as the ends do."""
+        return math.lcm(
+            *(bar.birth.denominator for bar in self.bars),
+            *(bar.death.denominator for bar in self.bars if bar.finite),
+        )
 
     def in_degree(self, degree: int) -> tuple[Bar, ...]:
         return tuple(b for b in self.bars if b.degree == degree)
@@ -92,7 +112,8 @@ def compute_barcode(fc: FilteredComplex) -> Barcode:
     so equal-height generators never pair with each other; the id tie-break
     fixes reproducible representative labels.
     """
-    order = sorted(range(len(fc.generators)), key=fc.heights.of)  # stable: ids break ties
+    # stable: ids break ties; scaled heights compare as the heights do
+    order = sorted(range(len(fc.generators)), key=fc.heights.scaled().__getitem__)
     pos = {g: i for i, g in enumerate(order)}
 
     reduced: list[int] = []  # column bitmasks over sorted positions

@@ -1,8 +1,10 @@
 """Shared test helpers: independent oracles and random-instance generators.
 
 Everything here deliberately recomputes results by a different route than the
-library (symbolic conjugation, exhaustive matching, planted normal forms) so
-the main code paths are cross-checked rather than self-checked.
+library (symbolic conjugation, the per-word linearization formula applied
+letter by letter, evaluation word by word, exhaustive matching, planted normal
+forms) so the main code paths are cross-checked rather than self-checked.  The
+library reads the formula from words compiled once per DGA into bitmasks.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from legch.algebra import (
     format_element,
     format_word,
 )
-from legch.augment import Augmentation, enumerate_augmentations, evaluate, linearized_differential
+from legch.augment import Augmentation, enumerate_augmentations, linearized_differential
 from legch.metrics import LaurentPolynomial
 from legch.persist import Bar, Barcode, FilteredComplex, build_filtered_complex, compute_barcode
 
@@ -180,7 +182,38 @@ def substitute(elem: Element, images: dict[int, Element]) -> Element:
 
 
 # ---------------------------------------------------------------------------
-# augmentations by exhaustion, and the (2,n) torus family
+# the former library evaluation and linearization, word by word and letter by
+# letter, and augmentations by exhaustion through them
+
+def evaluate(eps: Augmentation, elem: Element) -> int:
+    """Algebra-map evaluation: unit word -> 1, word -> product of values, sums mod 2."""
+    total = 0
+    for word in elem.words:
+        term = 1
+        for g in word:
+            term &= eps.values[g]
+            if not term:
+                break
+        total ^= term
+    return total
+
+
+def linear_part(elem: Element, eps: Augmentation) -> frozenset[int]:
+    """Length-1 part of the image of ``elem`` under q -> q + eps(q), as a generator set.
+
+    Per word q_{i1}..q_{ik}, position l contributes q_{il} with coefficient
+    prod_{m != l} eps(q_{im}); only words with at most one eps-zero letter survive.
+    Letters are toggled, so repeated ones cancel mod 2.
+    """
+    values = eps.values
+    acc: set[int] = set()
+    for word in elem.words:
+        zeros = [g for g in word if not values[g]]
+        if len(zeros) < 2:
+            for g in zeros or word:
+                acc ^= {g}
+    return frozenset(acc)
+
 
 def enumerate_augmentations_brute(dga: DGA) -> list[Augmentation]:
     """Every {0,1} vector on the grading-0 generators, in lexicographic order,
@@ -214,6 +247,9 @@ def search_nodes_brute(dga: DGA) -> int:
         nodes += 2 * masks.count(0)
     return nodes + (masks[0] == 0)
 
+
+# ---------------------------------------------------------------------------
+# the (2,n) torus family
 
 def continuant_words(letters: list[str]) -> list[list[str]]:
     """Words of the noncommutative continuant K(letters) = K(..x_{n-1}) x_n + K(..x_{n-2})."""

@@ -13,7 +13,6 @@ from legch.augment import (
     Augmentation,
     check_augmentation,
     enumerate_augmentations,
-    evaluate,
     linearized_differential,
     pick_augmentation,
 )
@@ -22,7 +21,9 @@ from support import (
     check_chain_complex,
     dga_from_complex,
     enumerate_augmentations_brute,
+    evaluate,
     gid_of,
+    linear_part,
     linearize_by_conjugation,
     load_corpus,
     planted_complex,
@@ -127,6 +128,53 @@ def test_search_bound_charges_every_node_of_the_tree(dga):
                     for search in (enumerate_augmentations, lambda d: pick_augmentation(d, 0)):
                         with pytest.raises(StructureError, match=f"bound of {nodes - 1} search nodes"):
                             search(dga)
+
+
+def former_fault_message(dga, eps) -> str:
+    """The message the former check built, evaluating word by word."""
+    values = eps.values
+    if len(values) != len(dga):
+        return f"invalid augmentation: value vector has length {len(values)}, expected {len(dga)}"
+    problems = [f"value {v!r} on {g.name} is not 0 or 1" for g, v in zip(dga.generators, values) if v not in (0, 1)]
+    if not problems:
+        problems = [
+            f"nonzero value on {g.name}, which has grading {g.grading}"
+            for g in dga.generators
+            if g.grading != 0 and values[g.gid] != 0
+        ]
+        problems += [f"d({g.name}) does not evaluate to 0" for g, d in zip(dga.generators, dga.differential) if evaluate(eps, d)]
+    return "invalid augmentation: " + "; ".join(problems)
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_dgas(), st.data())
+def test_compiled_linearization_matches_the_oracles_on_random_dgas(dga, data):
+    """Repeated letters, unit words and grading-1 letters inside words: the
+    compiled words give the conjugation oracle's columns for every
+    augmentation, and every other value vector fails with the former message,
+    from ``check_augmentation`` and ``linearized_differential`` alike."""
+    brute = enumerate_augmentations_brute(dga)
+    for eps in brute:
+        columns = linearized_differential(dga, eps).columns
+        assert columns == linearize_by_conjugation(dga, eps)
+        assert columns == tuple(linear_part(d, eps) for d in dga.differential)
+    k = sum(1 for g in dga.generators if g.grading == 0)
+    vectors = st.one_of(
+        st.lists(st.sampled_from((0, 1)), min_size=k, max_size=k).map(
+            lambda bits: Augmentation.from_zero_grading_values(dga, bits)
+        ),
+        st.lists(st.sampled_from((0, 1)), min_size=len(dga), max_size=len(dga)).map(lambda v: Augmentation(tuple(v))),
+        st.lists(st.sampled_from((0, 1, 2, -1, True)), max_size=len(dga) + 1).map(lambda v: Augmentation(tuple(v))),
+    )
+    for _ in range(4):
+        eps = data.draw(vectors)
+        if eps in brute:
+            continue
+        message = former_fault_message(dga, eps)
+        for call in (check_augmentation, linearized_differential):
+            with pytest.raises(ValueError) as exc:
+                call(dga, eps)
+            assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("n", [3, 5, 7, 9, 11, 13, 15])

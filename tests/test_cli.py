@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from legch import augment, corpus
+from legch import augment, cli, corpus
 from legch.algebra import StructureError
 from legch.cli import cli_dispatch
 from legch.fileio import load_knot, serialize_barcode_file
@@ -80,6 +80,20 @@ def test_cli_output_matches_the_golden_transcript():
             test_cli.GOLDEN.write_text(json.dumps(test_cli.golden_transcript(), indent=1, sort_keys=True) + '\\n')"
     """
     assert golden_transcript() == json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+def test_one_parser_serves_every_call_in_one_process():
+    """The parser is built once per process and keeps nothing from a call: a
+    usage error, then the golden commands, then the same commands in reverse
+    order, each print exactly what ``tests/cli_golden.json`` holds."""
+    assert cli._build_parser() is cli._build_parser()
+    code, out, err = run("barcode", path("trefoil"), "--aug", "2", "--render", "pdf")
+    assert (code, out) == (1, "") and "invalid choice: 'pdf'" in err
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    commands = golden_commands()
+    for command in commands + commands[::-1]:
+        code, out, err = run(*corpus_argv(command))
+        assert {"exit": code, "stdout": out, "stderr": err} == golden[" ".join(command)], command
 
 
 def test_validate_ok():

@@ -25,6 +25,7 @@ from legch.fileio import (
     MAX_NUMBER_DIGITS,
     KnotData,
     decimal_str,
+    format_extended,
     parse_barcode_file,
     parse_knot_file,
     render_barcode,
@@ -47,6 +48,19 @@ def test_decimal_rendering():
     assert decimal_str(Fraction(-1, 8)) == "-0.125"
     with pytest.raises(ValueError):
         decimal_str(Fraction(1, 3))
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("kind", [int, Fraction])
+def test_integers_past_the_int_str_limit_render(sign, kind):
+    # 4501 digits, past Python's 4300-digit limit on str(int); flood heights
+    # grow about half a digit per tier.
+    x = kind(sign * 10**4500)
+    want = ("-" if sign < 0 else "") + "1" + "0" * 4500
+    assert decimal_str(x) == want
+    assert format_extended(x) == want
+    assert decimal_str(kind(sign * (10**4500 + 7))) == want[:-1] + "7"
+    assert decimal_str(kind(sign * 10**1000 * 12345)) == str(sign * 12345) + "0" * 1000
 
 
 # --- knot files -----------------------------------------------------------------
