@@ -144,6 +144,16 @@ class DGA:
         return tuple(linears), tuple(masks)
 
 
+def _gids(mask: int) -> list[int]:
+    """The set bits of ``mask``, lowest first."""
+    gids = []
+    while mask:
+        low = mask & -mask
+        gids.append(low.bit_length() - 1)
+        mask ^= low
+    return gids
+
+
 def _as_height(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
@@ -204,10 +214,13 @@ def format_word(word: Sequence[int], dga: DGA) -> str:
 
 
 def format_element(elem: Element, dga: DGA) -> str:
+    """The words, shortest first; past 8 of them, the first 8 and a count."""
     if not elem.words:
         return "0"
     ordered = sorted(elem.words, key=lambda w: (len(w), w))
-    return " + ".join(format_word(w, dga) for w in ordered)
+    text = " + ".join(format_word(w, dga) for w in ordered[:8])
+    more = len(ordered) - 8
+    return text + f" + {more} more word{'s' * (more > 1)}" if more > 0 else text
 
 
 def validate_dga(dga: DGA) -> None:

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import Sequence
 
-from .algebra import DGA, StructureError
+from .algebra import DGA, StructureError, _gids
 
 # Nodes, or partial assignments, the augmentation search tree may have; a
 # subtree walked from its cached summary is charged its full size.  Without
@@ -42,23 +43,10 @@ def check_augmentation(dga: DGA, eps: Augmentation) -> int:
     """Return the generators where ``eps`` is 1, as a gid bitmask; raise
     ValueError, naming every fault, unless ``eps`` is an augmentation of ``dga``.
 
-    An augmentation passes on the compiled words with one parity test per
-    word; anything else goes on to the checks that name its faults."""
+    Where ``eps`` vanishes outside grading 0, each differential is evaluated
+    on the compiled words, with one parity test per word: the words they drop
+    evaluate to 0 there.  Elsewhere it is evaluated word by word."""
     values = eps.values
-    if len(values) == len(dga) and all(v in (0, 1) for v in values):
-        ones = sum(1 << gid for gid, v in enumerate(values) if v)
-        off = ~ones
-        if not any(values[g.gid] for g in dga.generators if g.grading):
-            # eps is 0 on every letter outside grading 0, so a dropped word evaluates to 0
-            for linear, words in zip(*dga.compiled_words):
-                parity = sum(map(values.__getitem__, linear))
-                for letters, _, _ in words:
-                    if not letters & off:
-                        parity += 1
-                if parity & 1:
-                    break
-            else:
-                return ones
     if len(values) != len(dga):
         problems = [f"value vector has length {len(values)}, expected {len(dga)}"]
     else:
@@ -73,12 +61,22 @@ def check_augmentation(dga: DGA, eps: Augmentation) -> int:
             for g in dga.generators
             if g.grading != 0 and values[g.gid] != 0
         ]
-        problems += [
-            f"d({g.name}) does not evaluate to 0"
-            for g, d in zip(dga.generators, dga.differential)
-            if sum(all(values[x] for x in word) for word in d.words) & 1
-        ]
-    raise ValueError("invalid augmentation: " + "; ".join(problems))
+        ones = sum(1 << gid for gid, v in enumerate(values) if v)
+        if problems:
+            parities = [sum(all(values[x] for x in word) for word in d.words) & 1 for d in dga.differential]
+        else:
+            off, parities = ~ones, []
+            for linear, words in zip(*dga.compiled_words):
+                parity = sum(map(values.__getitem__, linear))
+                for letters, _, _ in words:
+                    if not letters & off:
+                        parity += 1
+                parities.append(parity & 1)
+        if 1 in parities:
+            problems += [f"d({g.name}) does not evaluate to 0" for g in compress(dga.generators, parities)]
+    if problems:
+        raise ValueError("invalid augmentation: " + "; ".join(problems))
+    return ones
 
 
 def _monomials(dga: DGA, zero_gens: list[int]) -> list[frozenset[int]]:
@@ -141,11 +139,12 @@ def _search(dga: DGA, lo: int, hi: float) -> tuple[list[Augmentation], int]:
     depends only on its depth and its live polynomials, so up to
     ``MAX_CACHED_STATES`` such states are expanded once and summarised, after
     their children, as (leaves below, nodes below, the children's summaries,
-    None for a cut).  A state met again is replayed from its summary where it
-    holds wanted leaves and skipped by its count elsewhere.  Every node of the
-    whole tree is charged to the bound, a cut branch as 1 and a repeated state
-    as its recorded size.  The walk uses explicit stacks, since the depth is
-    the number of grading-0 generators.
+    None for a cut).  A state met again is walked from its summary, on the
+    same stack and with no substitution, where it holds wanted leaves, and
+    skipped by its count elsewhere.  Every node of the whole tree is charged
+    to the bound, a cut branch as 1 and a repeated state as its recorded
+    size.  The walk uses explicit stacks, since the depth is the number of
+    grading-0 generators.
     """
     zero_gens = [g.gid for g in dga.generators if g.grading == 0]
     polys = _monomials(dga, zero_gens)
@@ -167,27 +166,12 @@ def _search(dga: DGA, lo: int, hi: float) -> tuple[list[Augmentation], int]:
                 SEARCH_BOUND,
             )
 
-    def replay(summary: tuple, depth: int) -> None:
-        """Append the wanted leaves below a cached state; values above it are set."""
-        first = seen
-        stack = [(summary, depth, None)]
-        while stack:
-            (count, _, children), depth, value = stack.pop()
-            if value is not None:
-                values[zero_gens[depth - 1]] = value
-            if max(first, lo) >= min(first + count, hi):
-                first += count
-            elif depth == k:
-                found.append(Augmentation(tuple(values)))
-                first += 1
-            else:
-                stack += [(c, depth + 1, v) for v, c in ((1, children[1]), (0, children[0])) if c]
-
     # Per expanded state on the current path: [key, seen, nodes, child summaries].
     frames: list[list] = []
-    # (variables fixed, value of the last one, polynomials before fixing it);
-    # None closes the top frame once its children are done.
-    todo: list = [(0, 0, polys)]
+    # (variables fixed, value of the last one, polynomials before fixing it,
+    # None) to expand, or (..., None, a cached summary) to replay; None closes
+    # the top frame once its children are done.
+    todo: list = [(0, 0, polys, None)]
     while todo:
         item = todo.pop()
         if item is None:
@@ -199,33 +183,39 @@ def _search(dga: DGA, lo: int, hi: float) -> tuple[list[Augmentation], int]:
             if frames:
                 frames[-1][3].append(summary)
             continue
-        depth, value, live = item
+        depth, value, live, summary = item
         if depth:
-            live = _fix(live, 1 << (depth - 1), value)
-            if live is None:
-                charge(1)
-                frames[-1][3].append(None)
-                continue
             values[zero_gens[depth - 1]] = value
-        live = tuple(live)  # one copy serves as the key and for the children
-        key = (depth, live)
-        summary = cache.get(key)
-        if summary is not None:
-            charge(summary[1])  # before the replay, so a listing stays within the bound
-            replay(summary, depth)
-            seen += summary[0]
-            frames[-1][3].append(summary)
-            continue
-        charge(1)
-        frames.append([key, seen, nodes - 1, []])
-        todo.append(None)
-        if depth == k:
-            if lo <= seen < hi:
-                found.append(Augmentation(tuple(values)))
+        if summary is None:
+            if depth:
+                live = _fix(live, 1 << (depth - 1), value)
+                if live is None:
+                    charge(1)
+                    frames[-1][3].append(None)
+                    continue
+            live = tuple(live)  # one copy serves as the key and for the children
+            key = (depth, live)
+            summary = cache.get(key)
+            if summary is None:
+                charge(1)
+                frames.append([key, seen, nodes - 1, []])
+                todo.append(None)
+                if depth < k:
+                    todo += [(depth + 1, 1, live, None), (depth + 1, 0, live, None)]
+                    continue
+                summary = (1, 1, ())  # a new leaf is walked as its own summary
+            else:
+                charge(summary[1])  # before the replay, so a listing stays within the bound
+                frames[-1][3].append(summary)
+        # Skip a summarised state by its count, or walk its children.
+        count, _, children = summary
+        if seen + count <= lo or seen >= hi:
+            seen += count
+        elif depth == k:
+            found.append(Augmentation(tuple(values)))
             seen += 1
         else:
-            todo.append((depth + 1, 1, live))
-            todo.append((depth + 1, 0, live))
+            todo += [(depth + 1, v, None, c) for v, c in ((1, children[1]), (0, children[0])) if c]
     return found, seen
 
 
@@ -243,16 +233,6 @@ def pick_augmentation(dga: DGA, index: int) -> tuple[Augmentation | None, int]:
     search bound as ``enumerate_augmentations``."""
     found, count = _search(dga, index, index + 1)
     return (found[0] if found else None), count
-
-
-def _gids(mask: int) -> list[int]:
-    """The set bits of ``mask``, lowest first."""
-    gids = []
-    while mask:
-        low = mask & -mask
-        gids.append(low.bit_length() - 1)
-        mask ^= low
-    return gids
 
 
 @dataclass(frozen=True)

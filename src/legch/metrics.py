@@ -159,20 +159,17 @@ def _finite_distance(bars1: list[Bar], bars2: list[Bar], scale: int) -> int:
     return candidates[lo]
 
 
-def _degree_distance(bars1: tuple[Bar, ...], bars2: tuple[Bar, ...], scale: int):
-    """The distance in one degree, in units of 1/(2L), L = ``scale``.
-
-    Infinite bars match only each other, at the birth gap, so they form their
-    own problem: on a line, pairing them in sorted order is optimal."""
-    inf1 = sorted(_scaled(b.birth, scale) for b in bars1 if not b.finite)
-    inf2 = sorted(_scaled(b.birth, scale) for b in bars2 if not b.finite)
-    if len(inf1) != len(inf2):
-        return math.inf
-    infinite = 2 * max((abs(a - b) for a, b in zip(inf1, inf2)), default=0)
-    finite = _finite_distance(
-        [b for b in bars1 if b.finite], [b for b in bars2 if b.finite], scale
-    )
-    return max(infinite, finite)
+def _split_by_degree(barcode: Barcode, scale: int) -> dict[int, tuple[list[int], list[Bar]]]:
+    """Per degree, the births of the infinite bars times ``scale``, and the
+    finite bars.  The births come in order, as the bars are sorted by birth."""
+    split: dict[int, tuple[list[int], list[Bar]]] = {}
+    for bar in barcode.bars:
+        infinite, finite = split.setdefault(bar.degree, ([], []))
+        if bar.finite:
+            finite.append(bar)
+        else:
+            infinite.append(_scaled(bar.birth, scale))
+    return split
 
 
 def interleaving_distance(b1: Barcode, b2: Barcode):
@@ -184,10 +181,14 @@ def interleaving_distance(b1: Barcode, b2: Barcode):
     every end is scaled once to an integer, by the lcm of both barcodes' scales.
     """
     scale = math.lcm(b1.scale, b2.scale)
-    worst = 0
-    for k in sorted({b.degree for b in b1.bars + b2.bars}):
-        d = _degree_distance(b1.in_degree(k), b2.in_degree(k), scale)
-        if d == math.inf:
+    split1, split2 = _split_by_degree(b1, scale), _split_by_degree(b2, scale)
+    worst = 0  # in units of 1/(2 scale)
+    for k in sorted(split1.keys() | split2.keys()):
+        (inf1, finite1), (inf2, finite2) = split1.get(k, ([], [])), split2.get(k, ([], []))
+        if len(inf1) != len(inf2):
             return math.inf
-        worst = max(worst, d)
+        # Infinite bars match only each other, at the birth gap, so they form
+        # their own problem: on a line, pairing them in sorted order is optimal.
+        infinite = 2 * max((abs(a - b) for a, b in zip(inf1, inf2)), default=0)
+        worst = max(worst, infinite, _finite_distance(finite1, finite2, scale))
     return Fraction(worst, 2 * scale)

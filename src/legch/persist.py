@@ -8,7 +8,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .algebra import BAD_HEIGHT, Generator, HeightAssignment, StructureError
+from .algebra import BAD_HEIGHT, Generator, HeightAssignment, StructureError, _gids
 from .augment import LinearizedComplex
 
 
@@ -99,9 +99,6 @@ class Barcode:
             *(bar.death.denominator for bar in self.bars if bar.finite),
         )
 
-    def in_degree(self, degree: int) -> tuple[Bar, ...]:
-        return tuple(b for b in self.bars if b.degree == degree)
-
 
 def compute_barcode(fc: FilteredComplex) -> Barcode:
     """Standard column reduction over Z2, columns ordered by (height, id).
@@ -136,13 +133,8 @@ def compute_barcode(fc: FilteredComplex) -> Barcode:
         if col:
             pivot_owner[col.bit_length() - 1] = j
 
-    def label(mask: int) -> str:
-        gids = []
-        while mask:
-            low = mask & -mask
-            gids.append(order[low.bit_length() - 1])
-            mask ^= low
-        return "+".join(fc.generators[g].name for g in sorted(gids))
+    def label(mask: int) -> str:  # mask is over sorted positions
+        return "+".join([fc.generators[g].name for g in sorted(map(order.__getitem__, _gids(mask)))])
 
     bars = []
     for j, g in enumerate(order):

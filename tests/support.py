@@ -404,6 +404,10 @@ def is_semimonotonic(target: int, addend: Element, h: HeightAssignment) -> bool:
 # matcher, recursive Kuhn matching on a balanced graph with deletion slots,
 # re-run at each step of a binary search over Fraction costs
 
+def in_degree(barcode: Barcode, degree: int) -> tuple[Bar, ...]:
+    return tuple(b for b in barcode.bars if b.degree == degree)
+
+
 def _match_cost(a: Bar, b: Bar):
     """Max endpoint displacement; infinite ends pair only with infinite ends."""
     if a.finite != b.finite:
@@ -513,7 +517,7 @@ def _degree_distance(bars1: tuple[Bar, ...], bars2: tuple[Bar, ...]):
 def _max_over_degrees(b1: Barcode, b2: Barcode, degree_distance):
     worst = Fraction(0)
     for k in sorted({b.degree for b in b1.bars + b2.bars}):
-        d = degree_distance(b1.in_degree(k), b2.in_degree(k))
+        d = degree_distance(in_degree(b1, k), in_degree(b2, k))
         if d == math.inf:
             return math.inf
         worst = max(worst, d)

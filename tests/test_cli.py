@@ -289,6 +289,23 @@ def test_missing_file_is_an_input_error(tmp_path):
     assert err.startswith("error: [UNREADABLE_FILE] [Errno ")
 
 
+def test_d_squared_message_is_bounded(tmp_path):
+    # d(d(a)) has 4000 words of 100 to 139 letters, about 490 KB in print;
+    # the message names the first 8 and counts the rest.
+    knot = {
+        "generators": [{"name": "a", "grading": 1}, {"name": "b", "grading": 0}, {"name": "e", "grading": -1}],
+        "differential": {"a": [["b"] * 100], "b": [["b"] * i + ["e"] for i in range(40)], "e": []},
+        "patches": [],
+    }
+    long_words = tmp_path / "long_words.json"
+    long_words.write_text(json.dumps(knot))
+    code, out, err = run("validate", str(long_words))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: [D_SQUARED_NONZERO] d(d(a)) = ")
+    assert re.search(r" \+ \d+ more words is nonzero\n$", err)
+    assert len(err) < 2048
+
+
 def free_knot_file(tmp_path, k: int) -> str:
     """A knot file of k grading-0 generators with zero differentials."""
     names = [f"g{i}" for i in range(k)]
@@ -328,9 +345,10 @@ def test_search_bound_on_a_deep_search_is_coded(tmp_path):
 
 def test_a_pick_substitutes_once_per_search_state(tmp_path, monkeypatch):
     # Nothing prunes on T(2,13), so its search tree has 2^14 - 1 nodes and,
-    # with no state cached, a pick substitutes 2^14 - 2 times.  With the
+    # with no state cached, a search substitutes 2^14 - 2 times.  With the
     # cache, each of its 3n - 2 = 37 distinct states is substituted into at
-    # most twice.
+    # most twice: a pick walks down by the counts, and a listing replays the
+    # cached subtrees without substituting.
     calls = []
     fix = augment._fix
 
@@ -341,17 +359,18 @@ def test_a_pick_substitutes_once_per_search_state(tmp_path, monkeypatch):
     monkeypatch.setattr(augment, "_fix", counted)
     knot = tmp_path / "torus_2_13.json"
     knot.write_text(json.dumps(torus_2n_knot(13)))
-    calls_by_cap, outputs = [], set()
-    for cap in (0, augment.MAX_CACHED_STATES):
-        calls.clear()
-        monkeypatch.setattr(augment, "MAX_CACHED_STATES", cap)
-        code, out, _ = run("linearize", str(knot), "--aug", "4000")
-        assert code == 0 and out.startswith("d(a1) = ")
-        calls_by_cap.append(len(calls))
-        outputs.add(out)
-    assert calls_by_cap[0] == 2**14 - 2
-    assert calls_by_cap[1] <= 200
-    assert len(outputs) == 1
+    for argv, head in ((["linearize", "--aug", "4000"], "d(a1) = "), (["augment"], "augmentations: 5461\n")):
+        calls_by_cap, outputs = [], set()
+        for cap in (0, augment.MAX_CACHED_STATES):
+            calls.clear()
+            monkeypatch.setattr(augment, "MAX_CACHED_STATES", cap)
+            code, out, _ = run(argv[0], str(knot), *argv[1:])
+            assert code == 0 and out.startswith(head)
+            calls_by_cap.append(len(calls))
+            outputs.add(out)
+        assert calls_by_cap[0] == 2**14 - 2
+        assert calls_by_cap[1] <= 200
+        assert len(outputs) == 1
 
 
 def test_augment_listing():

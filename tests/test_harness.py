@@ -101,10 +101,24 @@ def test_traced_counters_read_attributes_the_library_has():
     assert counted["cli.cli_dispatch.nonzero_exits"] == 0
 
 
+def defined_names(body: list[ast.stmt]) -> list[str]:
+    """The names that the functions, classes and assignments of ``body`` define."""
+    names = []
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.append(node.target.id)
+    return names
+
+
 def test_every_public_library_name_has_a_program_caller():
-    """Each public module-level function, class and constant of ``src/legch``
-    occurs as a word in ``src/legch``, ``scripts/`` or ``perfbench/`` beyond
-    its definition.  What only tests use belongs in ``tests/support.py``."""
+    """Each public module-level function, class and constant of ``src/legch``,
+    and each public method, property and field of its public classes, occurs
+    as a word in ``src/legch``, ``scripts/`` or ``perfbench/`` beyond its
+    definition.  What only tests use belongs in ``tests/support.py``."""
     sources = [
         path.read_text(encoding="utf-8")
         for folder in ("src/legch", "scripts", "perfbench")
@@ -113,14 +127,10 @@ def test_every_public_library_name_has_a_program_caller():
     words = Counter(w for text in sources for w in re.findall(r"\w+", text))
     unused = []
     for path in sorted((ROOT / "src" / "legch").rglob("*.py")):
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                names = [node.name]
-            elif isinstance(node, ast.Assign):
-                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
-            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-                names = [node.target.id]
-            else:
-                names = []
-            unused += [name for name in names if not name.startswith("_") and words[name] < 2]
+        module = ast.parse(path.read_text(encoding="utf-8")).body
+        names = [(name, name) for name in defined_names(module)]
+        for node in module:
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                names += [(f"{node.name}.{member}", member) for member in defined_names(node.body)]
+        unused += [label for label, name in names if not name.startswith("_") and words[name] < 2]
     assert unused == []

@@ -19,6 +19,7 @@ from legch.persist import (
 from support import (
     gf2_rank,
     homology_rank_oracle,
+    in_degree,
     load_corpus,
     planted_complex,
     triples,
@@ -79,7 +80,7 @@ def test_trefoil_barcode_matches_the_worked_example():
     finite = [b for b in barcode.bars if b.finite][0]
     assert finite.birth_label == "q3+q5"
     assert finite.death_label in ("q1", "q2")
-    h1 = barcode.in_degree(1)[0]
+    h1 = in_degree(barcode, 1)[0]
     assert h1.birth_label == "q1+q2"
 
 
