@@ -119,20 +119,17 @@ class DGA:
 
         Two tuples indexed by generator id: the letters of its one-letter
         words, and for each other word three gid bitmasks, of its letters, of
-        those with odd multiplicity and of those that occur once.  An
-        augmentation vanishes outside grading 0, so a word with two or more
-        letters there, counted with multiplicity, evaluates to 0 and has no
-        linear part; it is left out.  A one-letter word gets no mask: it
-        always contributes its letter.
+        those with odd multiplicity and of those that occur once.  Every word
+        is kept, so the masks evaluate any 0/1 vector exactly.  A one-letter
+        word gets no mask: it always contributes its letter.
         """
-        gradings = [g.grading for g in self.generators]
         linears, masks = [], []
         for elem in self.differential:
             linear, words = set(), []
             for word in elem.words:
                 if len(word) == 1:
                     linear.add(word[0])
-                elif sum(1 for g in word if gradings[g]) < 2:
+                else:
                     letters = odd = once = 0
                     for g, count in Counter(word).items():
                         letters |= 1 << g
@@ -152,6 +149,11 @@ def _gids(mask: int) -> list[int]:
         gids.append(low.bit_length() - 1)
         mask ^= low
     return gids
+
+
+def _scaled(x, scale: int) -> int:
+    """``x`` times ``scale``, for a rational ``x`` whose denominator divides ``scale``."""
+    return x.numerator * (scale // x.denominator)
 
 
 def _as_height(value) -> Fraction:
@@ -182,7 +184,7 @@ class HeightAssignment:
         compare as the heights do, at a fraction of the cost.  Built per call,
         so that no copy outlives the comparisons."""
         scale = math.lcm(*(h.denominator for h in self.heights.values()))
-        return {gid: h.numerator * (scale // h.denominator) for gid, h in self.heights.items()}
+        return {gid: _scaled(h, scale) for gid, h in self.heights.items()}
 
     def of(self, gid: int) -> Fraction:
         try:

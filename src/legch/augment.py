@@ -39,46 +39,6 @@ class Augmentation:
         return cls(tuple(values))
 
 
-def check_augmentation(dga: DGA, eps: Augmentation) -> int:
-    """Return the generators where ``eps`` is 1, as a gid bitmask; raise
-    ValueError, naming every fault, unless ``eps`` is an augmentation of ``dga``.
-
-    Where ``eps`` vanishes outside grading 0, each differential is evaluated
-    on the compiled words, with one parity test per word: the words they drop
-    evaluate to 0 there.  Elsewhere it is evaluated word by word."""
-    values = eps.values
-    if len(values) != len(dga):
-        problems = [f"value vector has length {len(values)}, expected {len(dga)}"]
-    else:
-        problems = [
-            f"value {v!r} on {g.name} is not 0 or 1"
-            for g, v in zip(dga.generators, values)
-            if v not in (0, 1)
-        ]
-    if not problems:  # evaluating other values would blame a differential instead
-        problems = [
-            f"nonzero value on {g.name}, which has grading {g.grading}"
-            for g in dga.generators
-            if g.grading != 0 and values[g.gid] != 0
-        ]
-        ones = sum(1 << gid for gid, v in enumerate(values) if v)
-        if problems:
-            parities = [sum(all(values[x] for x in word) for word in d.words) & 1 for d in dga.differential]
-        else:
-            off, parities = ~ones, []
-            for linear, words in zip(*dga.compiled_words):
-                parity = sum(map(values.__getitem__, linear))
-                for letters, _, _ in words:
-                    if not letters & off:
-                        parity += 1
-                parities.append(parity & 1)
-        if 1 in parities:
-            problems += [f"d({g.name}) does not evaluate to 0" for g in compress(dga.generators, parities)]
-    if problems:
-        raise ValueError("invalid augmentation: " + "; ".join(problems))
-    return ones
-
-
 def _monomials(dga: DGA, zero_gens: list[int]) -> list[frozenset[int]]:
     """Each differential as a mod-2 set of bitmask monomials over ``zero_gens``.
 
@@ -243,16 +203,18 @@ class LinearizedComplex:
     changes is the DGA's own frozenset of one-letter words.
 
     Not checked, and needs no check: ``dga`` passed ``validate_dga`` and the
-    augmentation ``check_augmentation``.  So the differential conjugated by
-    q -> q + eps(q) squares to zero and has no constant term, and its linear
-    part drops the degree by 1 and squares to zero."""
+    augmentation was checked by ``linearized_differential``.  So the
+    differential conjugated by q -> q + eps(q) squares to zero and has no
+    constant term, and its linear part drops the degree by 1 and squares to
+    zero."""
 
     dga: DGA
     columns: tuple[frozenset[int], ...]
 
 
 def linearized_differential(dga: DGA, eps: Augmentation) -> LinearizedComplex:
-    """Linearize the differential with respect to ``eps``, after checking it.
+    """Linearize the differential with respect to ``eps``; raise ValueError,
+    naming every fault, unless ``eps`` is an augmentation of ``dga``.
 
     The linear part of q -> q + eps(q) applied to a word q_{i1}..q_{ik} is the
     sum over positions l of q_{il} times prod_{m != l} eps(q_{im}); mod 2,
@@ -263,17 +225,35 @@ def linearized_differential(dga: DGA, eps: Augmentation) -> LinearizedComplex:
       - a word with exactly one eps-zero letter, of multiplicity 1, gives that
         letter;
       - any other word gives nothing.
+    The same pass evaluates each differential at ``eps``, one parity per word.
     The full symbolic conjugation is kept as a test oracle.
     """
-    off = ~check_augmentation(dga, eps)
-    columns = []
+    values = eps.values
+    if len(values) != len(dga):
+        raise ValueError(f"invalid augmentation: value vector has length {len(values)}, expected {len(dga)}")
+    problems = [f"value {v!r} on {g.name} is not 0 or 1" for g, v in zip(dga.generators, values) if v not in (0, 1)]
+    if problems:  # evaluating other values would blame a differential instead
+        raise ValueError("invalid augmentation: " + "; ".join(problems))
+    problems = [
+        f"nonzero value on {g.name}, which has grading {g.grading}"
+        for g, v in zip(dga.generators, values)
+        if g.grading != 0 and v != 0
+    ]
+    off = ~sum(1 << gid for gid, v in enumerate(values) if v)
+    columns, parities = [], []
     for linear, words in zip(*dga.compiled_words):
-        acc = 0
+        acc, parity = 0, sum(map(values.__getitem__, linear))
         for letters, odd, once in words:
             zeros = letters & off
             if not zeros:
                 acc ^= odd
+                parity += 1
             elif zeros & once and not zeros & (zeros - 1):
                 acc ^= zeros
         columns.append(linear.symmetric_difference(_gids(acc)) if acc else linear)
+        parities.append(parity & 1)
+    if 1 in parities:
+        problems += [f"d({g.name}) does not evaluate to 0" for g in compress(dga.generators, parities)]
+    if problems:
+        raise ValueError("invalid augmentation: " + "; ".join(problems))
     return LinearizedComplex(dga, tuple(columns))

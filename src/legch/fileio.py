@@ -116,22 +116,24 @@ def _check_text(text: str, where: str) -> None:
     _expect(not _CONTROL.search(text), BAD_SCHEMA, f"{where} has a control character")
 
 
-def _parse_decimal(literal: str) -> Fraction:
-    mantissa, _, exponent = literal.lower().partition("e")
-    digits = len(mantissa) - mantissa.count("-") - mantissa.count(".")
-    if digits + abs(int(exponent or 0)) > MAX_NUMBER_DIGITS:
-        raise ValueError(f"number literal has more than {MAX_NUMBER_DIGITS} digits")
-    return Fraction(literal)
+def _parse_number(literal: str, kind=Fraction):
+    """A JSON number literal as ``kind``; only a long one or one with an exponent can exceed the bound."""
+    if len(literal) > MAX_NUMBER_DIGITS or "e" in literal or "E" in literal:
+        mantissa, _, exponent = literal.lower().partition("e")
+        digits = len(mantissa) - mantissa.count("-") - mantissa.count(".")
+        if digits + abs(int(exponent or 0)) > MAX_NUMBER_DIGITS:
+            raise ValueError(f"number literal has more than {MAX_NUMBER_DIGITS} digits")
+    return kind(literal)
 
 
 def _load_json(data: bytes | str):
-    """Decode UTF-8 and parse JSON with exact, bounded decimals; any failure is
+    """Decode UTF-8 and parse JSON with exact, bounded numbers; any failure is
     MALFORMED_JSON."""
     try:
         if isinstance(data, bytes):
             data = data.decode("utf-8")
-        return json.loads(data, parse_float=_parse_decimal)
-    except ValueError as exc:  # also bad JSON, bad UTF-8 and oversized integers
+        return json.loads(data, parse_float=_parse_number, parse_int=lambda s: _parse_number(s, int))
+    except ValueError as exc:  # also bad JSON and bad UTF-8
         raise StructureError(f"not valid JSON: {exc}", MALFORMED_JSON) from None
     except RecursionError:
         raise StructureError("not valid JSON: nested too deeply", MALFORMED_JSON) from None

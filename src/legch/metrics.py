@@ -8,8 +8,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import DGA
-from .persist import Bar, Barcode, _scaled
+from .algebra import DGA, _scaled
+from .persist import Bar, Barcode
 
 
 class LaurentPolynomial(Counter):
@@ -46,8 +46,9 @@ def check_strong_morse(dga: DGA, b: Barcode) -> StrongMorseReport:
     count infinite and finite bars by degree.  MC - PC and (z+1)R come from
     independent code paths, so their equality cross-checks the barcode."""
     mc = LaurentPolynomial(g.grading for g in dga.generators)
-    pc = LaurentPolynomial(bar.degree for bar in b.bars if not bar.finite)
-    r = LaurentPolynomial(bar.degree for bar in b.bars if bar.finite)
+    pc, r = LaurentPolynomial(), LaurentPolynomial()
+    for bar in b.bars:
+        (r if bar.finite else pc)[bar.degree] += 1
     lhs = mc.copy()
     lhs.subtract(pc)
     rhs = r.copy()

@@ -6,9 +6,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
 
-from .algebra import BAD_HEIGHT, Generator, HeightAssignment, StructureError, _gids
+from .algebra import BAD_HEIGHT, Generator, HeightAssignment, StructureError, _gids, _scaled
 from .augment import LinearizedComplex
 
 
@@ -16,7 +15,7 @@ from .augment import LinearizedComplex
 class FilteredComplex:
     """A linearized complex with a height per generator.
 
-    ``from_columns`` checks only the heights: each generator has one, and each
+    ``compute_barcode`` checks the heights: each generator has one, and each
     entry of a column sits strictly below it.  The columns drop the degree by 1
     and square to zero without a check, for the reason ``LinearizedComplex``
     gives."""
@@ -25,32 +24,11 @@ class FilteredComplex:
     heights: HeightAssignment
     columns: tuple[frozenset[int], ...]
 
-    @classmethod
-    def from_columns(
-        cls,
-        generators: Sequence[Generator],
-        heights: HeightAssignment,
-        columns: Sequence[frozenset[int]],
-    ) -> "FilteredComplex":
-        generators = tuple(generators)
-        for g in generators:
-            heights.of(g.gid)
-        scaled = heights.scaled()
-        for g, col in zip(generators, columns):
-            for p in col:
-                if not scaled[p] < scaled[g.gid]:
-                    raise StructureError(
-                        f"generator {generators[p].name} appears in d({g.name}) but does not sit "
-                        f"strictly below it; these heights are invalid for this differential",
-                        BAD_HEIGHT,
-                    )
-        return cls(generators, heights, tuple(columns))
-
 
 def build_filtered_complex(
     lin: LinearizedComplex, h: HeightAssignment
 ) -> FilteredComplex:
-    return FilteredComplex.from_columns(lin.dga.generators, h, lin.columns)
+    return FilteredComplex(lin.dga.generators, h, lin.columns)
 
 
 @dataclass(frozen=True, slots=True)
@@ -68,10 +46,6 @@ class Bar:
     @property
     def finite(self) -> bool:
         return not isinstance(self.death, float) or self.death != math.inf
-
-
-def _scaled(x, scale: int) -> int:
-    return x.numerator * (scale // x.denominator)
 
 
 @dataclass(frozen=True)
@@ -107,10 +81,21 @@ def compute_barcode(fc: FilteredComplex) -> Barcode:
     bar; a zero column that is no column's pivot gives an infinite bar.  Ties
     in height are harmless because the differential strictly decreases height,
     so equal-height generators never pair with each other; the id tie-break
-    fixes reproducible representative labels.
+    fixes reproducible representative labels.  It checks the heights first, as
+    ``FilteredComplex`` says, naming the first fault in generator-id order.
     """
-    # stable: ids break ties; scaled heights compare as the heights do
-    order = sorted(range(len(fc.generators)), key=fc.heights.scaled().__getitem__)
+    scaled = fc.heights.scaled()  # integers that compare as the heights do
+    for g in fc.generators:
+        fc.heights.of(g.gid)
+    for g, col in zip(fc.generators, fc.columns):
+        for p in col:
+            if not scaled[p] < scaled[g.gid]:
+                raise StructureError(
+                    f"generator {fc.generators[p].name} appears in d({g.name}) but does not sit "
+                    f"strictly below it; these heights are invalid for this differential",
+                    BAD_HEIGHT,
+                )
+    order = sorted(range(len(fc.generators)), key=scaled.__getitem__)  # stable: ids break ties
     pos = {g: i for i, g in enumerate(order)}
 
     reduced: list[int] = []  # column bitmasks over sorted positions

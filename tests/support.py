@@ -612,7 +612,7 @@ def planted_complex(rng: Random, max_n: int = 12):
         columns[v].symmetric_difference_update(columns[u])
 
     generators = tuple(Generator(i, f"g{i}", gradings[i]) for i in range(n))
-    fc = FilteredComplex.from_columns(
+    fc = FilteredComplex(
         generators,
         HeightAssignment(heights),
         tuple(frozenset(c) for c in columns),

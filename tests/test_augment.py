@@ -6,12 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from legch import augment
-from legch.algebra import DGA, Element, StructureError
+from legch.algebra import DGA, Element, StructureError, validate_dga
 from legch.augment import (
     MAX_SEARCH_NODES,
     SEARCH_BOUND,
     Augmentation,
-    check_augmentation,
     enumerate_augmentations,
     linearized_differential,
     pick_augmentation,
@@ -152,7 +151,7 @@ def test_compiled_linearization_matches_the_oracles_on_random_dgas(dga, data):
     """Repeated letters, unit words and grading-1 letters inside words: the
     compiled words give the conjugation oracle's columns for every
     augmentation, and every other value vector fails with the former message,
-    from ``check_augmentation`` and ``linearized_differential`` alike."""
+    built word by word."""
     brute = enumerate_augmentations_brute(dga)
     for eps in brute:
         columns = linearized_differential(dga, eps).columns
@@ -170,11 +169,9 @@ def test_compiled_linearization_matches_the_oracles_on_random_dgas(dga, data):
         eps = data.draw(vectors)
         if eps in brute:
             continue
-        message = former_fault_message(dga, eps)
-        for call in (check_augmentation, linearized_differential):
-            with pytest.raises(ValueError) as exc:
-                call(dga, eps)
-            assert str(exc.value) == message
+        with pytest.raises(ValueError) as exc:
+            linearized_differential(dga, eps)
+        assert str(exc.value) == former_fault_message(dga, eps)
 
 
 @pytest.mark.parametrize("n", [3, 5, 7, 9, 11, 13, 15])
@@ -262,15 +259,15 @@ def test_evaluate_trefoil_differential():
 
 
 def test_augmentation_validity_checks():
-    check_augmentation(TREFOIL, trefoil_aug((1, 0, 0)))
+    linearized_differential(TREFOIL, trefoil_aug((1, 0, 0)))
     unsolved = r"d\(q1\) does not evaluate to 0; d\(q2\) does not evaluate to 0$"
     with pytest.raises(ValueError, match=f"^invalid augmentation: {unsolved}"):
-        check_augmentation(TREFOIL, trefoil_aug((0, 0, 0)))
+        linearized_differential(TREFOIL, trefoil_aug((0, 0, 0)))
     graded = "nonzero value on q1, which has grading 1"
     with pytest.raises(ValueError, match=f"^invalid augmentation: {graded}; {unsolved}"):
-        check_augmentation(TREFOIL, Augmentation((1, 0, 0, 0, 0)))
+        linearized_differential(TREFOIL, Augmentation((1, 0, 0, 0, 0)))
     with pytest.raises(ValueError, match="^invalid augmentation: value vector has length 3, expected 5$"):
-        check_augmentation(TREFOIL, Augmentation((1, 0, 0)))
+        linearized_differential(TREFOIL, Augmentation((1, 0, 0)))
 
 
 def test_values_other_than_zero_and_one_are_reported():
@@ -278,9 +275,23 @@ def test_values_other_than_zero_and_one_are_reported():
         eps = trefoil_aug(bits)
         message = f"^invalid augmentation: value {bits[0]} on q3 is not 0 or 1$"
         with pytest.raises(ValueError, match=message):
-            check_augmentation(TREFOIL, eps)
-        with pytest.raises(ValueError, match=message):
             linearized_differential(TREFOIL, eps)
+
+
+def test_word_of_two_graded_letters_counts_only_in_the_fault_message():
+    # ab has two grading-1 letters: no augmentation sees it, but a=b=1 does.
+    dga = DGA.from_data(
+        [("a", 1), ("b", 1), ("c", 0), ("w", 2), ("z", 3)],
+        {"a": [], "b": [], "c": [], "w": [], "z": [["a", "b"], ["w"]]},
+    )
+    validate_dga(dga)
+    augs = enumerate_augmentations(dga)
+    assert len(augs) == 2
+    for eps in augs:
+        assert linearized_differential(dga, eps).columns[gid_of(dga, "z")] == {gid_of(dga, "w")}
+    graded = "nonzero value on a, which has grading 1; nonzero value on b, which has grading 1"
+    with pytest.raises(ValueError, match=f"^invalid augmentation: {graded}; d\\(z\\) does not evaluate to 0$"):
+        linearized_differential(dga, Augmentation((1, 1, 0, 0, 0)))
 
 
 # --- linearized differential --------------------------------------------------

@@ -156,8 +156,9 @@ def _bar_born_at(literal: str) -> str:
         ("9" * (MAX_NUMBER_DIGITS - 1) + ".5", "9" * MAX_NUMBER_DIGITS + ".5"),
         (f"1e{MAX_NUMBER_DIGITS - 1}", f"1e{MAX_NUMBER_DIGITS}"),
         (f"-1e-{MAX_NUMBER_DIGITS - 1}", f"-1e-{MAX_NUMBER_DIGITS}"),
+        ("9" * MAX_NUMBER_DIGITS, "9" * (MAX_NUMBER_DIGITS + 1)),
     ],
-    ids=["mantissa", "exponent", "negative_exponent"],
+    ids=["mantissa", "exponent", "negative_exponent", "integer"],
 )
 def test_largest_accepted_literal_round_trips(largest, too_long):
     barcode = parse_barcode_file(_bar_born_at(largest))

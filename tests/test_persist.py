@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from legch.algebra import BAD_HEIGHT, Generator, HeightAssignment, StructureError
-from legch.augment import enumerate_augmentations, linearized_differential
+from legch.algebra import BAD_HEIGHT, DGA, Generator, HeightAssignment, StructureError
+from legch.augment import Augmentation, enumerate_augmentations, linearized_differential
 from legch.persist import (
     Bar,
     FilteredComplex,
@@ -56,15 +56,24 @@ def test_equal_heights_rejected_naming_the_pair():
     lin = linearized_differential(TREFOIL.dga, eps)
     flat = HeightAssignment({g.gid: 1 for g in TREFOIL.dga.generators})
     with pytest.raises(StructureError) as exc:
-        build_filtered_complex(lin, flat)
+        compute_barcode(build_filtered_complex(lin, flat))
     assert exc.value.code == BAD_HEIGHT
     assert re.match(r"generator q[35] appears in d\(q[12]\) but does not sit strictly below it", str(exc.value))
+
+
+def test_first_height_fault_in_generator_order_is_named():
+    # q sits lowest, so a scan in height order would name d(q) first.
+    dga = DGA.from_data([("a", 0), ("b", 0), ("p", 1), ("q", 1)], {"a": [], "b": [], "p": [["a"]], "q": [["b"]]})
+    heights = HeightAssignment({0: 5, 1: 5, 2: 2, 3: 1})
+    with pytest.raises(StructureError, match="^generator a appears in d\\(p\\) but") as exc:
+        compute_barcode(build_filtered_complex(linearized_differential(dga, Augmentation((0,) * 4)), heights))
+    assert exc.value.code == BAD_HEIGHT
 
 
 def test_missing_height_rejected():
     gens = (Generator(0, "a", 0), Generator(1, "b", 1))
     with pytest.raises(StructureError, match="no height assigned to generator id 1"):
-        FilteredComplex.from_columns(gens, HeightAssignment({0: 1}), (frozenset(), frozenset({0})))
+        compute_barcode(FilteredComplex(gens, HeightAssignment({0: 1}), (frozenset(), frozenset({0}))))
 
 
 # --- barcodes ----------------------------------------------------------------
@@ -120,7 +129,7 @@ def test_bar_requires_birth_before_death():
 
 
 def test_empty_complex_has_empty_barcode():
-    fc = FilteredComplex.from_columns((), HeightAssignment({}), ())
+    fc = FilteredComplex((), HeightAssignment({}), ())
     assert compute_barcode(fc).bars == ()
 
 
@@ -194,7 +203,7 @@ def test_barcode_invariant_under_generator_permutation(seed, perm_seed):
     columns = [frozenset()] * n
     for gid, col in enumerate(fc.columns):
         columns[perm[gid]] = frozenset(perm[p] for p in col)
-    permuted = FilteredComplex.from_columns(gens, heights, tuple(columns))
+    permuted = FilteredComplex(gens, heights, tuple(columns))
     assert triples(compute_barcode(permuted)) == triples(compute_barcode(fc))
 
 

@@ -191,8 +191,8 @@ def test_conjugated_linearized_differential_is_strictly_height_decreasing():
     assert is_semimonotonic(a, word(c), CONJ_H)
     conjugated = conjugate(CONJ, a, word(c))
     for eps in enumerate_augmentations(conjugated):
-        # Filtration validity is exactly what FilteredComplex enforces.
-        build_filtered_complex(linearized_differential(conjugated, eps), CONJ_H)
+        # Filtration validity is exactly what compute_barcode enforces.
+        compute_barcode(build_filtered_complex(linearized_differential(conjugated, eps), CONJ_H))
 
 
 @settings(max_examples=40, deadline=None)
