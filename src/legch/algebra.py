@@ -6,6 +6,7 @@ mod-2 reduced finite sets of words.  Everything is immutable.
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -219,9 +220,9 @@ def format_element(elem: Element, dga: DGA) -> str:
     """The words, shortest first; past 8 of them, the first 8 and a count."""
     if not elem.words:
         return "0"
-    ordered = sorted(elem.words, key=lambda w: (len(w), w))
-    text = " + ".join(format_word(w, dga) for w in ordered[:8])
-    more = len(ordered) - 8
+    first = heapq.nsmallest(8, elem.words, key=lambda w: (len(w), w))
+    text = " + ".join(format_word(w, dga) for w in first)
+    more = len(elem.words) - 8
     return text + f" + {more} more word{'s' * (more > 1)}" if more > 0 else text
 
 

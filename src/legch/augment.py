@@ -26,18 +26,6 @@ class Augmentation:
 
     values: tuple[int, ...]
 
-    @classmethod
-    def from_zero_grading_values(cls, dga: DGA, bits: Sequence[int]) -> "Augmentation":
-        zero_gens = [g.gid for g in dga.generators if g.grading == 0]
-        if len(bits) != len(zero_gens):
-            raise ValueError(
-                f"expected {len(zero_gens)} values for the grading-0 generators, got {len(bits)}"
-            )
-        values = [0] * len(dga)
-        for gid, bit in zip(zero_gens, bits):
-            values[gid] = bit
-        return cls(tuple(values))
-
 
 def _monomials(dga: DGA, zero_gens: list[int]) -> list[frozenset[int]]:
     """Each differential as a mod-2 set of bitmask monomials over ``zero_gens``.

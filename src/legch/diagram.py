@@ -41,18 +41,17 @@ def flood(forms: Iterable[tuple[tuple[int, int], ...]], crossings: Iterable[int]
     empties, one final tier collects whatever is left, possibly nothing.
     """
     untiered = set(crossings)
-    remaining = [dict(form) for form in forms]
+    # each live form as (crossings it holds negatively, crossings it holds positively)
+    live = [({g for g, c in f if c < 0}, {g for g, c in f if c > 0}) for f in forms]
     tiers: list[frozenset[int]] = []
     while True:
-        tier = frozenset(
-            g for g in untiered if all(f.get(g, 0) >= 0 for f in remaining)
-        )
-        if not tier and remaining:
+        tier = frozenset(untiered.difference(*(neg for neg, _ in live)))
+        if not tier and live:
             return Tiering(tuple(tiers), "failure", frozenset(untiered))
         untiered -= tier
-        remaining = [f for f in remaining if not any(f.get(g, 0) > 0 for g in tier)]
+        live = [(neg, pos) for neg, pos in live if tier.isdisjoint(pos)]
         tiers.append(tier)
-        if not remaining:
+        if not live:
             tiers.append(frozenset(untiered))
             return Tiering(tuple(tiers), "success", frozenset())
 

@@ -32,6 +32,7 @@ from legch.algebra import (
     format_word,
 )
 from legch.augment import Augmentation, enumerate_augmentations, linearized_differential
+from legch.diagram import Tiering
 from legch.metrics import LaurentPolynomial
 from legch.persist import Bar, Barcode, FilteredComplex, build_filtered_complex, compute_barcode
 
@@ -80,6 +81,17 @@ def barcode_of(kd, aug_index: int = 0) -> Barcode:
 
 def zero_grading_values(eps: Augmentation, dga: DGA) -> tuple[int, ...]:
     return tuple(eps.values[g.gid] for g in dga.generators if g.grading == 0)
+
+
+def zero_grading_augmentation(dga: DGA, bits) -> Augmentation:
+    """The vector with ``bits`` on the grading-0 generators, in id order, and
+    0 elsewhere; the inverse of ``zero_grading_values``.  Not checked."""
+    zero_gens = [g.gid for g in dga.generators if g.grading == 0]
+    assert len(bits) == len(zero_gens)
+    values = [0] * len(dga)
+    for gid, bit in zip(zero_gens, bits):
+        values[gid] = bit
+    return Augmentation(tuple(values))
 
 
 def triples(b: Barcode) -> tuple[tuple[int, Fraction, Fraction | float], ...]:
@@ -221,7 +233,7 @@ def enumerate_augmentations_brute(dga: DGA) -> list[Augmentation]:
     k = sum(1 for g in dga.generators if g.grading == 0)
     found = []
     for bits in product((0, 1), repeat=k):
-        eps = Augmentation.from_zero_grading_values(dga, bits)
+        eps = zero_grading_augmentation(dga, bits)
         if all(evaluate(eps, col) == 0 for col in dga.differential):
             found.append(eps)
     return found
@@ -239,7 +251,7 @@ def search_nodes_brute(dga: DGA) -> int:
     k = sum(1 for g in dga.generators if g.grading == 0)
     masks = []
     for bits in product((0, 1), repeat=k):
-        eps = Augmentation.from_zero_grading_values(dga, bits)
+        eps = zero_grading_augmentation(dga, bits)
         masks.append(sum(1 << i for i, col in enumerate(dga.differential) if evaluate(eps, col)))
     nodes = 0
     for _ in range(k):
@@ -706,3 +718,23 @@ def random_inequality_system(rng: Random, max_vars: int = 8, max_forms: int = 10
         )
         forms.append(form)
     return tuple(forms), frozenset(range(n))
+
+
+def flood_by_rescan(forms, crossings) -> Tiering:
+    """``diagram.flood`` by its first loop: each round tests every untiered
+    crossing against every remaining form, each form copied into a dict."""
+    untiered = set(crossings)
+    remaining = [dict(form) for form in forms]
+    tiers: list[frozenset[int]] = []
+    while True:
+        tier = frozenset(
+            g for g in untiered if all(f.get(g, 0) >= 0 for f in remaining)
+        )
+        if not tier and remaining:
+            return Tiering(tuple(tiers), "failure", frozenset(untiered))
+        untiered -= tier
+        remaining = [f for f in remaining if not any(f.get(g, 0) > 0 for g in tier)]
+        tiers.append(tier)
+        if not remaining:
+            tiers.append(frozenset(untiered))
+            return Tiering(tuple(tiers), "success", frozenset())

@@ -33,6 +33,7 @@ from support import (
     stabilize,
     triples,
     validate_heights,
+    zero_grading_augmentation,
     zero_grading_values,
 )
 
@@ -57,7 +58,7 @@ def barcode_from(kd, eps):
 
 
 def pinned_augmentation(kd, zero_values):
-    eps = Augmentation.from_zero_grading_values(kd.dga, zero_values)
+    eps = zero_grading_augmentation(kd.dga, zero_values)
     assert eps in enumerate_augmentations(kd.dga)
     return eps
 

@@ -15,6 +15,7 @@ from legch.algebra import (
     StructureError,
     apply_differential,
     format_element,
+    format_word,
     validate_dga,
 )
 
@@ -321,3 +322,15 @@ def test_format_element():
         format_element(apply_differential(Element([(gid("q1"),)]), TREFOIL), TREFOIL)
         == "1 + q3 + q5 + q5q4q3"
     )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 4), max_size=5).map(tuple), max_size=40))
+def test_format_element_names_the_first_eight_of_all_words_sorted(words):
+    elem = Element(words)
+    ordered = sorted(elem.words, key=lambda w: (len(w), w))
+    text = " + ".join(format_word(w, TREFOIL) for w in ordered[:8]) or "0"
+    more = len(ordered) - 8
+    if more > 0:
+        text += f" + {more} more word{'s' * (more > 1)}"
+    assert format_element(elem, TREFOIL) == text

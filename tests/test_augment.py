@@ -30,6 +30,7 @@ from support import (
     ONE,
     torus_2n_count,
     torus_2n_dga,
+    zero_grading_augmentation,
     zero_grading_values,
 )
 
@@ -43,7 +44,7 @@ TREFOIL_TRIPLES = [(0, 0, 1), (0, 1, 1), (1, 0, 0), (1, 1, 0), (1, 1, 1)]
 
 
 def trefoil_aug(triple) -> Augmentation:
-    return Augmentation.from_zero_grading_values(TREFOIL, triple)
+    return zero_grading_augmentation(TREFOIL, triple)
 
 
 # --- enumeration -----------------------------------------------------------
@@ -160,7 +161,7 @@ def test_compiled_linearization_matches_the_oracles_on_random_dgas(dga, data):
     k = sum(1 for g in dga.generators if g.grading == 0)
     vectors = st.one_of(
         st.lists(st.sampled_from((0, 1)), min_size=k, max_size=k).map(
-            lambda bits: Augmentation.from_zero_grading_values(dga, bits)
+            lambda bits: zero_grading_augmentation(dga, bits)
         ),
         st.lists(st.sampled_from((0, 1)), min_size=len(dga), max_size=len(dga)).map(lambda v: Augmentation(tuple(v))),
         st.lists(st.sampled_from((0, 1, 2, -1, True)), max_size=len(dga) + 1).map(lambda v: Augmentation(tuple(v))),
@@ -364,7 +365,7 @@ def test_zero_augmentation_gives_naive_truncation():
             "q5": [],
         },
     )
-    eps = Augmentation.from_zero_grading_values(dga, (0, 0, 0))
+    eps = zero_grading_augmentation(dga, (0, 0, 0))
     lin = linearized_differential(dga, eps)
     names = cols_by_name(dga, lin)
     assert names["q1"] == {"q3", "q5"}

@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from legch import corpus
 from legch.algebra import HeightAssignment
 from legch.diagram import area_inequalities, assign_heights, flood
 
-from support import load_corpus, random_inequality_system, validate_heights
+from support import flood_by_rescan, load_corpus, random_inequality_system, validate_heights
 
 UNKNOT = load_corpus("unknot")
 TREFOIL = load_corpus("trefoil")
@@ -65,6 +66,25 @@ def test_trefoil_floods_in_two_rounds():
     assert t.status == "success"
     name = lambda gids: {TREFOIL.dga.generators[g].name for g in gids}
     assert [name(tier) for tier in t.tiers] == [{"q1", "q2"}, {"q3", "q4", "q5"}, set()]
+
+
+# Small systems, and larger ones that flood for up to 8 or 9 rounds.
+@pytest.mark.parametrize("max_vars, max_forms, min_rounds", [(8, 10, 5), (40, 60, 8)])
+def test_flood_matches_the_rescan_oracle(max_vars, max_forms, min_rounds):
+    most_rounds = 0
+    for seed in range(1000):
+        forms, crossings = random_inequality_system(Random(seed), max_vars, max_forms)
+        t = flood(forms, crossings)
+        assert t == flood_by_rescan(forms, crossings), seed
+        most_rounds = max(most_rounds, len(t.tiers))
+    assert most_rounds >= min_rounds
+
+
+@pytest.mark.parametrize("name", corpus.NAMES)
+def test_flood_matches_the_rescan_oracle_on_the_corpus(name):
+    d = load_corpus(name).diagram
+    forms = area_inequalities(d)
+    assert flood(forms, d.crossings) == flood_by_rescan(forms, d.crossings)
 
 
 # --- height assignment ---------------------------------------------------

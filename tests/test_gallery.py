@@ -1,0 +1,64 @@
+"""Hostile files: small, valid-looking inputs on which a careless stage costs
+far more than the file's size.  Each runs through ``cli_dispatch`` under a
+generous wall bound, and its stdout and stderr stay within a byte bound."""
+
+import io
+import json
+import time
+
+from legch.cli import cli_dispatch
+
+WALL_SECONDS = 5.0
+
+
+def run_bounded(argv, max_out: int, max_err: int):
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    code = cli_dispatch(argv, stdout=out, stderr=err)
+    elapsed = time.perf_counter() - start
+    assert elapsed < WALL_SECONDS, f"{argv[0]} took {elapsed:.1f} s"
+    assert len(out.getvalue()) <= max_out
+    assert len(err.getvalue()) <= max_err
+    return code, out.getvalue(), err.getvalue()
+
+
+def chain_file(tmp_path, n: int, extra_patches=()) -> str:
+    """Grading-0 generators x0..x{n-1} with empty differentials and the
+    patches x{i+1} - x{i}, which free one crossing per flooding round."""
+    names = [f"x{i}" for i in range(n)]
+    patches = [
+        [{"name": names[i + 1], "coeff": 1}, {"name": names[i], "coeff": -1}] for i in range(n - 1)
+    ]
+    knot = {
+        "generators": [{"name": name, "grading": 0} for name in names],
+        "differential": {name: [] for name in names},
+        "patches": patches + list(extra_patches),
+    }
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(knot))
+    return str(path)
+
+
+# n tiers give heights of about 0.48 n digits each: about 240 KB of them here.
+CHAIN_OUT_BYTES = 1 << 20
+
+
+def test_flood_of_a_1000_crossing_chain(tmp_path):
+    code, out, err = run_bounded(["flood", chain_file(tmp_path, 1000)], CHAIN_OUT_BYTES, 0)
+    lines = out.splitlines()
+    assert code == 0
+    assert len(lines) == 1001
+    assert lines[0] == "T1: x999"
+    assert lines[999] == "T1000: x0"
+    assert lines[1000].startswith("heights: x0=")
+
+
+def test_flood_of_a_blocked_1000_crossing_chain(tmp_path):
+    blocked = chain_file(tmp_path, 1000, [[{"name": "x0", "coeff": -1}]])
+    code, out, err = run_bounded(["flood", blocked], CHAIN_OUT_BYTES, 0)
+    lines = out.splitlines()
+    assert code == 2
+    assert len(lines) == 1000
+    assert lines[0] == "T1: x999"
+    assert lines[998] == "T999: x1"
+    assert out.endswith("\nunassigned: x0\n")
