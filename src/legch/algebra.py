@@ -7,7 +7,6 @@ mod-2 reduced finite sets of words.  Everything is immutable.
 from __future__ import annotations
 
 import heapq
-import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -169,34 +168,20 @@ def _as_height(value) -> Fraction:
 
 @dataclass(frozen=True)
 class HeightAssignment:
-    """Strictly positive height per generator id; the filtration datum."""
+    """The filtration datum: ``heights[gid]`` is the strictly positive height
+    of the generator with id ``gid``, indexed as ``DGA.generators`` is."""
 
-    heights: Mapping[int, Fraction]
+    heights: tuple[Fraction, ...]
 
     def __post_init__(self):
-        fixed = {gid: _as_height(h) for gid, h in self.heights.items()}
-        for gid, h in fixed.items():
+        fixed = tuple(map(_as_height, self.heights))
+        for gid, h in enumerate(fixed):
             if h <= 0:
                 raise ValueError(f"height of generator {gid} must be > 0, got {h}")
         object.__setattr__(self, "heights", fixed)
 
-    def scaled(self) -> dict[int, int]:
-        """Each height times the lcm of their denominators: integers that
-        compare as the heights do, at a fraction of the cost.  Built per call,
-        so that no copy outlives the comparisons."""
-        scale = math.lcm(*(h.denominator for h in self.heights.values()))
-        return {gid: _scaled(h, scale) for gid, h in self.heights.items()}
-
     def of(self, gid: int) -> Fraction:
-        try:
-            return self.heights[gid]
-        except KeyError:
-            raise StructureError(f"no height assigned to generator id {gid}") from None
-
-    def with_entries(self, extra: Mapping[int, Fraction]) -> "HeightAssignment":
-        merged = dict(self.heights)
-        merged.update(extra)
-        return HeightAssignment(merged)
+        return self.heights[gid]
 
 
 def apply_differential(elem: Element, dga: DGA) -> Element:

@@ -187,8 +187,9 @@ def pick_augmentation(dga: DGA, index: int) -> tuple[Augmentation | None, int]:
 class LinearizedComplex:
     """Z2 chain complex on the generator span; columns[q] is the support of d1(q).
 
-    Read from the words compiled once per DGA: a column that no longer word
-    changes is the DGA's own frozenset of one-letter words.
+    Read from the words compiled once per DGA: where no word of two or more
+    letters changes a column, the column is the DGA's own frozenset of
+    one-letter words, not a copy.
 
     Not checked, and needs no check: ``dga`` passed ``validate_dga`` and the
     augmentation was checked by ``linearized_differential``.  So the

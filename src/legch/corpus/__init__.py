@@ -9,6 +9,7 @@ from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
+from ..algebra import HeightAssignment
 from ..fileio import KnotData, parse_knot_file
 
 NAMES = ("unknot", "trefoil", "trefoil_rii", "island")
@@ -38,6 +39,6 @@ def trefoil_after_rii(delta: Fraction) -> KnotData:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     kd = load("trefoil_rii")
     a = next(g.gid for g in kd.dga.generators if g.name == "a")
-    return replace(
-        kd, heights=kd.heights.with_entries({a: 2 + delta}), meta={**kd.meta, "bigon_area": delta}
-    )
+    heights = list(kd.heights.heights)
+    heights[a] = 2 + delta
+    return replace(kd, heights=HeightAssignment(heights), meta={**kd.meta, "bigon_area": delta})

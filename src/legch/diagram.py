@@ -58,13 +58,15 @@ def flood(forms: Iterable[tuple[tuple[int, int], ...]], crossings: Iterable[int]
 
 def assign_heights(t: Tiering) -> HeightAssignment:
     """Height 1 for the last tier, then upward so each tier dominates the doubled
-    weight of everything below it."""
+    weight of everything below it.  Indexed by crossing id: the parser's
+    crossings are ``range(n)``, one per generator, so these are generator ids."""
     if t.status != "success":
         raise ValueError("cannot assign heights from a failed tiering")
-    heights = {}
+    heights = [Fraction(0)] * sum(map(len, t.tiers))
     below = 0  # sum of 2 * level * size over the tiers already placed
     for tier in reversed(t.tiers):
         level = 1 + below
         below += 2 * level * len(tier)
-        heights.update(dict.fromkeys(tier, Fraction(level)))
+        for g in tier:
+            heights[g] = Fraction(level)
     return HeightAssignment(heights)

@@ -12,14 +12,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import (  # also the parser's codes
-    BAD_HEIGHT,
-    BAD_SCHEMA,
-    D_SQUARED_NONZERO,
-    DUPLICATE_NAME,
-    GRADING_VIOLATION,
-    UNKNOWN_GENERATOR,
-)
+from .algebra import BAD_HEIGHT, BAD_SCHEMA, UNKNOWN_GENERATOR  # also the parser's codes
 from .algebra import DGA, HeightAssignment, StructureError, validate_dga
 from .diagram import LagrangianDiagramData
 from .persist import Bar, Barcode
@@ -215,7 +208,6 @@ def parse_knot_file(data: bytes | str) -> KnotData:
         for name in raw_heights:
             if name not in index:
                 raise StructureError(f"heights key {name!r} is not a generator", UNKNOWN_GENERATOR)
-        table = {}
         for name, _ in gens:
             _expect(name in raw_heights, BAD_HEIGHT, f"missing height for generator {name!r}")
             value = raw_heights[name]
@@ -223,8 +215,7 @@ def parse_knot_file(data: bytes | str) -> KnotData:
                 raise StructureError(f"height of {name!r} must be a number", BAD_HEIGHT)
             if value <= 0:
                 raise StructureError(f"height of {name!r} must be positive, got {value}", BAD_HEIGHT)
-            table[index[name]] = value
-        heights = HeightAssignment(table)
+        heights = HeightAssignment(tuple(raw_heights[name] for name, _ in gens))
 
     meta = doc.get("meta", {})
     _expect(type(meta) is dict, BAD_SCHEMA, "'meta' must be an object")
@@ -284,10 +275,9 @@ def parse_barcode_file(data: bytes | str) -> Barcode:
             if label is not None:
                 _expect(type(label) is str, BAD_SCHEMA, f"bars[{i}].{key} must be a string")
                 _check_text(label, f"bars[{i}].{key}")
-        try:
-            bars.append(Bar(degree, birth, death, *labels))
-        except ValueError as exc:
-            raise StructureError(f"bars[{i}]: {exc}", INVALID_BAR) from None
+        if not birth < death:
+            raise StructureError(f"bars[{i}]: bar must have birth < death, got [{birth}, {death})", INVALID_BAR)
+        bars.append(Bar(degree, birth, death, *labels))
     return Barcode(tuple(bars))
 
 

@@ -13,12 +13,12 @@ from .augment import LinearizedComplex
 
 @dataclass(frozen=True)
 class FilteredComplex:
-    """A linearized complex with a height per generator.
+    """A linearized complex with its heights, indexed by generator id.
 
-    ``compute_barcode`` checks the heights: each generator has one, and each
-    entry of a column sits strictly below it.  The columns drop the degree by 1
-    and square to zero without a check, for the reason ``LinearizedComplex``
-    gives."""
+    ``compute_barcode`` checks the heights: the tuple holds one per generator,
+    and each entry of a column sits strictly below it.  The columns drop the
+    degree by 1 and square to zero without a check, for the reason
+    ``LinearizedComplex`` gives."""
 
     generators: tuple[Generator, ...]
     heights: HeightAssignment
@@ -38,10 +38,6 @@ class Bar:
     death: Fraction | float  # math.inf for an infinite bar
     birth_label: str | None = None
     death_label: str | None = None
-
-    def __post_init__(self):
-        if not self.birth < self.death:
-            raise ValueError(f"bar must have birth < death, got [{self.birth}, {self.death})")
 
     @property
     def finite(self) -> bool:
@@ -83,10 +79,16 @@ def compute_barcode(fc: FilteredComplex) -> Barcode:
     so equal-height generators never pair with each other; the id tie-break
     fixes reproducible representative labels.  It checks the heights first, as
     ``FilteredComplex`` says, naming the first fault in generator-id order.
+
+    Every finite bar has birth < death without a check: each entry of a
+    reduced column sits strictly below the generator of that column, and so
+    does its pivot.
     """
-    scaled = fc.heights.scaled()  # integers that compare as the heights do
-    for g in fc.generators:
-        fc.heights.of(g.gid)
+    heights = fc.heights.heights
+    if len(heights) < len(fc.generators):
+        raise StructureError(f"no height assigned to generator id {len(heights)}")
+    scale = math.lcm(*(h.denominator for h in heights))
+    scaled = [_scaled(h, scale) for h in heights]  # integers that compare as the heights do
     for g, col in zip(fc.generators, fc.columns):
         for p in col:
             if not scaled[p] < scaled[g.gid]:
@@ -128,8 +130,8 @@ def compute_barcode(fc: FilteredComplex) -> Barcode:
             bars.append(
                 Bar(
                     degree=fc.generators[i].grading,
-                    birth=fc.heights.of(i),
-                    death=fc.heights.of(g),
+                    birth=heights[i],
+                    death=heights[g],
                     birth_label=label(reduced[j]),
                     death_label=fc.generators[g].name,
                 )
@@ -138,7 +140,7 @@ def compute_barcode(fc: FilteredComplex) -> Barcode:
             bars.append(
                 Bar(
                     degree=fc.generators[g].grading,
-                    birth=fc.heights.of(g),
+                    birth=heights[g],
                     death=math.inf,
                     birth_label=label(combo[j]),
                 )

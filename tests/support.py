@@ -32,7 +32,7 @@ from legch.algebra import (
     format_word,
 )
 from legch.augment import Augmentation, enumerate_augmentations, linearized_differential
-from legch.diagram import Tiering
+from legch.diagram import Tiering, assign_heights, flood
 from legch.metrics import LaurentPolynomial
 from legch.persist import Bar, Barcode, FilteredComplex, build_filtered_complex, compute_barcode
 
@@ -303,6 +303,19 @@ def torus_2n_count(n: int) -> int:
     return sum(c for (cur, _), c in counts.items() if cur == 1)
 
 
+def flood_heights(dga: DGA) -> HeightAssignment:
+    """Flood the inequalities h(q) > h(w), one for each word w of d(q)."""
+    forms = []
+    for g, col in zip(dga.generators, dga.differential):
+        for w in col.words:
+            form = {g.gid: 1}
+            for x in w:
+                form[x] = form.get(x, 0) - 1
+            forms.append(tuple(sorted(form.items())))
+    tiering = flood(forms, range(len(dga)))
+    return assign_heights(tiering)
+
+
 # ---------------------------------------------------------------------------
 # the former validation: d² accumulated one letter at a time, gradings looked
 # up per letter through the DGA
@@ -378,7 +391,7 @@ def stabilize(dga: DGA, k: int, h_top, h_bot, h: HeightAssignment):
     top = Generator(n, top_name, k)
     bot = Generator(n + 1, _unique_name(taken, f"e{k - 1}"), k - 1)
     diff = dga.differential + (Element([(bot.gid,)]), Element())
-    return DGA(dga.generators + (top, bot), diff), h.with_entries({n: h_top, n + 1: h_bot})
+    return DGA(dga.generators + (top, bot), diff), HeightAssignment(h.heights + (h_top, h_bot))
 
 
 def conjugate(dga: DGA, target: int, addend: Element) -> DGA:
@@ -588,7 +601,7 @@ def planted_complex(rng: Random, max_n: int = 12):
     slots = list(range(n))
     rng.shuffle(slots)
     gradings = [0] * n
-    heights: dict[int, Fraction] = {}
+    heights = [Fraction(0)] * n
     columns: list[set[int]] = [set() for _ in range(n)]
     bars = []
 

@@ -126,7 +126,7 @@ def test_file_trefoil_heights_satisfy_all_inequalities():
 
 
 def test_equal_heights_fail_a_difference_inequality():
-    assert validate_heights(HeightAssignment({0: 1, 1: 1}), (((0, 1), (1, -1)),)) == (0,)
+    assert validate_heights(HeightAssignment((1, 1)), (((0, 1), (1, -1)),)) == (0,)
 
 
 # --- properties ----------------------------------------------------------------

@@ -11,14 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from legch import corpus
-from legch.algebra import StructureError
+from legch.algebra import D_SQUARED_NONZERO, DUPLICATE_NAME, GRADING_VIOLATION, StructureError
 from legch.cli import cli_dispatch
 from legch.fileio import (
     BAD_HEIGHT,
     BAD_SCHEMA,
-    D_SQUARED_NONZERO,
-    DUPLICATE_NAME,
-    GRADING_VIOLATION,
     INVALID_BAR,
     MALFORMED_JSON,
     UNKNOWN_GENERATOR,
@@ -290,6 +287,14 @@ def test_barcode_file_bytes():
 }
 """ % ("0" * 50)
     assert serialize_barcode_file(Barcode(())) == b'{\n  "bars": []\n}\n'
+
+
+def test_barcode_parse_rejects_birth_equal_to_death():
+    # the parser is the only place a bar's ends are checked
+    with pytest.raises(StructureError) as exc:
+        parse_barcode_file(json.dumps({"bars": [{"degree": 0, "birth": 2, "death": 2}]}))
+    assert exc.value.code == INVALID_BAR
+    assert str(exc.value) == "bars[0]: bar must have birth < death, got [2, 2)"
 
 
 def test_barcode_parse_inf_and_errors():

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from legch.algebra import DGA, Element, HeightAssignment, validate_dga
 from legch.augment import Augmentation, enumerate_augmentations, linearized_differential
-from legch.diagram import assign_heights, flood
 from legch.metrics import interleaving_distance
 from legch.persist import build_filtered_complex, compute_barcode
 
@@ -23,6 +22,7 @@ from support import (
     check_chain_complex,
     conjugate,
     dga_from_complex,
+    flood_heights,
     gid_of,
     height_of_element,
     is_semimonotonic,
@@ -147,7 +147,7 @@ def test_apply_elementary_preserves_validity():
 # --- semimonotonicity ---------------------------------------------------------
 
 # Three grading-0 crossings, one high crossing over two low ones.
-TRIPLE_H = HeightAssignment({0: 3, 1: 1, 2: 1})
+TRIPLE_H = HeightAssignment((3, 1, 1))
 
 
 def test_semimonotonic_when_addend_sits_below():
@@ -155,7 +155,7 @@ def test_semimonotonic_when_addend_sits_below():
 
 
 def test_not_semimonotonic_when_a_letter_sits_above():
-    h = HeightAssignment({0: 3, 1: 1, 2: 5})
+    h = HeightAssignment((3, 1, 5))
     assert not is_semimonotonic(0, Element([(1,), (2,)]), h)
 
 
@@ -168,7 +168,7 @@ CONJ = DGA.from_data(
     [("x", 1), ("a", 0), ("b", 0), ("c", 0)],
     {"x": [["a"], ["b", "c"]], "a": [], "b": [], "c": []},
 )
-CONJ_H = HeightAssignment({0: 5, 1: 3, 2: 1, 3: 1})
+CONJ_H = HeightAssignment((5, 3, 1, 1))
 
 
 def test_letter_level_reading_differs_from_element_height():
@@ -177,7 +177,7 @@ def test_letter_level_reading_differs_from_element_height():
     # differ exactly on multi-letter words.  Each linearization keeps one
     # letter of a word, so the barcodes survive a -> a + bc, which here
     # reduces d(x) to a.
-    h = HeightAssignment({0: 5, 1: 3, 2: 2, 3: 2})
+    h = HeightAssignment((5, 3, 2, 2))
     a, addend = gid_of(CONJ, "a"), word(gid_of(CONJ, "b"), gid_of(CONJ, "c"))
     assert height_of_element(addend, h) > h.of(a)
     assert is_semimonotonic(a, addend, h)
@@ -218,19 +218,6 @@ def test_random_elementary_automorphisms_are_involutions(seed):
 
 
 # --- the invariance theorem as an oracle ---------------------------------------
-
-def flood_heights(dga: DGA) -> HeightAssignment:
-    """Flood the inequalities h(q) > h(w), one for each word w of d(q)."""
-    forms = []
-    for g, col in zip(dga.generators, dga.differential):
-        for w in col.words:
-            form = {g.gid: 1}
-            for x in w:
-                form[x] = form.get(x, 0) - 1
-            forms.append(tuple(sorted(form.items())))
-    tiering = flood(forms, range(len(dga)))
-    return assign_heights(tiering)
-
 
 def filtered_dga(rng: Random):
     """A (2,n) torus knot with flood heights, a planted complex, or the corpus
