@@ -156,31 +156,16 @@ def _scaled(x, scale: int) -> int:
     return x.numerator * (scale // x.denominator)
 
 
-def _as_height(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, float):
-        raise TypeError(
-            "heights must be exact (int, Fraction or decimal string), not float"
-        )
-    return Fraction(value)
-
-
 @dataclass(frozen=True)
 class HeightAssignment:
     """The filtration datum: ``heights[gid]`` is the strictly positive height
-    of the generator with id ``gid``, indexed as ``DGA.generators`` is."""
+    of the generator with id ``gid``, indexed as ``DGA.generators`` is.
+    Unchecked, like a ``DGA`` built directly: ``parse_knot_file`` checks the
+    heights it reads."""
 
-    heights: tuple[Fraction, ...]
+    heights: tuple[int | Fraction, ...]
 
-    def __post_init__(self):
-        fixed = tuple(map(_as_height, self.heights))
-        for gid, h in enumerate(fixed):
-            if h <= 0:
-                raise ValueError(f"height of generator {gid} must be > 0, got {h}")
-        object.__setattr__(self, "heights", fixed)
-
-    def of(self, gid: int) -> Fraction:
+    def of(self, gid: int) -> int | Fraction:
         return self.heights[gid]
 
 

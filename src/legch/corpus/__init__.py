@@ -39,6 +39,6 @@ def trefoil_after_rii(delta: Fraction) -> KnotData:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     kd = load("trefoil_rii")
     a = next(g.gid for g in kd.dga.generators if g.name == "a")
-    heights = list(kd.heights.heights)
-    heights[a] = 2 + delta
+    heights = kd.heights.heights
+    heights = heights[:a] + (2 + delta,) + heights[a + 1 :]
     return replace(kd, heights=HeightAssignment(heights), meta={**kd.meta, "bigon_area": delta})

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Literal
 
 from .algebra import HeightAssignment
@@ -62,11 +61,11 @@ def assign_heights(t: Tiering) -> HeightAssignment:
     crossings are ``range(n)``, one per generator, so these are generator ids."""
     if t.status != "success":
         raise ValueError("cannot assign heights from a failed tiering")
-    heights = [Fraction(0)] * sum(map(len, t.tiers))
+    heights = [0] * sum(map(len, t.tiers))
     below = 0  # sum of 2 * level * size over the tiers already placed
     for tier in reversed(t.tiers):
         level = 1 + below
         below += 2 * level * len(tier)
         for g in tier:
-            heights[g] = Fraction(level)
-    return HeightAssignment(heights)
+            heights[g] = level
+    return HeightAssignment(tuple(heights))

@@ -59,16 +59,11 @@ def _digits(n: int) -> str:
 
 
 def decimal_str(x) -> str:
-    """Exact decimal rendering of a rational whose denominator divides a power
-    of ten; raises otherwise rather than round."""
-    if type(x) is not int:
-        if not isinstance(x, Fraction):
-            x = Fraction(x)
-        if x.denominator == 1:
-            x = x.numerator
-    if type(x) is int:
-        return "-" + _digits(-x) if x < 0 else _digits(x)
-    d = x.denominator
+    """Exact decimal rendering of an int or a Fraction whose denominator
+    divides a power of ten; raises otherwise rather than round."""
+    n, d = x.numerator, x.denominator
+    if d == 1:
+        return "-" + _digits(-n) if n < 0 else _digits(n)
     twos = fives = 0
     while d % 2 == 0:
         d //= 2
@@ -79,9 +74,9 @@ def decimal_str(x) -> str:
     if d != 1:
         raise ValueError(f"{x} has no finite decimal expansion")
     places = max(twos, fives)
-    scaled = abs(x.numerator) * 10**places // x.denominator
+    scaled = abs(n) * 10**places // x.denominator
     digits = _digits(scaled).rjust(places + 1, "0")
-    sign = "-" if x.numerator < 0 else ""
+    sign = "-" if n < 0 else ""
     return f"{sign}{digits[:-places]}.{digits[-places:]}"
 
 
@@ -92,7 +87,7 @@ def format_extended(x) -> str:
     try:
         return decimal_str(x)
     except ValueError:
-        return str(Fraction(x))
+        return str(x)
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +241,8 @@ def parse_barcode_file(data: bytes | str) -> Barcode:
     )
     allowed = {"degree", "birth", "death", "birth_label", "death_label"}
     bars = []
-    # Exact type tests, as in parse_knot_file; each integer becomes a Fraction
-    # once, and a death is compared with "inf" only when it is no number.
+    # Exact type tests, as in parse_knot_file; each end keeps the type JSON gave
+    # it, and a death is compared with "inf" only when it is no number.
     for i, entry in enumerate(doc["bars"]):
         if type(entry) is not dict:
             raise StructureError(f"bars[{i}] must be an object", BAD_SCHEMA)
@@ -260,13 +255,9 @@ def parse_barcode_file(data: bytes | str) -> Barcode:
         degree, birth, death = entry["degree"], entry["birth"], entry["death"]
         if type(degree) is not int:
             raise StructureError(f"bars[{i}].degree must be an integer", BAD_SCHEMA)
-        if type(birth) is int:
-            birth = Fraction(birth)
-        elif type(birth) is not Fraction:
+        if type(birth) not in (int, Fraction):
             raise StructureError(f"bars[{i}].birth must be a number", BAD_SCHEMA)
-        if type(death) is int:
-            death = Fraction(death)
-        elif type(death) is not Fraction:
+        if type(death) not in (int, Fraction):
             if death != "inf":
                 raise StructureError(f"bars[{i}].death must be a number or 'inf'", BAD_SCHEMA)
             death = math.inf
@@ -369,7 +360,7 @@ def _render_svg(b: Barcode) -> bytes:
         f'<line x1="{x(0):.1f}" y1="{axis_y:.1f}" x2="{left + span:.1f}" y2="{axis_y:.1f}" '
         'stroke="black" stroke-width="1"/>'
     )
-    ticks = sorted({Fraction(0), *finite_ends})
+    ticks = sorted({0, *finite_ends})
     for t in ticks:
         parts.append(
             f'<line x1="{x(real(t)):.1f}" y1="{axis_y - 3:.1f}" x2="{x(real(t)):.1f}" '

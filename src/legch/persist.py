@@ -34,8 +34,8 @@ def build_filtered_complex(
 @dataclass(frozen=True, slots=True)
 class Bar:
     degree: int
-    birth: Fraction
-    death: Fraction | float  # math.inf for an infinite bar
+    birth: int | Fraction
+    death: int | Fraction | float  # math.inf for an infinite bar
     birth_label: str | None = None
     death_label: str | None = None
 

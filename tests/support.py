@@ -639,7 +639,7 @@ def planted_complex(rng: Random, max_n: int = 12):
     generators = tuple(Generator(i, f"g{i}", gradings[i]) for i in range(n))
     fc = FilteredComplex(
         generators,
-        HeightAssignment(heights),
+        HeightAssignment(tuple(heights)),
         tuple(frozenset(c) for c in columns),
     )
     check_chain_complex(fc.generators, fc.columns)

@@ -85,13 +85,6 @@ def test_height_of_unit_word_is_zero():
     assert height_of_element(ONE, HeightAssignment(())) == 0
 
 
-def test_heights_must_be_positive_and_exact():
-    with pytest.raises(ValueError):
-        HeightAssignment((0,))
-    with pytest.raises(TypeError):
-        HeightAssignment((0.5,))
-
-
 @given(words, words)
 def test_height_multiplicative_on_words(w1, w2):
     h = TREFOIL_H

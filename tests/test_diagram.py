@@ -106,6 +106,7 @@ def test_assign_heights_trefoil():
     h = assign_heights(t)
     by_name = {g.name: h.of(g.gid) for g in TREFOIL.dga.generators}
     assert by_name == {"q1": 7, "q2": 7, "q3": 1, "q4": 1, "q5": 1}
+    assert {type(x) for x in h.heights} == {int}
 
 
 def test_assign_heights_requires_success():

@@ -250,6 +250,24 @@ def test_heights_parse_exactly():
     assert kd.heights.of(0) == Fraction(23, 10)
 
 
+@pytest.mark.parametrize(
+    "heights, message",
+    [
+        ({"q": "1"}, "height of 'q' must be a number"),
+        ({"q": True}, "height of 'q' must be a number"),
+        ({"q": 0}, "height of 'q' must be positive, got 0"),
+        ({"q": -1.5}, "height of 'q' must be positive, got -3/2"),
+        ({}, "missing height for generator 'q'"),
+    ],
+)
+def test_the_parser_alone_guards_heights(tmp_path, heights, message):
+    knot = tmp_path / "knot.json"
+    knot.write_text(minimal(heights=heights))
+    out, err = io.StringIO(), io.StringIO()
+    assert cli_dispatch(["validate", str(knot)], stdout=out, stderr=err) == 1
+    assert (out.getvalue(), err.getvalue()) == ("", f"error: [BAD_HEIGHT] {message}\n")
+
+
 def test_trefoil_rii_file_matches_builder():
     built = corpus.trefoil_after_rii(Fraction(3, 10))
     assert built == parse_knot_file(corpus.corpus_path("trefoil_rii").read_bytes())
@@ -262,6 +280,20 @@ def test_trefoil_after_rii_needs_an_exact_delta():
 
 
 # --- barcode files ----------------------------------------------------------------
+
+def test_integer_and_decimal_ends_read_the_same(tmp_path):
+    ints = tmp_path / "ints.json"
+    decimals = tmp_path / "decimals.json"
+    ints.write_text('{"bars": [{"degree": 0, "birth": 1, "death": 4}]}')
+    decimals.write_text('{"bars": [{"degree": 0, "birth": 1.0, "death": 4.00}]}')
+    b_int = parse_barcode_file(ints.read_bytes())
+    b_dec = parse_barcode_file(decimals.read_bytes())
+    assert b_int == b_dec
+    assert serialize_barcode_file(b_int) == serialize_barcode_file(b_dec)
+    out, err = io.StringIO(), io.StringIO()
+    assert cli_dispatch(["distance", str(ints), str(decimals)], stdout=out, stderr=err) == 0
+    assert (out.getvalue(), err.getvalue()) == ("0\n", "")
+
 
 def test_barcode_round_trip():
     barcode = barcode_of(TREFOIL, 2)

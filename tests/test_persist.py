@@ -207,7 +207,7 @@ def test_barcode_invariant_under_generator_permutation(seed, perm_seed):
     for gid, col in enumerate(fc.columns):
         heights[perm[gid]] = fc.heights.of(gid)
         columns[perm[gid]] = frozenset(perm[p] for p in col)
-    permuted = FilteredComplex(gens, HeightAssignment(heights), tuple(columns))
+    permuted = FilteredComplex(gens, HeightAssignment(tuple(heights)), tuple(columns))
     assert triples(compute_barcode(permuted)) == triples(compute_barcode(fc))
 
 
