@@ -47,14 +47,11 @@ class Element:
     words: frozenset[Word]
 
     def __init__(self, words: Iterable[Word] = ()):
-        acc: set[Word] = set()
-        for w in words:
-            w = tuple(w)
-            if w in acc:
-                acc.discard(w)
-            else:
-                acc.add(w)
-        object.__setattr__(self, "words", frozenset(acc))
+        words = list(map(tuple, words))
+        acc = frozenset(words)
+        if len(acc) < len(words):  # a repeated word: keep those of odd count
+            acc = frozenset(w for w, count in Counter(words).items() if count & 1)
+        object.__setattr__(self, "words", acc)
 
     def __bool__(self) -> bool:
         return bool(self.words)
@@ -102,7 +99,7 @@ class DGA:
         cols = {}
         for name, words in differential.items():
             try:
-                cols[name] = Element(tuple(index[letter] for letter in w) for w in words)
+                cols[name] = Element(map(index.__getitem__, w) for w in words)
             except KeyError as exc:
                 raise StructureError(
                     f"differential[{name!r}] uses unknown generator {exc.args[0]!r}",
@@ -170,14 +167,21 @@ class HeightAssignment:
 
 
 def apply_differential(elem: Element, dga: DGA) -> Element:
-    """Extend the generator-level differential by linearity and the Leibniz rule."""
+    """Extend the generator-level differential by linearity and the Leibniz rule.
+    A one-letter word's image is its letter's whole column, toggled in at once."""
     d = dga.differential
-    return Element(
-        word[:i] + dw + word[i + 1 :]
-        for word in elem.words
-        for i, letter in enumerate(word)
-        for dw in d[letter].words
-    )
+    out: set[Word] = set()
+    longer = []
+    for word in elem.words:
+        if len(word) == 1:
+            out ^= d[word[0]].words
+        else:
+            longer.append(word)
+    if longer:
+        out ^= Element(
+            w[:i] + dw + w[i + 1 :] for w in longer for i, letter in enumerate(w) for dw in d[letter].words
+        ).words
+    return Element(out)
 
 
 def format_word(word: Sequence[int], dga: DGA) -> str:

@@ -11,9 +11,10 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .algebra import BAD_HEIGHT, BAD_SCHEMA, UNKNOWN_GENERATOR  # also the parser's codes
-from .algebra import DGA, HeightAssignment, StructureError, validate_dga
+from .algebra import DGA, HeightAssignment, StructureError, _scaled, validate_dga
 from .diagram import LagrangianDiagramData
 from .persist import Bar, Barcode
 
@@ -30,7 +31,7 @@ MAX_NUMBER_DIGITS = 4000
 # JSON's "\ud800" escape gives a string that no UTF-8 output can hold, and a
 # C0 or C1 control character would reach a terminal or an SVG as it is.
 _SURROGATE = re.compile("[\ud800-\udfff]")
-_CONTROL = re.compile("[\x00-\x1f\x7f-\x9f]")
+_SURROGATE_OR_CONTROL = re.compile("[\ud800-\udfff\x00-\x1f\x7f-\x9f]")
 
 
 @dataclass(frozen=True)
@@ -82,7 +83,7 @@ def decimal_str(x) -> str:
 
 def format_extended(x) -> str:
     """Decimal when possible, 'inf' for infinity, 'p/q' as a last resort."""
-    if x == math.inf:
+    if isinstance(x, float) and x == math.inf:
         return "inf"
     try:
         return decimal_str(x)
@@ -100,18 +101,25 @@ def _expect(condition: bool, code: str, message: str) -> None:
 
 def _check_text(text: str, where: str) -> None:
     """Names and labels are printed as they are; no message echoes them."""
-    _expect(not _SURROGATE.search(text), BAD_SCHEMA, f"{where} is not valid Unicode")
-    _expect(not _CONTROL.search(text), BAD_SCHEMA, f"{where} has a control character")
+    if _SURROGATE_OR_CONTROL.search(text):
+        _expect(not _SURROGATE.search(text), BAD_SCHEMA, f"{where} is not valid Unicode")
+        raise StructureError(f"{where} has a control character", BAD_SCHEMA)
 
 
 def _parse_number(literal: str, kind=Fraction):
-    """A JSON number literal as ``kind``; only a long one or one with an exponent can exceed the bound."""
+    """A JSON number literal as ``kind``; only a long one or one with an exponent can exceed the bound.
+    JSON fixes a float's form, -?digits[.digits][(e|E)[+-]digits]: its digits over 10**places, shifted."""
     if len(literal) > MAX_NUMBER_DIGITS or "e" in literal or "E" in literal:
         mantissa, _, exponent = literal.lower().partition("e")
         digits = len(mantissa) - mantissa.count("-") - mantissa.count(".")
         if digits + abs(int(exponent or 0)) > MAX_NUMBER_DIGITS:
             raise ValueError(f"number literal has more than {MAX_NUMBER_DIGITS} digits")
-    return kind(literal)
+    if kind is int:
+        return int(literal)
+    mantissa, _, exponent = literal.lower().partition("e")
+    whole, _, places = mantissa.partition(".")
+    n, shift = int(whole + places), int(exponent or 0) - len(places)
+    return Fraction(n * 10**shift) if shift >= 0 else Fraction(n, 10**-shift)
 
 
 def _load_json(data: bytes | str):
@@ -159,7 +167,7 @@ def parse_knot_file(data: bytes | str) -> KnotData:
     for name, words in raw_diff.items():
         _expect(type(words) is list, BAD_SCHEMA, f"differential[{name!r}] must be an array of words")
         _expect(
-            all(type(w) is list and all(type(x) is str for x in w) for w in words),
+            {list}.issuperset(map(type, words)) and {str}.issuperset(map(type, chain.from_iterable(words))),
             BAD_SCHEMA,
             f"differential[{name!r}] words must be arrays of generator names",
         )
@@ -208,7 +216,7 @@ def parse_knot_file(data: bytes | str) -> KnotData:
             value = raw_heights[name]
             if type(value) not in (int, Fraction):
                 raise StructureError(f"height of {name!r} must be a number", BAD_HEIGHT)
-            if value <= 0:
+            if value.numerator <= 0:
                 raise StructureError(f"height of {name!r} must be positive, got {value}", BAD_HEIGHT)
         heights = HeightAssignment(tuple(raw_heights[name] for name, _ in gens))
 
@@ -360,14 +368,16 @@ def _render_svg(b: Barcode) -> bytes:
         f'<line x1="{x(0):.1f}" y1="{axis_y:.1f}" x2="{left + span:.1f}" y2="{axis_y:.1f}" '
         'stroke="black" stroke-width="1"/>'
     )
-    ticks = sorted({0, *finite_ends})
-    for t in ticks:
+    scale = b.scale
+    ticks = {_scaled(t, scale): t for t in (0, *finite_ends)}  # integer keys sort as the ends do
+    for _, t in sorted(ticks.items()):
+        tx = x(real(t))
         parts.append(
-            f'<line x1="{x(real(t)):.1f}" y1="{axis_y - 3:.1f}" x2="{x(real(t)):.1f}" '
+            f'<line x1="{tx:.1f}" y1="{axis_y - 3:.1f}" x2="{tx:.1f}" '
             f'y2="{axis_y + 3:.1f}" stroke="black" stroke-width="1"/>'
         )
         parts.append(
-            f'<text x="{x(real(t)):.1f}" y="{axis_y + 14:.1f}" text-anchor="middle">'
+            f'<text x="{tx:.1f}" y="{axis_y + 14:.1f}" text-anchor="middle">'
             f"{format_extended(t)}</text>"
         )
     for i, bar in enumerate(b.bars):

@@ -267,11 +267,16 @@ def test_planted_complex_validates_and_a_toggled_word_fails_as_before():
 
 @st.composite
 def dgas_with_an_element(draw):
-    """Arbitrary gradings and words, and an element over the same generators.
-    Half of the DGAs keep only the words that drop the grading by 1, so that
-    validation reaches d², which need not vanish."""
+    """Arbitrary gradings and words, one-letter and longer mixed, and an element
+    over the same generators.  Half of the DGAs keep only the words that drop the
+    grading by 1, so that validation reaches d², which need not vanish.
+
+    Half of them also get a generator x with d(x) = d(u) for a longer word u,
+    and one above it with d = x + u; the element then holds x and u, so x's whole
+    column cancels u's expansion term by term."""
     n = draw(st.integers(1, 6))
-    word = st.lists(st.integers(0, n - 1), max_size=3).map(tuple)
+    letter = st.integers(0, n - 1)
+    word = st.one_of(letter.map(lambda g: (g,)), st.lists(letter, max_size=3).map(tuple))
     gradings = [draw(st.integers(0, 2)) for _ in range(n)]
     graded = draw(st.booleans())
     cols = []
@@ -280,8 +285,15 @@ def dgas_with_an_element(draw):
         if graded:
             words = [w for w in words if sum(gradings[x] for x in w) == k - 1]
         cols.append(Element(words))
-    gens = tuple(Generator(i, f"g{i}", k) for i, k in enumerate(gradings))
-    return DGA(gens, tuple(cols)), Element(draw(st.lists(word, max_size=6)))
+    gens = [Generator(i, f"g{i}", k) for i, k in enumerate(gradings)]
+    elem = Element(draw(st.lists(word, max_size=6)))
+    if draw(st.booleans()):
+        u = draw(st.lists(letter, min_size=2, max_size=3).map(tuple))
+        x = Generator(n, f"g{n}", sum(gradings[g] for g in u))
+        gens += [x, Generator(n + 1, f"g{n + 1}", x.grading + 1)]
+        cols += [apply_differential_per_letter(Element([u]), DGA(tuple(gens[:n]), tuple(cols))), Element([(n,), u])]
+        elem = elem + cols[-1]
+    return DGA(tuple(gens), tuple(cols)), elem
 
 
 @settings(max_examples=300, deadline=None)
@@ -289,6 +301,19 @@ def dgas_with_an_element(draw):
 def test_differential_and_validation_match_the_former_code(case):
     dga, elem = case
     assert apply_differential(elem, dga) == apply_differential_per_letter(elem, dga)
+    # the code and the whole message, so a D_SQUARED_NONZERO lists the same words
+    assert outcome(validate_dga, dga) == outcome(validate_dga_per_letter, dga)
+
+
+def test_a_column_cancels_a_longer_words_expansion():
+    # d(x) = wz and d(y) = w, so d(x + yz) = wz + wz = 0; d(v) = x + yz + y adds w.
+    gens = tuple(Generator(i, name, k) for i, (name, k) in enumerate([("w", 0), ("z", 0), ("y", 1), ("x", 1), ("g", 2), ("v", 2)]))
+    w, z, y, x, g, v = range(6)
+    cols = [Element(), Element(), Element([(w,)]), Element([(w, z)]), Element([(x,), (y, z)]), Element([(x,), (y, z), (y,)])]
+    dga = DGA(gens, tuple(cols))
+    assert not apply_differential(cols[g], dga)
+    assert apply_differential(cols[v], dga) == Element([(w,)]) == apply_differential_per_letter(cols[v], dga)
+    assert outcome(validate_dga, dga) == (D_SQUARED_NONZERO, "d(d(v)) = w is nonzero")
     assert outcome(validate_dga, dga) == outcome(validate_dga_per_letter, dga)
 
 

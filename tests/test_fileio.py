@@ -166,6 +166,79 @@ def test_largest_accepted_literal_round_trips(largest, too_long):
     assert exc.value.code == MALFORMED_JSON
 
 
+def _digit_run(min_size: int):
+    """Digit strings, short ones at random and long ones as runs, up to past the bound."""
+    short = st.text("0123456789", min_size=min_size, max_size=12)
+    run = st.builds(lambda d, k: d * k, st.sampled_from("0123456789"), st.integers(max(min_size, 1), MAX_NUMBER_DIGITS + 1))
+    return st.one_of(short, run, st.builds(str.__add__, short, run), st.builds(str.__add__, run, short))
+
+
+@st.composite
+def float_literals(draw):
+    """JSON float literals: a sign, an integer part without leading zeros, then a
+    fraction, an exponent or both, each with leading and trailing zeros."""
+    sign = draw(st.sampled_from(["", "-"]))
+    whole = draw(st.one_of(st.just("0"), st.builds(str.__add__, st.sampled_from("123456789"), _digit_run(0))))
+    fraction = draw(st.one_of(st.just(""), _digit_run(1).map(".".__add__)))
+    exponent = ""
+    if not fraction or draw(st.booleans()):
+        e = draw(st.sampled_from("eE")) + draw(st.sampled_from(["", "+", "-"]))
+        exponent = e + draw(st.one_of(st.text("0123456789", min_size=1, max_size=4), st.integers(0, MAX_NUMBER_DIGITS + 1).map(str)))
+    return sign + whole + fraction + exponent
+
+
+@settings(max_examples=300, deadline=None)
+@given(float_literals())
+def test_float_literals_read_exactly_or_fail_past_the_bound(literal):
+    mantissa, _, exponent = literal.lower().partition("e")
+    digits = len(mantissa.lstrip("-").replace(".", ""))
+    if digits + abs(int(exponent or 0)) > MAX_NUMBER_DIGITS:
+        with pytest.raises(StructureError, match=f"more than {MAX_NUMBER_DIGITS} digits") as exc:
+            parse_barcode_file(_bar_born_at(literal))
+        assert exc.value.code == MALFORMED_JSON
+    else:
+        birth = parse_barcode_file(_bar_born_at(literal)).bars[0].birth
+        assert type(birth) is Fraction and birth == Fraction(literal)
+
+
+@pytest.mark.parametrize(
+    "literal, value",
+    [
+        ("-0.0", Fraction(0)),
+        ("-0.5", Fraction(-1, 2)),
+        ("0.000", Fraction(0)),
+        ("120.2500", Fraction(481, 4)),
+        ("7E+002", Fraction(700)),
+        ("-25e-0003", Fraction(-1, 40)),
+        ("0.05e1", Fraction(1, 2)),
+        ("1.0", Fraction(1)),
+        ("0." + "0" * (MAX_NUMBER_DIGITS - 2) + "1", Fraction(1, 10 ** (MAX_NUMBER_DIGITS - 1))),
+        ("-" + "9" * (MAX_NUMBER_DIGITS - 1) + ".0", Fraction(1 - 10 ** (MAX_NUMBER_DIGITS - 1))),
+    ],
+    ids=lambda v: v if isinstance(v, str) and len(v) < 20 else None,
+)
+def test_float_literal_forms_read_exactly(literal, value):
+    birth = parse_barcode_file(_bar_born_at(literal)).bars[0].birth
+    assert type(birth) is Fraction and birth == value == Fraction(literal)
+
+
+@pytest.mark.parametrize(
+    "literal",
+    [
+        "0." + "0" * (MAX_NUMBER_DIGITS - 1) + "1",
+        "-" + "1" * MAX_NUMBER_DIGITS + ".0",
+        "1" * (MAX_NUMBER_DIGITS - 1) + "e02",
+        f"0.0e-{MAX_NUMBER_DIGITS - 1}",
+        f"5E+{MAX_NUMBER_DIGITS}",
+    ],
+    ids=["fraction", "negative", "leading_zero_exponent", "zero", "signed_exponent"],
+)
+def test_float_literals_of_4001_digits_are_malformed(literal):
+    with pytest.raises(StructureError, match=f"more than {MAX_NUMBER_DIGITS} digits") as exc:
+        parse_barcode_file(_bar_born_at(literal))
+    assert exc.value.code == MALFORMED_JSON
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(corpus.NAMES), st.data())
 def test_mutated_corpus_files_parse_or_fail_with_a_code(name, data):
@@ -266,6 +339,77 @@ def test_the_parser_alone_guards_heights(tmp_path, heights, message):
     out, err = io.StringIO(), io.StringIO()
     assert cli_dispatch(["validate", str(knot)], stdout=out, stderr=err) == 1
     assert (out.getvalue(), err.getvalue()) == ("", f"error: [BAD_HEIGHT] {message}\n")
+
+
+def _gens(*names, grading=1):
+    return [{"name": name, "grading": grading} for name in names]
+
+
+@pytest.mark.parametrize(
+    "doc, stderr",
+    [
+        (
+            {"generators": _gens("a"), "differential": {"a": [["zz"], "a"]}},
+            "[BAD_SCHEMA] differential['a'] words must be arrays of generator names",
+        ),
+        (
+            {"generators": _gens("a", "b"), "differential": {"a": [["zz"]], "b": ["b"]}},
+            "[BAD_SCHEMA] differential['b'] words must be arrays of generator names",
+        ),
+        (
+            {"generators": _gens("a", "a"), "differential": {"a": [[1]]}},
+            "[BAD_SCHEMA] differential['a'] words must be arrays of generator names",
+        ),
+        (
+            {"generators": _gens("a", "a"), "differential": {"a": [["a", None]]}},
+            "[BAD_SCHEMA] differential['a'] words must be arrays of generator names",
+        ),
+        (
+            {"generators": _gens("\ud800", "q\x01"), "differential": {}},
+            "[BAD_SCHEMA] generators[0].name is not valid Unicode",
+        ),
+        (
+            {"generators": _gens("q\x01", "\ud800"), "differential": {}},
+            "[BAD_SCHEMA] generators[0].name has a control character",
+        ),
+        (
+            {"generators": _gens("\x01\ud800"), "differential": {}},
+            "[BAD_SCHEMA] generators[0].name is not valid Unicode",
+        ),
+        (
+            {"generators": _gens("a", "b"), "differential": {"a": [], "b": []}, "heights": {"a": 0}},
+            "[BAD_HEIGHT] height of 'a' must be positive, got 0",
+        ),
+        (
+            {"generators": _gens("b", "a"), "differential": {"a": [], "b": []}, "heights": {"a": 0}},
+            "[BAD_HEIGHT] missing height for generator 'b'",
+        ),
+        (
+            {"generators": _gens("a", "b"), "differential": {"a": [], "b": []}, "heights": {"a": -0.0}},
+            "[BAD_HEIGHT] height of 'a' must be positive, got 0",
+        ),
+    ],
+    ids=[
+        "non_list_word_before_unknown_letter",
+        "non_list_word_after_unknown_letter",
+        "non_string_letter_before_duplicate_name",
+        "null_letter_before_duplicate_name",
+        "surrogate_name_before_control_name",
+        "control_name_before_surrogate_name",
+        "surrogate_after_control_in_one_name",
+        "zero_height_before_missing_height",
+        "missing_height_before_zero_height",
+        "negative_zero_height_before_missing_height",
+    ],
+)
+def test_the_first_of_two_faults_is_reported(tmp_path, doc, stderr):
+    """Each file holds two faults; ``legch validate`` names the one the parser
+    meets first, in its fixed order of checks."""
+    knot = tmp_path / "knot.json"
+    knot.write_text(json.dumps({**doc, "patches": []}))
+    out, err = io.StringIO(), io.StringIO()
+    assert cli_dispatch(["validate", str(knot)], stdout=out, stderr=err) == 1
+    assert (out.getvalue(), err.getvalue()) == ("", f"error: {stderr}\n")
 
 
 def test_trefoil_rii_file_matches_builder():
@@ -420,6 +564,65 @@ def test_render_svg_geometry_is_scale_free_beyond_float_range():
         return [line for line in render_barcode(b, "svg").decode().splitlines() if line.startswith(("<line", "<path"))]
 
     assert shapes(huge) == shapes(barcode)
+
+
+# Ends 2**-2 apart at 10**17, where floats are 16 apart: every tick's x is the
+# same float, so only an exact sort puts their labels in increasing order.
+TIED_SVG = [
+    '<svg xmlns="http://www.w3.org/2000/svg" width="640" height="134" viewBox="0 0 640 134">',
+    '<style>text{font-family:monospace;font-size:11px;}</style>',
+    '<line x1="120.0" y1="116.0" x2="580.0" y2="116.0" stroke="black" stroke-width="1"/>',
+    '<line x1="120.0" y1="113.0" x2="120.0" y2="119.0" stroke="black" stroke-width="1"/>',
+    '<text x="120.0" y="130.0" text-anchor="middle">0</text>',
+    '<line x1="120.0" y1="113.0" x2="120.0" y2="119.0" stroke="black" stroke-width="1"/>',
+    '<text x="120.0" y="130.0" text-anchor="middle">3</text>',
+    '<line x1="520.0" y1="113.0" x2="520.0" y2="119.0" stroke="black" stroke-width="1"/>',
+    '<text x="520.0" y="130.0" text-anchor="middle">100000000000000000.25</text>',
+    '<line x1="520.0" y1="113.0" x2="520.0" y2="119.0" stroke="black" stroke-width="1"/>',
+    '<text x="520.0" y="130.0" text-anchor="middle">100000000000000000.5</text>',
+    '<line x1="520.0" y1="113.0" x2="520.0" y2="119.0" stroke="black" stroke-width="1"/>',
+    '<text x="520.0" y="130.0" text-anchor="middle">100000000000000000.75</text>',
+    '<line x1="520.0" y1="35.0" x2="596.0" y2="35.0" stroke="black" stroke-width="4" stroke-linecap="butt"/>',
+    '<path d="M 596.0 30.0 L 604.0 35.0 L 596.0 40.0 Z" fill="black"/>',
+    '<text x="514.0" y="39.0" text-anchor="end">H0 a</text>',
+    '<line x1="120.0" y1="57.0" x2="520.0" y2="57.0" stroke="black" stroke-width="4" stroke-linecap="butt"/>',
+    '<text x="114.0" y="61.0" text-anchor="end">H1</text>',
+    '<line x1="520.0" y1="79.0" x2="520.0" y2="79.0" stroke="black" stroke-width="4" stroke-linecap="butt"/>',
+    '<text x="514.0" y="83.0" text-anchor="end">H1 b</text>',
+    '<text x="526.0" y="83.0" text-anchor="start">c</text>',
+    '</svg>',
+]
+
+
+def test_render_svg_orders_ticks_exactly_where_floats_tie():
+    big = 10**17
+    barcode = Barcode(
+        (
+            Bar(0, big + Fraction(1, 2), math.inf, "a"),
+            Bar(1, big + Fraction(1, 4), big + Fraction(3, 4), "b", "c"),
+            Bar(1, 3, big + Fraction(1, 2)),
+        )
+    )
+    svg = render_barcode(barcode, "svg").decode()
+    assert svg.splitlines() == TIED_SVG
+    ticks = re.findall(r'text-anchor="middle">([^<]*)<', svg)
+    assert [Fraction(t) for t in ticks] == [0, 3, big + Fraction(1, 4), big + Fraction(1, 2), big + Fraction(3, 4)]
+
+
+@pytest.mark.parametrize(
+    "x, text",
+    [
+        (math.inf, "inf"),
+        (float("inf"), "inf"),
+        (0, "0"),
+        (Fraction(0), "0"),
+        (Fraction(-5, 4), "-1.25"),
+        (Fraction(1, 3), "1/3"),
+        (Fraction(-2, 7), "-2/7"),
+    ],
+)
+def test_format_extended(x, text):
+    assert format_extended(x) == text
 
 
 def test_render_unknown_format():
