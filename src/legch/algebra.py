@@ -204,14 +204,14 @@ def validate_dga(dga: DGA) -> None:
     """Check that every differential word drops the grading by exactly 1 and that
     the differential squares to zero on every generator; raise at the first fault,
     checking every grading before any d²."""
-    gradings = [g.grading for g in dga.generators]
+    grading_of = [g.grading for g in dga.generators].__getitem__
     for g, elem in zip(dga.generators, dga.differential):
+        want = g.grading - 1
         for word in elem.words:
-            wg = sum(map(gradings.__getitem__, word))
-            if wg != g.grading - 1:
+            if sum(map(grading_of, word)) != want:
                 raise StructureError(
                     f"word {format_word(word, dga)} in d({g.name}) has grading "
-                    f"{wg}, expected {g.grading - 1}",
+                    f"{sum(map(grading_of, word))}, expected {want}",
                     GRADING_VIOLATION,
                 )
     for g, elem in zip(dga.generators, dga.differential):

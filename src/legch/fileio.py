@@ -94,15 +94,11 @@ def format_extended(x) -> str:
 # ---------------------------------------------------------------------------
 # knot files
 
-def _expect(condition: bool, code: str, message: str) -> None:
-    if not condition:
-        raise StructureError(message, code)
-
-
 def _check_text(text: str, where: str) -> None:
     """Names and labels are printed as they are; no message echoes them."""
     if _SURROGATE_OR_CONTROL.search(text):
-        _expect(not _SURROGATE.search(text), BAD_SCHEMA, f"{where} is not valid Unicode")
+        if _SURROGATE.search(text):
+            raise StructureError(f"{where} is not valid Unicode", BAD_SCHEMA)
         raise StructureError(f"{where} has a control character", BAD_SCHEMA)
 
 
@@ -139,80 +135,87 @@ def parse_knot_file(data: bytes | str) -> KnotData:
     """Check a knot file and build its data.  JSON gives plain types, so exact
     type tests stand for the isinstance checks (a bool is no int here)."""
     doc = _load_json(data)
-    _expect(type(doc) is dict, BAD_SCHEMA, "top level must be a JSON object")
+    if type(doc) is not dict:
+        raise StructureError("top level must be a JSON object", BAD_SCHEMA)
 
     known = {"generators", "differential", "patches", "heights", "ng_resolved", "meta"}
     for key in doc:
-        _expect(key in known, BAD_SCHEMA, f"unknown top-level key {key!r}")
+        if key not in known:
+            raise StructureError(f"unknown top-level key {key!r}", BAD_SCHEMA)
     for key in ("generators", "differential", "patches"):
-        _expect(key in doc, BAD_SCHEMA, f"missing required key {key!r}")
+        if key not in doc:
+            raise StructureError(f"missing required key {key!r}", BAD_SCHEMA)
 
+    # Each check raises from its own branch, so a message is built only for a fault.
     raw_gens = doc["generators"]
-    _expect(type(raw_gens) is list, BAD_SCHEMA, "'generators' must be an array")
+    if type(raw_gens) is not list:
+        raise StructureError("'generators' must be an array", BAD_SCHEMA)
     gens: list[tuple[str, int]] = []
     for i, entry in enumerate(raw_gens):
-        _expect(
-            type(entry) is dict and set(entry) == {"name", "grading"},
-            BAD_SCHEMA,
-            f"generators[{i}] must be an object with keys 'name' and 'grading'",
-        )
+        if not (type(entry) is dict and entry.keys() == {"name", "grading"}):
+            raise StructureError(f"generators[{i}] must be an object with keys 'name' and 'grading'", BAD_SCHEMA)
         name, grading = entry["name"], entry["grading"]
-        _expect(type(name) is str and name != "", BAD_SCHEMA, f"generators[{i}].name must be a nonempty string")
+        if type(name) is not str or name == "":
+            raise StructureError(f"generators[{i}].name must be a nonempty string", BAD_SCHEMA)
         _check_text(name, f"generators[{i}].name")
-        _expect(type(grading) is int, BAD_SCHEMA, f"generators[{i}].grading must be an integer")
+        if type(grading) is not int:
+            raise StructureError(f"generators[{i}].grading must be an integer", BAD_SCHEMA)
         gens.append((name, grading))
 
     raw_diff = doc["differential"]
-    _expect(type(raw_diff) is dict, BAD_SCHEMA, "'differential' must be an object")
+    if type(raw_diff) is not dict:
+        raise StructureError("'differential' must be an object", BAD_SCHEMA)
     for name, words in raw_diff.items():
-        _expect(type(words) is list, BAD_SCHEMA, f"differential[{name!r}] must be an array of words")
-        _expect(
-            {list}.issuperset(map(type, words)) and {str}.issuperset(map(type, chain.from_iterable(words))),
-            BAD_SCHEMA,
-            f"differential[{name!r}] words must be arrays of generator names",
-        )
+        if type(words) is not list:
+            raise StructureError(f"differential[{name!r}] must be an array of words", BAD_SCHEMA)
+        if not ({list}.issuperset(map(type, words)) and {str}.issuperset(map(type, chain.from_iterable(words)))):
+            raise StructureError(f"differential[{name!r}] words must be arrays of generator names", BAD_SCHEMA)
     dga = DGA.from_data(gens, raw_diff)
     validate_dga(dga)
 
     raw_patches = doc["patches"]
-    _expect(type(raw_patches) is list, BAD_SCHEMA, "'patches' must be an array")
+    if type(raw_patches) is not list:
+        raise StructureError("'patches' must be an array", BAD_SCHEMA)
     index = {name: gid for gid, (name, _) in enumerate(gens)}
     patches = []
     for i, corners in enumerate(raw_patches):
-        _expect(type(corners) is list, BAD_SCHEMA, f"patches[{i}] must be an array of corners")
-        _expect(corners != [], BAD_PATCH, f"patches[{i}] has no corners")  # the inequality 0 > 0
+        if type(corners) is not list:
+            raise StructureError(f"patches[{i}] must be an array of corners", BAD_SCHEMA)
+        if corners == []:  # the inequality 0 > 0
+            raise StructureError(f"patches[{i}] has no corners", BAD_PATCH)
         form: dict[int, int] = {}
         for corner in corners:
-            _expect(
-                type(corner) is dict and set(corner) == {"name", "coeff"},
-                BAD_SCHEMA,
-                f"patches[{i}] corners must be objects with keys 'name' and 'coeff'",
-            )
+            if not (type(corner) is dict and corner.keys() == {"name", "coeff"}):
+                raise StructureError(f"patches[{i}] corners must be objects with keys 'name' and 'coeff'", BAD_SCHEMA)
             cname, coeff = corner["name"], corner["coeff"]
-            _expect(type(cname) is str, BAD_SCHEMA, f"patches[{i}] corner names must be strings")
-            _expect(cname in index, UNKNOWN_GENERATOR, f"patches[{i}] uses unknown generator {cname!r}")
-            _expect(type(coeff) is int, BAD_SCHEMA, f"patches[{i}] coefficient for {cname!r} must be an integer")
-            _expect(
-                coeff in (-2, -1, 1, 2),
-                BAD_PATCH,
-                f"patches[{i}] coefficient {coeff} for {cname!r} is not in {{-2,-1,1,2}}",
-            )
-            _expect(index[cname] not in form, BAD_PATCH, f"patches[{i}] uses {cname!r} twice")
+            if type(cname) is not str:
+                raise StructureError(f"patches[{i}] corner names must be strings", BAD_SCHEMA)
+            if cname not in index:
+                raise StructureError(f"patches[{i}] uses unknown generator {cname!r}", UNKNOWN_GENERATOR)
+            if type(coeff) is not int:
+                raise StructureError(f"patches[{i}] coefficient for {cname!r} must be an integer", BAD_SCHEMA)
+            if coeff not in (-2, -1, 1, 2):
+                raise StructureError(f"patches[{i}] coefficient {coeff} for {cname!r} is not in {{-2,-1,1,2}}", BAD_PATCH)
+            if index[cname] in form:
+                raise StructureError(f"patches[{i}] uses {cname!r} twice", BAD_PATCH)
             form[index[cname]] = coeff
         patches.append(tuple(sorted(form.items())))
 
-    _expect(type(doc.get("ng_resolved", False)) is bool, BAD_SCHEMA, "'ng_resolved' must be a boolean")
+    if type(doc.get("ng_resolved", False)) is not bool:
+        raise StructureError("'ng_resolved' must be a boolean", BAD_SCHEMA)
     diagram = LagrangianDiagramData(crossings=tuple(range(len(gens))), patches=tuple(patches))
 
     heights = None
     if "heights" in doc:
         raw_heights = doc["heights"]
-        _expect(type(raw_heights) is dict, BAD_SCHEMA, "'heights' must be an object")
+        if type(raw_heights) is not dict:
+            raise StructureError("'heights' must be an object", BAD_SCHEMA)
         for name in raw_heights:
             if name not in index:
                 raise StructureError(f"heights key {name!r} is not a generator", UNKNOWN_GENERATOR)
         for name, _ in gens:
-            _expect(name in raw_heights, BAD_HEIGHT, f"missing height for generator {name!r}")
+            if name not in raw_heights:
+                raise StructureError(f"missing height for generator {name!r}", BAD_HEIGHT)
             value = raw_heights[name]
             if type(value) not in (int, Fraction):
                 raise StructureError(f"height of {name!r} must be a number", BAD_HEIGHT)
@@ -221,7 +224,8 @@ def parse_knot_file(data: bytes | str) -> KnotData:
         heights = HeightAssignment(tuple(raw_heights[name] for name, _ in gens))
 
     meta = doc.get("meta", {})
-    _expect(type(meta) is dict, BAD_SCHEMA, "'meta' must be an object")
+    if type(meta) is not dict:
+        raise StructureError("'meta' must be an object", BAD_SCHEMA)
     return KnotData(dga=dga, diagram=diagram, heights=heights, meta=meta)
 
 
@@ -242,11 +246,8 @@ def load_knot(path) -> KnotData:
 
 def parse_barcode_file(data: bytes | str) -> Barcode:
     doc = _load_json(data)
-    _expect(
-        type(doc) is dict and "bars" in doc and type(doc["bars"]) is list,
-        BAD_SCHEMA,
-        "barcode file must be an object with a 'bars' array",
-    )
+    if not (type(doc) is dict and "bars" in doc and type(doc["bars"]) is list):
+        raise StructureError("barcode file must be an object with a 'bars' array", BAD_SCHEMA)
     allowed = {"degree", "birth", "death", "birth_label", "death_label"}
     bars = []
     # Exact type tests, as in parse_knot_file; each end keeps the type JSON gave
@@ -272,7 +273,8 @@ def parse_barcode_file(data: bytes | str) -> Barcode:
         labels = entry.get("birth_label"), entry.get("death_label")
         for key, label in zip(("birth_label", "death_label"), labels):
             if label is not None:
-                _expect(type(label) is str, BAD_SCHEMA, f"bars[{i}].{key} must be a string")
+                if type(label) is not str:
+                    raise StructureError(f"bars[{i}].{key} must be a string", BAD_SCHEMA)
                 _check_text(label, f"bars[{i}].{key}")
         if not birth < death:
             raise StructureError(f"bars[{i}]: bar must have birth < death, got [{birth}, {death})", INVALID_BAR)

@@ -7,6 +7,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import getitem, itemgetter
 
 from .algebra import DGA, _scaled
 from .persist import Bar, Barcode
@@ -130,18 +131,24 @@ def _finite_distance(bars1: list[Bar], bars2: list[Bar], scale: int) -> int:
     than delta can all be matched at cost at most delta.  By Mendelsohn-Dulmage
     that holds exactly when the bars of each side can be so matched on their
     own.
+
+    Every bar is deleted or matched, so no delta is feasible below ``lower``,
+    the largest over all bars of the smaller of v and the cheapest edge, and
+    deleting every bar makes ``upper``, the largest v, feasible.  ``lower`` is
+    a cost, and the answer when bars move to their own images, so it is tried
+    first; otherwise the distinct costs in (lower, upper] are bisected.
     """
     pts1 = [_point(b, scale) for b in bars1]
     pts2 = [_point(b, scale) for b in bars2]
-    costs1 = [[abs(u1 - u2) + abs(v1 - v2) for u2, v2 in pts2] for u1, v1 in pts1]
-    costs2 = list(zip(*costs1)) if pts1 else [()] * len(pts2)
     deletes1 = [v for _, v in pts1]
     deletes2 = [v for _, v in pts2]
-    sides = (
-        (deletes1, costs1, _cheapest_first(costs1, len(pts2)), len(pts2)),
-        (deletes2, costs2, _cheapest_first(costs2, len(pts1)), len(pts1)),
-    )
-    candidates = sorted({0}.union(deletes1, deletes2, *costs1))
+    upper = max(deletes1 + deletes2, default=0)
+    if not pts1 or not pts2:
+        return upper
+    costs1 = [[abs(u1 - u2) + abs(v1 - v2) for u2, v2 in pts2] for u1, v1 in pts1]
+    costs2 = list(zip(*costs1))
+    orders1, orders2 = _cheapest_first(costs1, len(pts2)), _cheapest_first(costs2, len(pts1))
+    sides = ((deletes1, costs1, orders1, len(pts2)), (deletes2, costs2, orders2, len(pts1)))
 
     def feasible(delta: int) -> bool:
         return all(
@@ -149,7 +156,13 @@ def _finite_distance(bars1: list[Bar], bars2: list[Bar], scale: int) -> int:
             for deletes, costs, orders, size in sides
         )
 
-    # The largest candidate is feasible: every bar can be deleted.
+    # Each bar's cheaper option; its cheapest partner heads its order.
+    lower = max(map(min, deletes1 + deletes2, map(getitem, costs1 + costs2, map(itemgetter(0), orders1 + orders2))))
+    if lower == upper or feasible(lower):
+        return lower
+    candidates = sorted(set().union(deletes1, deletes2, *costs1))
+    candidates = candidates[bisect_right(candidates, lower) : bisect_right(candidates, upper)]
+    # The largest candidate, upper, is feasible.
     lo, hi = 0, len(candidates) - 1
     while lo < hi:
         mid = (lo + hi) // 2

@@ -560,6 +560,20 @@ def kuhn_distance(b1: Barcode, b2: Barcode):
     return _max_over_degrees(b1, b2, _degree_distance)
 
 
+def threshold_bound(b1: Barcode, b2: Barcode):
+    """The threshold lower bound of bottleneck assignment (Garfinkel 1971):
+    every finite bar is deleted or matched to a finite bar of its degree on
+    the other side, so no matching costs less than the largest, over all
+    finite bars, of the cheaper of its deletion and its cheapest match."""
+    bound = Fraction(0)
+    for mine, theirs in ((b1, b2), (b2, b1)):
+        for a in mine.bars:
+            if a.finite:
+                partners = (b for b in theirs.bars if b.finite and b.degree == a.degree)
+                bound = max(bound, min([_delete_cost(a), *(_match_cost(a, b) for b in partners)]))
+    return bound
+
+
 def shift_pair(rng: Random, n: int, delta: Fraction, degree: int = 0):
     """Two barcodes of ``n`` bars in one degree at distance exactly ``delta``.
 

@@ -229,6 +229,19 @@ def test_every_grading_is_checked_before_any_d_squared():
     assert str(info.value) == "word x in d(x) has grading 1, expected 0"
 
 
+def test_the_first_bad_word_of_the_first_bad_column_is_named():
+    # d(a) holds two bad words, xx and by; c, a later generator, holds a third.
+    # The message names the word the column's own iteration reaches first.
+    dga = DGA.from_data(
+        [("a", 2), ("b", 1), ("x", 0), ("y", 3), ("c", 1)],
+        {"a": [["b"], ["x", "x"], ["b", "y"]], "b": [], "x": [], "y": [], "c": [["y"]]},
+    )
+    with pytest.raises(StructureError) as info:
+        validate_dga(dga)
+    assert info.value.code == GRADING_VIOLATION
+    assert str(info.value) == "word by in d(a) has grading 4, expected 1"
+
+
 # --- validation at scale, against the former per-letter code ----------------
 
 def outcome(validate, dga):

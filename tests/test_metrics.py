@@ -20,6 +20,7 @@ from support import (
     planted_complex,
     random_barcode,
     shift_pair,
+    threshold_bound,
 )
 
 UNKNOT = load_corpus("unknot")
@@ -225,7 +226,34 @@ def test_distance_matches_the_former_matcher_beyond_brute_force(seed, n1, n2, n_
     if rng.random() < 0.1:
         infinite[-1] += 1
     b2 = _grid_barcode(rng, n2, infinite)
-    assert interleaving_distance(b1, b2) == kuhn_distance(b1, b2)
+    d = interleaving_distance(b1, b2)
+    assert d == kuhn_distance(b1, b2)
+    assert d >= threshold_bound(b1, b2)
+
+
+def test_the_threshold_bound_is_not_always_the_distance():
+    # Each bar's cheapest option costs 0, so the bound is 0, but one of the
+    # two copies of [0, 10) has no partner left and is deleted at half its length.
+    twice = Barcode((Bar(0, Fraction(0), Fraction(10)), Bar(0, Fraction(0), Fraction(10))))
+    once = Barcode((Bar(0, Fraction(0), Fraction(10)),))
+    assert threshold_bound(twice, once) == 0
+    assert interleaving_distance(twice, once) == interleaving_distance(once, twice) == 5
+    assert brute_force_distance(twice, once) == 5
+
+
+def test_the_distance_meets_the_threshold_bound_or_exceeds_it():
+    # Finite bars in one degree, so the distance is the finite bars' one and a
+    # distance above the bound is reached by bisection; both outcomes occur.
+    outcomes = set()
+    for seed in range(60):
+        rng = Random(seed)
+        b1 = _grid_barcode(rng, rng.randint(1, 12), [0])
+        b2 = _grid_barcode(rng, rng.randint(1, 12), [0])
+        d, bound = interleaving_distance(b1, b2), threshold_bound(b1, b2)
+        assert d == kuhn_distance(b1, b2)
+        assert d >= bound
+        outcomes.add("equal" if d == bound else "greater")
+    assert outcomes == {"equal", "greater"}
 
 
 @pytest.mark.parametrize(
