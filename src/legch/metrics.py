@@ -7,10 +7,10 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import getitem, itemgetter
+from itertools import compress
 
 from .algebra import DGA, _scaled
-from .persist import Bar, Barcode
+from .persist import Barcode
 
 
 class LaurentPolynomial(Counter):
@@ -57,27 +57,16 @@ def check_strong_morse(dga: DGA, b: Barcode) -> StrongMorseReport:
     return StrongMorseReport(mc, pc, r, lhs == rhs)
 
 
-def _point(bar: Bar, scale: int) -> tuple[int, int]:
-    birth, death = _scaled(bar.birth, scale), _scaled(bar.death, scale)
-    return death + birth, death - birth
-
-
-def _cheapest_first(costs, size: int) -> list[list[int]]:
-    """For each row of match costs, its partners' indices, cheapest first."""
-    partners = range(size)
-    return [sorted(partners, key=row.__getitem__) for row in costs]
-
-
-def _covers(must, costs, orders, delta: int, size: int) -> bool:
+def _covers(must, costs, delta: int, size: int) -> bool:
     """Whether one matching of cost at most ``delta`` matches every bar in
     ``must`` to one of ``size`` partners.
 
     Hopcroft-Karp: each phase layers the bars by breadth-first search from the
     unmatched ones, then augments along disjoint layered paths, found depth
     first on an explicit stack, so no recursion limit applies.  A bar's edges
-    are the prefix of its cheapest-first order that costs at most ``delta``.
+    are the partners its cost row reaches within ``delta``.
     """
-    edges = {u: orders[u][: bisect_right(orders[u], delta, key=costs[u].__getitem__)] for u in must}
+    edges = {u: list(compress(range(size), map(delta.__ge__, costs[u]))) for u in must}
     mate = dict.fromkeys(must, -1)
     owner = [-1] * size
     while True:
@@ -118,14 +107,13 @@ def _covers(must, costs, orders, delta: int, size: int) -> bool:
                 lefts.append(w)
 
 
-def _finite_distance(bars1: list[Bar], bars2: list[Bar], scale: int) -> int:
-    """Bottleneck distance of finite bars, each matched or deleted, in units
-    of 1/(2L), L = ``scale``.
+def _finite_distance(pts1: list[tuple[int, int]], pts2: list[tuple[int, int]]) -> int:
+    """Twice the bottleneck distance of finite bars, each matched or deleted,
+    given as the points (u, v) = (d + b, d - b) of their integer ends [b, d).
 
-    Every end times L is an integer, so every cost is one in these units.  A
-    bar [b, d) becomes the point (u, v) = L(d + b, d - b).  Deleting it costs
-    v, and matching it to another costs |u - u'| + |v - v'|: twice the larger
-    endpoint displacement, since max(|x|, |y|) = (|x + y| + |x - y|) / 2.
+    Deleting a bar costs v, and matching it to another costs |u - u'| + |v - v'|:
+    twice the larger endpoint displacement, since max(|x|, |y|) =
+    (|x + y| + |x - y|) / 2.
 
     A cost delta is feasible exactly when the bars whose deletion costs more
     than delta can all be matched at cost at most delta.  By Mendelsohn-Dulmage
@@ -138,8 +126,6 @@ def _finite_distance(bars1: list[Bar], bars2: list[Bar], scale: int) -> int:
     a cost, and the answer when bars move to their own images, so it is tried
     first; otherwise the distinct costs in (lower, upper] are bisected.
     """
-    pts1 = [_point(b, scale) for b in bars1]
-    pts2 = [_point(b, scale) for b in bars2]
     deletes1 = [v for _, v in pts1]
     deletes2 = [v for _, v in pts2]
     upper = max(deletes1 + deletes2, default=0)
@@ -147,17 +133,15 @@ def _finite_distance(bars1: list[Bar], bars2: list[Bar], scale: int) -> int:
         return upper
     costs1 = [[abs(u1 - u2) + abs(v1 - v2) for u2, v2 in pts2] for u1, v1 in pts1]
     costs2 = list(zip(*costs1))
-    orders1, orders2 = _cheapest_first(costs1, len(pts2)), _cheapest_first(costs2, len(pts1))
-    sides = ((deletes1, costs1, orders1, len(pts2)), (deletes2, costs2, orders2, len(pts1)))
+    sides = ((deletes1, costs1, len(pts2)), (deletes2, costs2, len(pts1)))
 
     def feasible(delta: int) -> bool:
         return all(
-            _covers([u for u, d in enumerate(deletes) if d > delta], costs, orders, delta, size)
-            for deletes, costs, orders, size in sides
+            _covers([u for u, d in enumerate(deletes) if d > delta], costs, delta, size)
+            for deletes, costs, size in sides
         )
 
-    # Each bar's cheaper option; its cheapest partner heads its order.
-    lower = max(map(min, deletes1 + deletes2, map(getitem, costs1 + costs2, map(itemgetter(0), orders1 + orders2))))
+    lower = max(map(min, deletes1 + deletes2, map(min, costs1 + costs2)))
     if lower == upper or feasible(lower):
         return lower
     candidates = sorted(set().union(deletes1, deletes2, *costs1))
@@ -173,16 +157,19 @@ def _finite_distance(bars1: list[Bar], bars2: list[Bar], scale: int) -> int:
     return candidates[lo]
 
 
-def _split_by_degree(barcode: Barcode, scale: int) -> dict[int, tuple[list[int], list[Bar]]]:
+def _split_by_degree(barcode: Barcode, scale: int) -> dict[int, tuple[list[int], list[tuple[int, int]]]]:
     """Per degree, the births of the infinite bars times ``scale``, and the
-    finite bars.  The births come in order, as the bars are sorted by birth."""
-    split: dict[int, tuple[list[int], list[Bar]]] = {}
+    points (d + b, d - b) of the finite bars [b, d) times ``scale``.  The
+    births come in order, as the bars are sorted by birth."""
+    split: dict[int, tuple[list[int], list[tuple[int, int]]]] = {}
     for bar in barcode.bars:
         infinite, finite = split.setdefault(bar.degree, ([], []))
+        birth = _scaled(bar.birth, scale)
         if bar.finite:
-            finite.append(bar)
+            death = _scaled(bar.death, scale)
+            finite.append((death + birth, death - birth))
         else:
-            infinite.append(_scaled(bar.birth, scale))
+            infinite.append(birth)
     return split
 
 
@@ -204,5 +191,5 @@ def interleaving_distance(b1: Barcode, b2: Barcode):
         # Infinite bars match only each other, at the birth gap, so they form
         # their own problem: on a line, pairing them in sorted order is optimal.
         infinite = 2 * max((abs(a - b) for a, b in zip(inf1, inf2)), default=0)
-        worst = max(worst, infinite, _finite_distance(finite1, finite2, scale))
+        worst = max(worst, infinite, _finite_distance(finite1, finite2))
     return Fraction(worst, 2 * scale)

@@ -1,26 +1,30 @@
 import math
 from fractions import Fraction
+from operator import add
 from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from legch.algebra import DGA
+from legch.algebra import DGA, HeightAssignment
+from legch.augment import enumerate_augmentations, linearized_differential
 from legch.metrics import LaurentPolynomial, check_strong_morse, interleaving_distance
-from legch.persist import Bar, Barcode, compute_barcode
+from legch.persist import Bar, Barcode, FilteredComplex, build_filtered_complex, compute_barcode
 
 from support import (
     barcode_of,
     brute_force_distance,
     dga_from_complex,
     evaluate_at,
+    flood_heights,
     kuhn_distance,
     load_corpus,
     planted_complex,
     random_barcode,
     shift_pair,
     threshold_bound,
+    torus_2n_dga,
 )
 
 UNKNOT = load_corpus("unknot")
@@ -263,3 +267,51 @@ def test_planted_shift_pairs_are_exactly_delta(n, delta):
     b1, b2 = shift_pair(Random(n), n, delta)
     assert interleaving_distance(b1, b2) == delta
     assert interleaving_distance(b2, b1) == delta
+
+
+# --- stability: moving every height by at most s moves the barcode by at most s
+
+def _moved(fc: FilteredComplex, rng: Random, bound: Fraction, pinned=None):
+    """``fc`` with each height moved by a random multiple of ``bound`` / 21 of
+    size at most ``bound``, or, for every generator of grading ``pinned``, by
+    exactly ``bound`` one way; and the largest move."""
+    moves = [bound * Fraction(rng.randint(-21, 21), 21) for _ in fc.generators]
+    if pinned is not None:
+        sign = rng.choice((-1, 1))
+        moves = [sign * bound if g.grading == pinned else m for g, m in zip(fc.generators, moves)]
+    heights = HeightAssignment(tuple(map(add, fc.heights.heights, moves)))
+    return FilteredComplex(fc.generators, heights, fc.columns), max(map(abs, moves))
+
+
+def _check_stability(fc: FilteredComplex, rng: Random, bound: Fraction) -> None:
+    """Every entry of a column sits more than 2 * ``bound`` below it, so moved
+    heights stay valid, and the distance is at most the largest move.  Where
+    every generator of grading k moves by the same s, every infinite bar of
+    degree k moves by exactly s: cycles and boundaries of degree k, and so
+    when a class is first born, depend on the heights of grading k alone.  On
+    a line no matching of those bars beats |s|, so the distance is |s|."""
+    barcode = compute_barcode(fc)
+    moved, largest = _moved(fc, rng, bound)
+    assert interleaving_distance(barcode, compute_barcode(moved)) <= largest
+    degrees = sorted({bar.degree for bar in barcode.bars if not bar.finite})
+    moved, _ = _moved(fc, rng, bound, rng.choice(degrees))
+    assert interleaving_distance(barcode, compute_barcode(moved)) == bound
+
+
+def test_moving_planted_heights_moves_the_barcode_at_most_as_far():
+    # Planted heights are quarters, so moves of at most 1/10 keep them valid.
+    for seed in range(40):
+        rng = Random(seed)
+        fc, _ = planted_complex(rng, max_n=400)
+        _check_stability(fc, rng, Fraction(1, 10))
+
+
+def test_moving_torus_heights_moves_every_barcode_at_most_as_far():
+    # Flood heights are integers, so moves of at most 2/5 keep them valid.
+    rng = Random(0)
+    for n in range(3, 10):
+        dga = torus_2n_dga(n)
+        heights = flood_heights(dga)
+        for eps in enumerate_augmentations(dga):
+            fc = build_filtered_complex(linearized_differential(dga, eps), heights)
+            _check_stability(fc, rng, Fraction(2, 5))
