@@ -119,6 +119,10 @@ class DGA:
         those with odd multiplicity and of those that occur once.  Every word
         is kept, so the masks evaluate any 0/1 vector exactly.  A one-letter
         word gets no mask: it always contributes its letter.
+
+        One pass over a word's letters builds its masks: a letter's bit joins
+        ``twice`` when it is already in ``letters``, and toggles ``odd``; the
+        letters that occur once are those never met twice.
         """
         linears, masks = [], []
         for elem in self.differential:
@@ -127,12 +131,13 @@ class DGA:
                 if len(word) == 1:
                     linear.add(word[0])
                 else:
-                    letters = odd = once = 0
-                    for g, count in Counter(word).items():
-                        letters |= 1 << g
-                        odd |= (count & 1) << g
-                        once |= (count == 1) << g
-                    words.append((letters, odd, once))
+                    letters = odd = twice = 0
+                    for g in word:
+                        b = 1 << g
+                        twice |= letters & b
+                        letters |= b
+                        odd ^= b
+                    words.append((letters, odd, letters & ~twice))
             linears.append(frozenset(linear))
             masks.append(tuple(words))
         return tuple(linears), tuple(masks)

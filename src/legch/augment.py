@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import compress
 from typing import Sequence
@@ -27,16 +28,19 @@ class Augmentation:
     values: tuple[int, ...]
 
 
-def _monomials(dga: DGA, zero_gens: list[int]) -> list[frozenset[int]]:
-    """Each differential as a mod-2 set of bitmask monomials over ``zero_gens``.
+def _monomials(dga: DGA, zero_gens: list[int]) -> list[tuple[int, ...]]:
+    """Each differential as a mod-2 sorted tuple of bitmask monomials over ``zero_gens``.
 
-    Bit i stands for ``zero_gens[i]``; the unit word is mask 0.  A word with a
-    letter outside grading 0 evaluates to 0 and is dropped, and since values
-    are 0 or 1, repeated letters collapse.  Zero polynomials are left out.
-    The bits are dense, not ``DGA.compiled_words``'s generator ids: where few
-    generators have grading 0, gid-wide masks make each substitution slower.
+    ``zero_gens[i]`` is bit k - 1 - i, for k grading-0 generators, so the
+    search, which fixes them in order, fixes the top bit first; the unit word
+    is mask 0.  A word with a letter outside grading 0 evaluates to 0 and is
+    dropped, and since values are 0 or 1, repeated letters collapse.  Zero
+    polynomials are left out.  The bits are dense, not
+    ``DGA.compiled_words``'s generator ids: where few generators have grading
+    0, gid-wide masks make each substitution slower.
     """
-    bit = {gid: 1 << i for i, gid in enumerate(zero_gens)}
+    top = len(zero_gens) - 1
+    bit = {gid: 1 << (top - i) for i, gid in enumerate(zero_gens)}
     polys = []
     for elem in dga.differential:
         poly: set[int] = set()
@@ -49,28 +53,32 @@ def _monomials(dga: DGA, zero_gens: list[int]) -> list[frozenset[int]]:
             else:
                 poly ^= {mask}
         if poly:
-            polys.append(frozenset(poly))
+            polys.append(tuple(sorted(poly)))
     return polys
 
 
-_ONE = frozenset({0})
+_ONE = (0,)
 
 
-def _fix(polys: Sequence[frozenset[int]], bit: int, value: int) -> list[frozenset[int]] | None:
+def _fix(polys: Sequence[tuple[int, ...]], bit: int, value: int) -> list[tuple[int, ...]] | None:
     """Substitute ``value`` for the variable ``bit``; None once a polynomial is forced to 1.
 
-    Setting 0 drops the monomials that contain the variable, setting 1 clears
-    its bit and cancels the duplicates.  Polynomials that vanish are dropped.
-    A nonconstant polynomial takes both values, so the test is exact per column.
+    Every higher bit is already fixed and gone, so the monomials that contain
+    the variable are those at least ``bit``: the sorted suffix from
+    ``bisect_left``.  Setting 0 keeps the prefix before it; setting 1 clears
+    the bit in the suffix and cancels the duplicates against the prefix.
+    Polynomials that vanish are dropped.  A nonconstant polynomial takes both
+    values, so the test is exact per column.
     """
     out = []
     for poly in polys:
-        rest = frozenset(m for m in poly if not m & bit)
-        if len(rest) == len(poly):
+        i = bisect_left(poly, bit)
+        if i == len(poly):
             out.append(poly)
             continue
+        rest = poly[:i]
         if value:
-            rest ^= frozenset(m ^ bit for m in poly if m & bit)
+            rest = tuple(sorted(set(rest).symmetric_difference(map(bit.__xor__, poly[i:]))))
         if rest == _ONE:
             return None
         if rest:
@@ -83,8 +91,11 @@ def _search(dga: DGA, lo: int, hi: float) -> tuple[list[Augmentation], int]:
 
     A depth-first search over the grading-0 generators, in generator order, 0
     before 1, cut as soon as some differential is forced to evaluate to 1, so
-    the leaves come in lexicographic order of the value vector.  A subtree
-    depends only on its depth and its live polynomials, so up to
+    the leaves come in lexicographic order of the value vector.  Depth d fixes
+    bit k - d, the highest one left, so each substitution splits every live
+    polynomial, a sorted tuple of monomials, at one bisection.  A subtree
+    depends only on its depth and its live polynomials, and a sorted tuple
+    names its polynomial uniquely, so up to
     ``MAX_CACHED_STATES`` such states are expanded once and summarised, after
     their children, as (leaves below, nodes below, the children's summaries,
     None for a cut).  A state met again is walked from its summary, on the
@@ -136,7 +147,7 @@ def _search(dga: DGA, lo: int, hi: float) -> tuple[list[Augmentation], int]:
             values[zero_gens[depth - 1]] = value
         if summary is None:
             if depth:
-                live = _fix(live, 1 << (depth - 1), value)
+                live = _fix(live, 1 << (k - depth), value)
                 if live is None:
                     charge(1)
                     frames[-1][3].append(None)

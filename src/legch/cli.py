@@ -125,11 +125,11 @@ def _cmd_validate(args) -> int:
 def _cmd_augment(args) -> int:
     kd = load_knot(args.file)
     augs = enumerate_augmentations(kd.dga)
-    zero_gens = [g for g in kd.dga.generators if g.grading == 0]
-    print(f"augmentations: {len(augs)}")
-    for i, eps in enumerate(augs):
-        assignments = " ".join(f"{g.name}={eps.values[g.gid]}" for g in zero_gens)
-        print(f"aug {i}: {assignments}".rstrip())
+    # One template per file: field 1 is the value vector, indexed by generator id.
+    line = "aug {0}:" + "".join(
+        f" {g.name.replace('{', '{{').replace('}', '}}')}={{1[{g.gid}]}}" for g in kd.dga.generators if g.grading == 0
+    )
+    print("\n".join([f"augmentations: {len(augs)}"] + [line.format(i, eps.values) for i, eps in enumerate(augs)]))
     return EXIT_OK
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -225,6 +226,28 @@ def linear_part(elem: Element, eps: Augmentation) -> frozenset[int]:
             for g in zeros or word:
                 acc ^= {g}
     return frozenset(acc)
+
+
+def compiled_words_by_counting(dga: DGA):
+    """``DGA.compiled_words`` recomputed from a Counter of each word's letters:
+    the one-letter words' letters per generator, and per longer word the gid
+    masks of its letters, of those of odd count and of those of count 1."""
+    linears, masks = [], []
+    for elem in dga.differential:
+        linear, words = set(), []
+        for word in elem.words:
+            if len(word) == 1:
+                linear.add(word[0])
+                continue
+            letters = odd = once = 0
+            for g, count in Counter(word).items():
+                letters |= 1 << g
+                odd |= (count & 1) << g
+                once |= (count == 1) << g
+            words.append((letters, odd, once))
+        linears.append(frozenset(linear))
+        masks.append(tuple(words))
+    return tuple(linears), tuple(masks)
 
 
 def enumerate_augmentations_brute(dga: DGA) -> list[Augmentation]:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from legch import augment
-from legch.algebra import DGA, Element, StructureError, validate_dga
+from legch.algebra import DGA, Element, Generator, StructureError, validate_dga
 from legch.augment import (
     MAX_SEARCH_NODES,
     SEARCH_BOUND,
@@ -18,6 +18,7 @@ from legch.augment import (
 
 from support import (
     check_chain_complex,
+    compiled_words_by_counting,
     dga_from_complex,
     enumerate_augmentations_brute,
     evaluate,
@@ -130,6 +131,45 @@ def test_search_bound_charges_every_node_of_the_tree(dga):
                             search(dga)
 
 
+# --- compiled words -----------------------------------------------------------
+
+def test_compiled_words_match_the_counting_oracle_on_the_corpus_and_torus_knots():
+    dgas = [load_corpus(name).dga for name in ("unknot", "trefoil", "trefoil_rii", "island")]
+    for dga in dgas + [torus_2n_dga(n) for n in range(3, 14)]:
+        assert dga.compiled_words == compiled_words_by_counting(dga)
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_dgas())
+def test_compiled_words_match_the_counting_oracle_on_random_dgas(dga):
+    assert dga.compiled_words == compiled_words_by_counting(dga)
+
+
+def test_compiled_words_count_letters_repeated_up_to_four_times_past_64_bits():
+    gids = (0, 3, 63, 64, 65, 127, 128, 200)
+    rng = Random(21)
+    columns = []
+    for _ in range(40):
+        words = set()
+        for _ in range(rng.randint(1, 6)):
+            word = [g for g in rng.sample(gids, rng.randint(1, 4)) for _ in range(rng.randint(1, 4))]
+            rng.shuffle(word)
+            words.add(tuple(word))
+        columns.append(Element(words))
+    columns.append(Element([(64, 3, 64, 64, 3, 200), (200,) * 4, (65,)]))
+    n = max(gids) + 1
+    dga = DGA(
+        tuple(Generator(i, f"g{i}", 0) for i in range(n)),
+        tuple(columns) + tuple(Element() for _ in range(n - len(columns))),
+    )
+    linears, masks = dga.compiled_words
+    assert (linears, masks) == compiled_words_by_counting(dga)
+    # 64 three times, 3 twice, 200 once; 200 four times; 65 alone is linear.
+    assert linears[40] == {65}
+    g3, g64, g200 = 1 << 3, 1 << 64, 1 << 200
+    assert sorted(masks[40]) == sorted([(g3 | g64 | g200, g64 | g200, g200), (g200, 0, 0)])
+
+
 def former_fault_message(dga, eps) -> str:
     """The message the former check built, evaluating word by word."""
     values = eps.values
@@ -184,7 +224,7 @@ def test_torus_family_counts(n):
 
 def test_torus_family_matches_brute_force():
     rng = Random(11)
-    for n in (3, 5, 7, 9):
+    for n in (3, 5, 7, 9, 11):
         dga = torus_2n_dga(n)
         brute = enumerate_augmentations_brute(dga)
         assert_listing_and_picks(dga, brute, [0, len(brute) - 1] + rng.sample(range(len(brute)), 4))

@@ -8,6 +8,7 @@ import sys
 import time
 import xml.etree.ElementTree as ET
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 from random import Random
 
@@ -306,17 +307,21 @@ def test_d_squared_message_is_bounded(tmp_path):
     assert len(err) < 2048
 
 
-def free_knot_file(tmp_path, k: int) -> str:
-    """A knot file of k grading-0 generators with zero differentials."""
-    names = [f"g{i}" for i in range(k)]
+def knot_file_of(tmp_path, generators) -> str:
+    """A knot file of (name, grading) generators with zero differentials."""
     knot = {
-        "generators": [{"name": name, "grading": 0} for name in names],
-        "differential": {name: [] for name in names},
+        "generators": [{"name": name, "grading": grading} for name, grading in generators],
+        "differential": {name: [] for name, _ in generators},
         "patches": [],
     }
-    free = tmp_path / "free.json"
-    free.write_text(json.dumps(knot))
-    return str(free)
+    file = tmp_path / "knot.json"
+    file.write_text(json.dumps(knot))
+    return str(file)
+
+
+def free_knot_file(tmp_path, k: int) -> str:
+    """A knot file of k grading-0 generators with zero differentials."""
+    return knot_file_of(tmp_path, [(f"g{i}", 0) for i in range(k)])
 
 
 def test_search_bound_is_coded(tmp_path, monkeypatch):
@@ -390,6 +395,28 @@ def test_augment_unknot_has_one_empty_assignment():
     code, out, _ = run("augment", path("unknot"))
     assert code == 0
     assert out.splitlines() == ["augmentations: 1", "aug 0:"]
+
+
+@pytest.mark.parametrize(
+    "generators",
+    [
+        [("a", 1), ("b", 2)],
+        [("a", 1), ("x", 0)],
+        [("x", 0), ("a", 1)],
+        [("{0}", 0), ("a", 1), ("}{", 0), ("{1[0]}", 0)],
+    ],
+)
+def test_augment_listing_with_few_or_braced_grading_0_generators(tmp_path, generators):
+    # No grading-0 generator leaves "aug 0:" with no trailing space; braces in
+    # a name are printed as they are.
+    names = [name for name, grading in generators if grading == 0]
+    want = [f"augmentations: {2 ** len(names)}"] + [
+        f"aug {i}: {' '.join(f'{n}={v}' for n, v in zip(names, bits))}".rstrip()
+        for i, bits in enumerate(product((0, 1), repeat=len(names)))
+    ]
+    code, out, err = run("augment", knot_file_of(tmp_path, generators))
+    assert (code, err) == (0, "")
+    assert out == "\n".join(want) + "\n"
 
 
 def test_linearize():
