@@ -11,14 +11,12 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 Word = tuple[int, ...]
 
-# Error codes, shared with the file parser, which reports them as they are.
+# Codes raised here or in persist; fileio defines those that only its parsers raise.
 BAD_SCHEMA = "BAD_SCHEMA"
-UNKNOWN_GENERATOR = "UNKNOWN_GENERATOR"
-DUPLICATE_NAME = "DUPLICATE_NAME"
 BAD_HEIGHT = "BAD_HEIGHT"
 GRADING_VIOLATION = "GRADING_VIOLATION"
 D_SQUARED_NONZERO = "D_SQUARED_NONZERO"
@@ -56,56 +54,18 @@ class Element:
     def __bool__(self) -> bool:
         return bool(self.words)
 
-    def __add__(self, other: "Element") -> "Element":
-        return Element(self.words.symmetric_difference(other.words))
-
 
 @dataclass(frozen=True)
 class DGA:
     """Generators with gradings plus a differential, both indexed by generator id.
 
-    Unchecked: ``from_data`` is where names and letters are checked, so code
-    that builds a DGA directly keeps ids 0..n-1 in order, names distinct and
-    every letter a generator id.
+    A plain record, unchecked: ``parse_knot_file`` resolves and checks names
+    and letters, so code that builds a DGA directly keeps ids 0..n-1 in order,
+    names distinct and every letter a generator id.
     """
 
     generators: tuple[Generator, ...]
     differential: tuple[Element, ...]
-
-    @classmethod
-    def from_data(
-        cls,
-        generators: Sequence[tuple[str, int]],
-        differential: Mapping[str, Sequence[Sequence[str]]],
-    ) -> "DGA":
-        """Build from (name, grading) pairs and name-level differential words."""
-        gens = tuple(
-            Generator(i, name, grading) for i, (name, grading) in enumerate(generators)
-        )
-        # a duplicate name is reported before any fault in the differential
-        index: dict[str, int] = {}
-        for g in gens:
-            if g.name in index:
-                raise StructureError(f"generator name {g.name!r} appears twice", DUPLICATE_NAME)
-            index[g.name] = g.gid
-        for name in differential:
-            if name not in index:
-                raise StructureError(
-                    f"differential key {name!r} is not a generator", UNKNOWN_GENERATOR
-                )
-        for g in gens:
-            if g.name not in differential:
-                raise StructureError(f"missing differential for generator {g.name!r}")
-        cols = {}
-        for name, words in differential.items():
-            try:
-                cols[name] = Element(map(index.__getitem__, w) for w in words)
-            except KeyError as exc:
-                raise StructureError(
-                    f"differential[{name!r}] uses unknown generator {exc.args[0]!r}",
-                    UNKNOWN_GENERATOR,
-                ) from None
-        return cls(gens, tuple(cols[g.name] for g in gens))
 
     def __len__(self) -> int:
         return len(self.generators)

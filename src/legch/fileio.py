@@ -13,11 +13,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
-from .algebra import BAD_HEIGHT, BAD_SCHEMA, UNKNOWN_GENERATOR  # also the parser's codes
-from .algebra import DGA, HeightAssignment, StructureError, _scaled, validate_dga
+from .algebra import BAD_HEIGHT, BAD_SCHEMA  # also the parser's codes
+from .algebra import DGA, Element, Generator, HeightAssignment, StructureError, _scaled, validate_dga
 from .diagram import LagrangianDiagramData
 from .persist import Bar, Barcode
 
+UNKNOWN_GENERATOR = "UNKNOWN_GENERATOR"
+DUPLICATE_NAME = "DUPLICATE_NAME"
 UNREADABLE_FILE = "UNREADABLE_FILE"
 MALFORMED_JSON = "MALFORMED_JSON"
 BAD_PATCH = "BAD_PATCH"
@@ -170,13 +172,32 @@ def parse_knot_file(data: bytes | str) -> KnotData:
             raise StructureError(f"differential[{name!r}] must be an array of words", BAD_SCHEMA)
         if not ({list}.issuperset(map(type, words)) and {str}.issuperset(map(type, chain.from_iterable(words)))):
             raise StructureError(f"differential[{name!r}] words must be arrays of generator names", BAD_SCHEMA)
-    dga = DGA.from_data(gens, raw_diff)
+    # One name index resolves the letters here and the patch corners and height keys below.
+    index: dict[str, int] = {}
+    for gid, (name, _) in enumerate(gens):
+        if name in index:
+            raise StructureError(f"generator name {name!r} appears twice", DUPLICATE_NAME)
+        index[name] = gid
+    for name in raw_diff:
+        if name not in index:
+            raise StructureError(f"differential key {name!r} is not a generator", UNKNOWN_GENERATOR)
+    for name in index:
+        if name not in raw_diff:
+            raise StructureError(f"missing differential for generator {name!r}", BAD_SCHEMA)
+    cols = {}
+    for name, words in raw_diff.items():
+        try:
+            cols[name] = Element(map(index.__getitem__, w) for w in words)
+        except KeyError as exc:
+            raise StructureError(
+                f"differential[{name!r}] uses unknown generator {exc.args[0]!r}", UNKNOWN_GENERATOR
+            ) from None
+    dga = DGA(tuple(Generator(gid, *g) for gid, g in enumerate(gens)), tuple(cols[name] for name in index))
     validate_dga(dga)
 
     raw_patches = doc["patches"]
     if type(raw_patches) is not list:
         raise StructureError("'patches' must be an array", BAD_SCHEMA)
-    index = {name: gid for gid, (name, _) in enumerate(gens)}
     patches = []
     for i, corners in enumerate(raw_patches):
         if type(corners) is not list:

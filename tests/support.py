@@ -69,6 +69,14 @@ def corpus_argv(command: list[str]) -> list[str]:
     return [command[0], str(corpus.corpus_path(command[1])), *command[2:]]
 
 
+def dga_of(generators, differential) -> DGA:
+    """A DGA from (name, grading) pairs and each name's words as lists of names,
+    unchecked: names must be distinct and every key and letter a generator."""
+    index = {name: gid for gid, (name, _) in enumerate(generators)}
+    gens = tuple(Generator(gid, *g) for gid, g in enumerate(generators))
+    return DGA(gens, tuple(Element(map(index.__getitem__, w) for w in differential[g.name]) for g in gens))
+
+
 def gid_of(dga: DGA, name: str) -> int:
     """The id of the generator called ``name``, by a linear scan."""
     return next(g.gid for g in dga.generators if g.name == name)
@@ -160,6 +168,10 @@ def validate_heights(h: HeightAssignment, forms) -> tuple[int, ...]:
 # words: gradings, heights and products
 
 ONE = Element([()])
+
+
+def plus(a: Element, b: Element) -> Element:
+    return Element(a.words ^ b.words)
 
 
 def times(a: Element, b: Element) -> Element:
@@ -309,7 +321,7 @@ def torus_2n_knot(n: int) -> dict:
 
 def torus_2n_dga(n: int) -> DGA:
     knot = torus_2n_knot(n)
-    return DGA.from_data([(g["name"], g["grading"]) for g in knot["generators"]], knot["differential"])
+    return dga_of([(g["name"], g["grading"]) for g in knot["generators"]], knot["differential"])
 
 
 def torus_2n_count(n: int) -> int:
@@ -349,7 +361,7 @@ def apply_differential_per_letter(elem: Element, dga: DGA) -> Element:
     for word in elem.words:
         for i, letter in enumerate(word):
             prefix, suffix = word[:i], word[i + 1 :]
-            out = out + Element(prefix + dw + suffix for dw in dga.differential[letter].words)
+            out = plus(out, Element(prefix + dw + suffix for dw in dga.differential[letter].words))
     return out
 
 
@@ -431,7 +443,7 @@ def conjugate(dga: DGA, target: int, addend: Element) -> DGA:
     cols = []
     for g, col in zip(dga.generators, dga.differential):
         if g.gid == target:  # d(phi(q)) = d(q) + d(addend)
-            col = col + apply_differential(addend, dga)
+            col = plus(col, apply_differential(addend, dga))
         cols.append(substitute(col, image))
     return DGA(dga.generators, tuple(cols))
 

@@ -1,3 +1,4 @@
+import json
 import math
 from random import Random
 
@@ -18,15 +19,18 @@ from legch.algebra import (
     format_word,
     validate_dga,
 )
+from legch.fileio import parse_knot_file
 
 from support import (
     ONE,
     apply_differential_per_letter,
     dga_from_complex,
+    dga_of,
     gid_of,
     height_of_element,
     load_corpus,
     planted_complex,
+    plus,
     times,
     torus_2n_dga,
     validate_dga_per_letter,
@@ -73,7 +77,7 @@ def test_height_of_product_word():
 
 def test_height_of_sum_is_max():
     h = HeightAssignment((1, 1))
-    elem = Element([(0,)]) + Element([(1,)])
+    elem = plus(Element([(0,)]), Element([(1,)]))
     assert height_of_element(elem, h) == 1
 
 
@@ -98,7 +102,7 @@ def test_height_multiplicative_on_words(w1, w2):
 def test_height_of_sum_bounded_by_max(w1, w2):
     h = TREFOIL_H
     a, b = Element([w1]), Element([w2])
-    lhs = height_of_element(a + b, h)
+    lhs = height_of_element(plus(a, b), h)
     bound = max(height_of_element(a, h), height_of_element(b, h))
     assert lhs <= bound
     if w1 != w2:
@@ -112,22 +116,22 @@ elements = st.lists(words, min_size=0, max_size=5).map(Element)
 
 @given(elements)
 def test_element_self_inverse(a):
-    assert a + a == Element()
+    assert plus(a, a) == Element()
 
 
 @given(elements, elements)
 def test_element_addition_commutes(a, b):
-    assert a + b == b + a
+    assert plus(a, b) == plus(b, a)
 
 
 @given(elements, elements, elements)
 def test_element_addition_associates(a, b, c):
-    assert (a + b) + c == a + (b + c)
+    assert plus(plus(a, b), c) == plus(a, plus(b, c))
 
 
 @given(elements, elements, elements)
 def test_multiplication_distributes(a, b, c):
-    assert times(a + b, c) == times(a, c) + times(b, c)
+    assert times(plus(a, b), c) == plus(times(a, c), times(b, c))
 
 
 @given(elements)
@@ -182,7 +186,7 @@ def test_leibniz_rule_on_products():
     b = Element([(gid("q2"),)])
     da = apply_differential(a, TREFOIL)
     db = apply_differential(b, TREFOIL)
-    assert apply_differential(times(a, b), TREFOIL) == times(da, b) + times(a, db)
+    assert apply_differential(times(a, b), TREFOIL) == plus(times(da, b), times(a, db))
 
 
 # --- validation -----------------------------------------------------------
@@ -195,19 +199,19 @@ def test_corpus_dgas_are_valid():
 def test_constant_differential_variant_is_valid():
     # A single grading-1 generator with d(q) = 1 passes both checks even though
     # it admits no augmentation.
-    dga = DGA.from_data([("q", 1)], {"q": [[]]})
+    dga = dga_of([("q", 1)], {"q": [[]]})
     validate_dga(dga)
 
 
 def test_grading_violation_reported():
-    dga = DGA.from_data([("q", 1)], {"q": [["q"]]})
+    dga = dga_of([("q", 1)], {"q": [["q"]]})
     with pytest.raises(StructureError) as info:
         validate_dga(dga)
     assert info.value.code == GRADING_VIOLATION
 
 
 def test_d_squared_violation_reported():
-    dga = DGA.from_data(
+    dga = dga_of(
         [("a", 2), ("b", 1), ("c", 0)],
         {"a": [["b"]], "b": [["c"]], "c": []},
     )
@@ -219,7 +223,7 @@ def test_d_squared_violation_reported():
 
 def test_every_grading_is_checked_before_any_d_squared():
     # d(d(a)) = c is nonzero, but x, a later generator, breaks the grading.
-    dga = DGA.from_data(
+    dga = dga_of(
         [("a", 2), ("b", 1), ("c", 0), ("x", 1)],
         {"a": [["b"]], "b": [["c"]], "c": [], "x": [["x"]]},
     )
@@ -232,7 +236,7 @@ def test_every_grading_is_checked_before_any_d_squared():
 def test_the_first_bad_word_of_the_first_bad_column_is_named():
     # d(a) holds two bad words, xx and by; c, a later generator, holds a third.
     # The message names the word the column's own iteration reaches first.
-    dga = DGA.from_data(
+    dga = dga_of(
         [("a", 2), ("b", 1), ("x", 0), ("y", 3), ("c", 1)],
         {"a": [["b"], ["x", "x"], ["b", "y"]], "b": [], "x": [], "y": [], "c": [["y"]]},
     )
@@ -272,7 +276,7 @@ def test_planted_complex_validates_and_a_toggled_word_fails_as_before():
     )
     for word, code in [((p.gid,), D_SQUARED_NONZERO), ((g.gid,), GRADING_VIOLATION)]:
         cols = list(dga.differential)
-        cols[g.gid] = cols[g.gid] + Element([word])
+        cols[g.gid] = plus(cols[g.gid], Element([word]))
         toggled = DGA(dga.generators, tuple(cols))
         assert outcome(validate_dga, toggled)[0] == code
         assert outcome(validate_dga, toggled) == outcome(validate_dga_per_letter, toggled)
@@ -305,7 +309,7 @@ def dgas_with_an_element(draw):
         x = Generator(n, f"g{n}", sum(gradings[g] for g in u))
         gens += [x, Generator(n + 1, f"g{n + 1}", x.grading + 1)]
         cols += [apply_differential_per_letter(Element([u]), DGA(tuple(gens[:n]), tuple(cols))), Element([(n,), u])]
-        elem = elem + cols[-1]
+        elem = plus(elem, cols[-1])
     return DGA(tuple(gens), tuple(cols)), elem
 
 
@@ -331,16 +335,21 @@ def test_a_column_cancels_a_longer_words_expansion():
 
 
 def test_dga_structure_checks():
-    with pytest.raises(StructureError):
-        DGA.from_data([("a", 0), ("a", 1)], {"a": []})
-    with pytest.raises(StructureError):
-        DGA.from_data([("a", 0)], {})
-    with pytest.raises(StructureError):
-        DGA.from_data([("a", 0)], {"a": [["zz"]]})
+    """Names and letters are checked where a DGA enters, in the knot-file parser."""
+    for generators, differential, message in [
+        ([("a", 0), ("a", 1)], {"a": []}, "[DUPLICATE_NAME] generator name 'a' appears twice"),
+        ([("a", 0)], {}, "[BAD_SCHEMA] missing differential for generator 'a'"),
+        ([("a", 0)], {"a": [["zz"]]}, "[UNKNOWN_GENERATOR] differential['a'] uses unknown generator 'zz'"),
+    ]:
+        gens = [{"name": name, "grading": k} for name, k in generators]
+        doc = {"generators": gens, "differential": differential, "patches": []}
+        with pytest.raises(StructureError) as info:
+            parse_knot_file(json.dumps(doc))
+        assert f"[{info.value.code}] {info.value}" == message
 
 
 def test_format_element():
-    e = Element([(gid("q3"),)]) + Element([(gid("q5"),)])
+    e = plus(Element([(gid("q3"),)]), Element([(gid("q5"),)]))
     assert format_element(e, TREFOIL) == "q3 + q5"
     assert format_element(Element(), TREFOIL) == "0"
     assert format_element(ONE, TREFOIL) == "1"

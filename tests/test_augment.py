@@ -20,6 +20,7 @@ from support import (
     check_chain_complex,
     compiled_words_by_counting,
     dga_from_complex,
+    dga_of,
     enumerate_augmentations_brute,
     evaluate,
     gid_of,
@@ -102,7 +103,7 @@ def random_dgas(draw):
     word = st.one_of(st.just([]), words, words, words)
     column = st.one_of(st.just([]), st.just([]), st.lists(word, min_size=1, max_size=4))
     differential = {name: draw(column) for name in names}
-    return DGA.from_data(gens, differential)
+    return dga_of(gens, differential)
 
 
 @settings(max_examples=100, deadline=None)
@@ -236,13 +237,13 @@ def test_torus_3_is_the_corpus_trefoil():
 
 
 def test_constant_differential_admits_no_augmentation():
-    dga = DGA.from_data([("q", 1)], {"q": [[]]})
+    dga = dga_of([("q", 1)], {"q": [[]]})
     assert enumerate_augmentations(dga) == []
 
 
 def test_enumeration_bound_guard():
     n = 25
-    dga = DGA.from_data(
+    dga = dga_of(
         [(f"g{i}", 0) for i in range(n)], {f"g{i}": [] for i in range(n)}
     )
     with pytest.raises(StructureError, match=str(MAX_SEARCH_NODES)) as exc:
@@ -255,7 +256,7 @@ def test_search_bound_counts_partial_assignments(monkeypatch):
     monkeypatch.setattr(augment, "MAX_SEARCH_NODES", 2**6 - 1)
 
     def free(k):
-        return DGA.from_data([(f"g{i}", 0) for i in range(k)], {f"g{i}": [] for i in range(k)})
+        return dga_of([(f"g{i}", 0) for i in range(k)], {f"g{i}": [] for i in range(k)})
 
     assert len(enumerate_augmentations(free(5))) == 2**5
     with pytest.raises(ValueError, match="bound of 63 search nodes"):
@@ -321,7 +322,7 @@ def test_values_other_than_zero_and_one_are_reported():
 
 def test_word_of_two_graded_letters_counts_only_in_the_fault_message():
     # ab has two grading-1 letters: no augmentation sees it, but a=b=1 does.
-    dga = DGA.from_data(
+    dga = dga_of(
         [("a", 1), ("b", 1), ("c", 0), ("w", 2), ("z", 3)],
         {"a": [], "b": [], "c": [], "w": [], "z": [["a", "b"], ["w"]]},
     )
@@ -395,7 +396,7 @@ def test_invalid_augmentation_rejected():
 def test_zero_augmentation_gives_naive_truncation():
     # Without constant terms the zero augmentation linearizes to the plain
     # length-1 part of each differential.
-    dga = DGA.from_data(
+    dga = dga_of(
         [("q1", 1), ("q2", 1), ("q3", 0), ("q4", 0), ("q5", 0)],
         {
             "q1": [["q5"], ["q5", "q4", "q3"], ["q3"]],

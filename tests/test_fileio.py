@@ -11,11 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from legch import corpus
-from legch.algebra import D_SQUARED_NONZERO, DUPLICATE_NAME, GRADING_VIOLATION, StructureError
+from legch.algebra import D_SQUARED_NONZERO, GRADING_VIOLATION, StructureError
 from legch.cli import cli_dispatch
 from legch.fileio import (
     BAD_HEIGHT,
     BAD_SCHEMA,
+    DUPLICATE_NAME,
     INVALID_BAR,
     MALFORMED_JSON,
     UNKNOWN_GENERATOR,
@@ -410,6 +411,52 @@ def test_the_first_of_two_faults_is_reported(tmp_path, doc, stderr):
     out, err = io.StringIO(), io.StringIO()
     assert cli_dispatch(["validate", str(knot)], stdout=out, stderr=err) == 1
     assert (out.getvalue(), err.getvalue()) == ("", f"error: {stderr}\n")
+
+
+@pytest.mark.parametrize(
+    "generators, differential, message",
+    [
+        (
+            [{"name": "q"}],
+            {"q": 5},
+            "[BAD_SCHEMA] generators[0] must be an object with keys 'name' and 'grading'",
+        ),
+        (
+            _gens("q", "q"),
+            {"q": [[1]]},
+            "[BAD_SCHEMA] differential['q'] words must be arrays of generator names",
+        ),
+        (_gens("q", "q"), {"zz": [], "q": []}, "[DUPLICATE_NAME] generator name 'q' appears twice"),
+        (_gens("q", "p"), {"q": [], "zz": []}, "[UNKNOWN_GENERATOR] differential key 'zz' is not a generator"),
+        (_gens("q", "p"), {"q": [["zz"]]}, "[BAD_SCHEMA] missing differential for generator 'p'"),
+        (
+            _gens("a", "b"),
+            {"b": [["yy"]], "a": [["zz"]]},
+            "[UNKNOWN_GENERATOR] differential['b'] uses unknown generator 'yy'",
+        ),
+        (
+            _gens("q", "p"),
+            {"q": [["q"]], "p": [["zz"]]},
+            "[UNKNOWN_GENERATOR] differential['p'] uses unknown generator 'zz'",
+        ),
+    ],
+    ids=[
+        "generator_shape_before_differential_shape",
+        "differential_shape_before_duplicate_name",
+        "duplicate_name_before_unknown_key",
+        "unknown_key_before_missing_differential",
+        "missing_differential_before_unknown_letter",
+        "unknown_letters_in_file_key_order",
+        "unknown_letter_before_grading_violation",
+    ],
+)
+def test_name_checks_keep_their_order(generators, differential, message):
+    """Each file holds two faults, one for each pair of adjacent checks on the
+    generators and the differential; the parser reports the earlier check's."""
+    doc = {"generators": generators, "differential": differential, "patches": []}
+    with pytest.raises(StructureError) as exc:
+        parse_knot_file(json.dumps(doc))
+    assert f"[{exc.value.code}] {exc.value}" == message
 
 
 def test_trefoil_rii_file_matches_builder():

@@ -315,3 +315,14 @@ def test_moving_torus_heights_moves_every_barcode_at_most_as_far():
         for eps in enumerate_augmentations(dga):
             fc = build_filtered_complex(linearized_differential(dga, eps), heights)
             _check_stability(fc, rng, Fraction(2, 5))
+
+
+def test_moving_corpus_heights_moves_every_barcode_at_most_as_far():
+    # The smallest gap between a column and an entry is 3/10, in trefoil_rii, so
+    # moves of at most 1/10 keep the file heights valid; island has no heights.
+    rng = Random(0)
+    for name in ("unknot", "trefoil", "trefoil_rii"):
+        kd = load_corpus(name)
+        for eps in enumerate_augmentations(kd.dga):
+            fc = build_filtered_complex(linearized_differential(kd.dga, eps), kd.heights)
+            _check_stability(fc, rng, Fraction(1, 10))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from legch.algebra import BAD_HEIGHT, DGA, Generator, HeightAssignment, StructureError
+from legch.algebra import BAD_HEIGHT, Generator, HeightAssignment, StructureError
 from legch.augment import Augmentation, enumerate_augmentations, linearized_differential
 from legch.persist import (
     FilteredComplex,
@@ -16,6 +16,7 @@ from legch.persist import (
 )
 
 from support import (
+    dga_of,
     flood_heights,
     gf2_rank,
     homology_rank_oracle,
@@ -64,7 +65,7 @@ def test_equal_heights_rejected_naming_the_pair():
 
 def test_first_height_fault_in_generator_order_is_named():
     # q sits lowest, so a scan in height order would name d(q) first.
-    dga = DGA.from_data([("a", 0), ("b", 0), ("p", 1), ("q", 1)], {"a": [], "b": [], "p": [["a"]], "q": [["b"]]})
+    dga = dga_of([("a", 0), ("b", 0), ("p", 1), ("q", 1)], {"a": [], "b": [], "p": [["a"]], "q": [["b"]]})
     heights = HeightAssignment((5, 5, 2, 1))
     with pytest.raises(StructureError, match="^generator a appears in d\\(p\\) but") as exc:
         compute_barcode(build_filtered_complex(linearized_differential(dga, Augmentation((0,) * 4)), heights))

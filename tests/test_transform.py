@@ -22,6 +22,7 @@ from support import (
     check_chain_complex,
     conjugate,
     dga_from_complex,
+    dga_of,
     flood_heights,
     gid_of,
     height_of_element,
@@ -164,7 +165,7 @@ def test_zero_addend_is_semimonotonic():
 
 
 # d(x) = a + bc, with x above a above b and c.
-CONJ = DGA.from_data(
+CONJ = dga_of(
     [("x", 1), ("a", 0), ("b", 0), ("c", 0)],
     {"x": [["a"], ["b", "c"]], "a": [], "b": [], "c": []},
 )
