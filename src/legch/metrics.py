@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
 
 from .algebra import DGA, _scaled
 from .persist import Barcode
@@ -57,20 +56,18 @@ def check_strong_morse(dga: DGA, b: Barcode) -> StrongMorseReport:
     return StrongMorseReport(mc, pc, r, lhs == rhs)
 
 
-def _covers(must, costs, delta: int, size: int) -> bool:
-    """Whether one matching of cost at most ``delta`` matches every bar in
-    ``must`` to one of ``size`` partners.
+def _covers(edges: list[list[int]], size: int) -> bool:
+    """Whether one matching matches every bar to one of its partners:
+    ``edges[u]`` lists bar u's partners among ``size``.
 
     Hopcroft-Karp: each phase layers the bars by breadth-first search from the
     unmatched ones, then augments along disjoint layered paths, found depth
-    first on an explicit stack, so no recursion limit applies.  A bar's edges
-    are the partners its cost row reaches within ``delta``.
+    first on an explicit stack, so no recursion limit applies.
     """
-    edges = {u: list(compress(range(size), map(delta.__ge__, costs[u]))) for u in must}
-    mate = dict.fromkeys(must, -1)
+    mate = [-1] * len(edges)
     owner = [-1] * size
     while True:
-        free = [u for u in must if mate[u] < 0]
+        free = [u for u, v in enumerate(mate) if v < 0]
         if not free:
             return True
         layer = dict.fromkeys(free, 0)
@@ -83,7 +80,7 @@ def _covers(must, costs, delta: int, size: int) -> bool:
                 elif w not in layer:
                     layer[w] = layer[u] + 1
                     queue.append(w)
-        if not reached:  # no augmenting path left: some bar of must stays unmatched
+        if not reached:  # no augmenting path left: some bar stays unmatched
             return False
         scans = {u: iter(edges[u]) for u in layer}  # shared: each edge is tried once a phase
         for root in free:
@@ -107,46 +104,118 @@ def _covers(must, costs, delta: int, size: int) -> bool:
                 lefts.append(w)
 
 
+def _by_x(pts: list[tuple[int, int]]):
+    """The columns x = u - v, y = u + v and v of the points (u, v), sorted by x."""
+    return tuple(zip(*sorted((u - v, u + v, v) for u, v in pts)))
+
+
+def _lower_bound(side1, side2) -> int:
+    """The threshold bound (Garfinkel 1971): the largest over all bars of the
+    smaller of v and the cheapest edge to the other side.
+
+    Each bar scans the other side outward from its own place in x-order, and
+    a direction stops once |dx| reaches the cheapest cost found so far."""
+    lower = 0
+    for (xs, ys, vs), (oxs, oys, _) in ((side1, side2), (side2, side1)):
+        for x, y, best in zip(xs, ys, vs):
+            if best <= lower:
+                continue
+            i = bisect_left(oxs, x)
+            for scan in (range(i, len(oxs)), range(i - 1, -1, -1)):
+                for j in scan:
+                    dx = abs(oxs[j] - x)
+                    if dx >= best:
+                        break
+                    best = min(best, max(dx, abs(oys[j] - y)))
+            lower = max(lower, best)
+    return lower
+
+
+def _edges(side, other, delta: int) -> list[list[int]]:
+    """The partners within ``delta`` of each bar of ``side`` that costs more
+    than ``delta`` to delete: the points of ``other`` in the box |dx|, |dy| <=
+    delta, an x-window found by bisection, filtered by y."""
+    oxs, oys, _ = other
+    return [
+        [j for j in range(bisect_left(oxs, x - delta), bisect_right(oxs, x + delta)) if abs(oys[j] - y) <= delta]
+        for x, y, v in zip(*side)
+        if v > delta
+    ]
+
+
+def _candidate_runs(lo: int, hi: int, deletes, rows):
+    """The candidate costs strictly between ``lo`` and ``hi``, as runs
+    ``(seq, base, sign, start, stop)`` that hold the values sign * (seq[j] -
+    base) for j in range(start, stop), sorted one way or the other.
+
+    ``deletes`` is the sorted deletion costs, and each ``(coords, seq)`` of
+    ``rows`` gives the differences |c - s| of one coordinate, for c in
+    ``coords`` and s in the sorted ``seq``: per c, one run above c and one
+    below, each found by bisection."""
+    runs = [(deletes, 0, 1, bisect_right(deletes, lo), bisect_left(deletes, hi))]
+    for coords, seq in rows:
+        for c in coords:
+            runs.append((seq, c, 1, bisect_right(seq, c + lo), bisect_left(seq, c + hi)))
+            runs.append((seq, c, -1, bisect_right(seq, c - hi), bisect_left(seq, c - lo)))
+    return [run for run in runs if run[3] < run[4]]
+
+
+def _weighted_median(runs) -> int:
+    """The median of the runs' middle values, each weighted by its run's
+    length: at least a quarter of all values lie on each side of it."""
+    middles = sorted((sign * (seq[(start + stop) // 2] - base), stop - start) for seq, base, sign, start, stop in runs)
+    total, seen = sum(w for _, w in middles), 0
+    for value, w in middles:
+        seen += w
+        if 2 * seen >= total:
+            return value
+
+
 def _finite_distance(pts1: list[tuple[int, int]], pts2: list[tuple[int, int]]) -> int:
     """Twice the bottleneck distance of finite bars, each matched or deleted,
     given as the points (u, v) = (d + b, d - b) of their integer ends [b, d).
 
-    Deleting a bar costs v, and matching it to another costs |u - u'| + |v - v'|:
-    twice the larger endpoint displacement, since max(|x|, |y|) =
-    (|x + y| + |x - y|) / 2.
+    Deleting a bar costs v, and matching it to another costs |u - u'| + |v - v'|
+    = max(|x - x'|, |y - y'|) for x = u - v = 2b and y = u + v = 2d: twice the
+    larger endpoint displacement.  So a bar's edges at a cost delta are the
+    bars of the other side in an axis-aligned box around it.
 
     A cost delta is feasible exactly when the bars whose deletion costs more
     than delta can all be matched at cost at most delta.  By Mendelsohn-Dulmage
     that holds exactly when the bars of each side can be so matched on their
     own.
 
-    Every bar is deleted or matched, so no delta is feasible below ``lower``,
-    the largest over all bars of the smaller of v and the cheapest edge, and
-    deleting every bar makes ``upper``, the largest v, feasible.  ``lower`` is
-    a cost, and the answer when bars move to their own images, so it is tried
-    first; otherwise the distinct costs in (lower, upper] are bisected.
+    No delta below ``lower``, the threshold bound, is feasible, and deleting
+    every bar makes ``upper``, the largest v, feasible.  ``lower`` is a cost,
+    and the answer when bars move to their own images, so it is tried first.
+    Otherwise the answer is one of the deletion costs and coordinate gaps
+    |x - x'| and |y - y'| in (lower, upper].  Counted by bisection, never
+    listed, they are narrowed at their weighted median of medians until at
+    most 8 per bar remain; those are listed and bisected.
     """
-    deletes1 = [v for _, v in pts1]
-    deletes2 = [v for _, v in pts2]
-    upper = max(deletes1 + deletes2, default=0)
+    deletes = sorted(v for _, v in pts1 + pts2)
+    upper = deletes[-1] if deletes else 0
     if not pts1 or not pts2:
         return upper
-    costs1 = [[abs(u1 - u2) + abs(v1 - v2) for u2, v2 in pts2] for u1, v1 in pts1]
-    costs2 = list(zip(*costs1))
-    sides = ((deletes1, costs1, len(pts2)), (deletes2, costs2, len(pts1)))
+    side1, side2 = _by_x(pts1), _by_x(pts2)
 
     def feasible(delta: int) -> bool:
-        return all(
-            _covers([u for u, d in enumerate(deletes) if d > delta], costs, delta, size)
-            for deletes, costs, size in sides
-        )
+        return _covers(_edges(side1, side2, delta), len(pts2)) and _covers(_edges(side2, side1, delta), len(pts1))
 
-    lower = max(map(min, deletes1 + deletes2, map(min, costs1 + costs2)))
+    lower = _lower_bound(side1, side2)
     if lower == upper or feasible(lower):
         return lower
-    candidates = sorted(set().union(deletes1, deletes2, *costs1))
-    candidates = candidates[bisect_right(candidates, lower) : bisect_right(candidates, upper)]
-    # The largest candidate, upper, is feasible.
+    rows = ((side1[0], side2[0]), (side1[1], sorted(side2[1])))
+    runs = _candidate_runs(lower, upper, deletes, rows)
+    while sum(run[4] - run[3] for run in runs) > 8 * len(deletes):
+        pivot = _weighted_median(runs)
+        if feasible(pivot):
+            upper = pivot
+        else:
+            lower = pivot
+        runs = _candidate_runs(lower, upper, deletes, rows)
+    candidates = sorted({sign * (seq[j] - base) for seq, base, sign, start, stop in runs for j in range(start, stop)})
+    candidates.append(upper)  # feasible
     lo, hi = 0, len(candidates) - 1
     while lo < hi:
         mid = (lo + hi) // 2

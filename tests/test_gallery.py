@@ -5,6 +5,10 @@ generous wall bound, and its stdout and stderr stay within a byte bound."""
 import io
 import json
 import time
+import tracemalloc
+from random import Random
+
+import pytest
 
 from legch.cli import cli_dispatch
 
@@ -62,3 +66,42 @@ def test_flood_of_a_blocked_1000_crossing_chain(tmp_path):
     assert lines[0] == "T1: x999"
     assert lines[998] == "T999: x1"
     assert out.endswith("\nunassigned: x0\n")
+
+
+def random_pair(tmp_path, n: int) -> list[str]:
+    """Two files of ``n`` finite bars in degree 0, from ``Random(1)`` and
+    ``Random(2)``: births k/4 with 0 <= k <= 8n and lengths j/4 with
+    1 <= j <= 400, so the density of bars along the line is the same at
+    every n.  Their distance is above the threshold bound, so it is found by
+    bisection over candidate costs."""
+    paths = []
+    for seed in (1, 2):
+        rng = Random(seed)
+        bars = []
+        for _ in range(n):
+            k, j = rng.randint(0, 8 * n), rng.randint(1, 400)
+            bars.append({"degree": 0, "birth": k / 4, "death": (k + j) / 4})
+        path = tmp_path / f"bars{seed}.json"
+        path.write_text(json.dumps({"bars": bars}))
+        paths.append(str(path))
+    return paths
+
+
+def test_distance_of_a_10000_bar_random_pair(tmp_path):
+    # A cost table would hold 10^8 entries.
+    code, out, err = run_bounded(["distance", *random_pair(tmp_path, 10_000)], 16, 0)
+    assert (code, out) == (0, "32.25\n")
+
+
+@pytest.mark.parametrize("n, distance", [(250, "25.25"), (1000, "36.625")])
+def test_distance_memory_grows_linearly_in_bars(tmp_path, n, distance):
+    # The same bound per bar at both sizes: a table of n^2 costs breaks it.
+    paths = random_pair(tmp_path, n)
+    tracemalloc.start()
+    try:
+        code, out, err = run_bounded(["distance", *paths], 16, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (0, distance + "\n")
+    assert peak < 4096 * n

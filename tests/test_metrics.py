@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from legch import metrics
 from legch.algebra import DGA, HeightAssignment
 from legch.augment import enumerate_augmentations, linearized_differential
 from legch.metrics import LaurentPolynomial, check_strong_morse, interleaving_distance
@@ -269,6 +270,150 @@ def test_planted_shift_pairs_are_exactly_delta(n, delta):
     assert interleaving_distance(b2, b1) == delta
 
 
+# --- the distance's branches: the bound, a direct listing, counting rounds ------
+# _finite_distance returns the threshold bound L when it is feasible; otherwise
+# it lists the candidate costs above L at once when at most 8 per bar remain,
+# and first narrows them by counting rounds when more do.
+
+
+@pytest.fixture
+def probe(monkeypatch):
+    """The bounds L that ``_finite_distance`` computes and one entry per
+    candidate count it makes, recorded as it runs."""
+    bounds, counts = [], []
+    lower_bound, candidate_runs = metrics._lower_bound, metrics._candidate_runs
+
+    def bound(*args):
+        bounds.append(lower_bound(*args))
+        return bounds[-1]
+
+    def runs(*args):
+        counts.append(args[:2])
+        return candidate_runs(*args)
+
+    monkeypatch.setattr(metrics, "_lower_bound", bound)
+    monkeypatch.setattr(metrics, "_candidate_runs", runs)
+    return bounds, counts
+
+
+def _probed_distance(probe, b1: Barcode, b2: Barcode):
+    """The distance of two barcodes of finite bars in one degree, both sides
+    nonempty; L as a distance; and the branch that decided it."""
+    bounds, counts = probe
+    bounds.clear()
+    counts.clear()
+    d = interleaving_distance(b1, b2)
+    (bound,) = bounds
+    branch = ("bound", "listed")[len(counts)] if len(counts) < 2 else "counted"
+    return d, Fraction(bound, 2 * math.lcm(b1.scale, b2.scale)), branch
+
+
+def _clustered_barcode(rng: Random, n: int, births: list[Fraction], longest: int) -> Barcode:
+    """``n`` finite bars in degree 0 born at a few shared places, so that
+    many bars compete for the same partners and the bound L often fails."""
+    bars = []
+    for _ in range(n):
+        birth = rng.choice(births)
+        bars.append(Bar(0, birth, birth + Fraction(rng.randint(1, longest), rng.choice((1, 2, 4)))))
+    return Barcode(tuple(bars))
+
+
+def test_clustered_pairs_match_the_matcher_on_every_branch(probe):
+    # Up to 150 bars a pair; the larger pairs hold more than 8 candidates per
+    # bar above L, so they count before they list.
+    branches = set()
+    for seed in range(24):
+        rng = Random(seed)
+        births = [Fraction(rng.randint(0, 40), 4) for _ in range(rng.randint(1, 5))]
+        longest = rng.choice((4, 12, 30))
+        n1, n2 = (rng.randint(2, 100), rng.randint(2, 50)) if seed % 4 == 0 else (rng.randint(2, 40), rng.randint(2, 40))
+        b1, b2 = _clustered_barcode(rng, n1, births, longest), _clustered_barcode(rng, n2, births, longest)
+        d, bound, branch = _probed_distance(probe, b1, b2)
+        assert d == kuhn_distance(b1, b2)
+        assert bound == threshold_bound(b1, b2)
+        assert interleaving_distance(b2, b1) == d
+        branches.add(branch)
+    assert branches == {"bound", "listed", "counted"}
+
+
+def test_small_clustered_pairs_match_exhaustive_matching(probe):
+    branches = set()
+    for seed in range(150):
+        rng = Random(seed)
+        births = [Fraction(rng.randint(0, 8), 2) for _ in range(rng.randint(1, 3))]
+        b1 = _clustered_barcode(rng, rng.randint(1, 6), births, rng.choice((2, 6)))
+        b2 = _clustered_barcode(rng, rng.randint(1, 6), births, rng.choice((2, 6)))
+        d, bound, branch = _probed_distance(probe, b1, b2)
+        assert d == brute_force_distance(b1, b2)
+        assert bound == threshold_bound(b1, b2)
+        branches.add(branch)
+    assert {"bound", "listed"} <= branches
+
+
+def test_a_counting_round_narrows_before_the_listing(probe):
+    # 120 bars born at two places: up to 2 * 60 * 60 coordinate gaps against at
+    # most 8 * 120 listed, so pivots are tested before the listing.
+    rng = Random(2)
+    births = [Fraction(0), Fraction(7, 4)]
+    b1, b2 = _clustered_barcode(rng, 60, births, 30), _clustered_barcode(rng, 60, births, 30)
+    d, bound, branch = _probed_distance(probe, b1, b2)
+    assert branch == "counted"
+    assert bound == threshold_bound(b1, b2) < d == kuhn_distance(b1, b2)
+    ranges = probe[1]
+    for (lo, hi), (a, b) in zip(ranges, ranges[1:]):
+        assert lo <= a < b <= hi and (a, b) != (lo, hi)
+
+
+def _bars(*ends, degree=0) -> Barcode:
+    return Barcode(tuple(Bar(degree, Fraction(b), Fraction(d)) for b, d in ends))
+
+
+@pytest.mark.parametrize(
+    "ends1, ends2, expected",
+    [
+        # |dx| = delta: the births differ by 3/2, the deaths agree
+        ([("0", "5")], [("3/2", "5")], Fraction(3, 2)),
+        # |dy| = delta: the deaths differ by 3/2, the births agree
+        ([("0", "5")], [("0", "13/2")], Fraction(3, 2)),
+        # both at once, with a partner at each end of the window
+        ([("1", "6"), ("1", "6")], [("5/2", "15/2"), ("-1/2", "9/2")], Fraction(3, 2)),
+        # two long bars compete for one near partner, so the bound 3/2 fails
+        # and the bisected answer is a gap at the window's edge: |dx| = delta,
+        ([("0", "5"), ("0", "5")], [("1/2", "5"), ("2", "5")], Fraction(2)),
+        # and |dy| = delta
+        ([("0", "5"), ("0", "5")], [("0", "11/2"), ("0", "3")], Fraction(2)),
+    ],
+)
+def test_window_edges_are_inclusive(probe, ends1, ends2, expected):
+    b1, b2 = _bars(*ends1), _bars(*ends2)
+    for one, other in ((b1, b2), (b2, b1)):
+        d, bound, branch = _probed_distance(probe, one, other)
+        assert d == expected == brute_force_distance(one, other)
+        assert bound == threshold_bound(one, other)
+        assert (branch == "bound") == (bound == d)
+
+
+def test_coincident_duplicate_and_one_sided_bars():
+    cases = [
+        # coincident points on both sides, more copies on one
+        (_bars(("1", "3"), ("1", "3"), ("1", "3")), _bars(("1", "3"))),
+        (_bars(("1", "3"), ("1", "3")), _bars(("1", "3"), ("1", "3"))),
+        # coincident points of different bars, one side only in degree 1
+        (
+            Barcode(_bars(("0", "4"), ("0", "4")).bars + _bars(("2", "3"), degree=1).bars),
+            _bars(("0", "4"), ("1", "5"), ("1", "5")),
+        ),
+        # a degree on each side that the other lacks
+        (_bars(("0", "2"), degree=2), _bars(("5", "9"), degree=-1)),
+        # equal x, different y; equal y, different x
+        (_bars(("0", "4"), ("0", "6")), _bars(("0", "5"), ("1", "6"))),
+    ]
+    for b1, b2 in cases:
+        d = interleaving_distance(b1, b2)
+        assert d == interleaving_distance(b2, b1) == brute_force_distance(b1, b2) == kuhn_distance(b1, b2)
+        assert d >= threshold_bound(b1, b2)
+
+
 # --- stability: moving every height by at most s moves the barcode by at most s
 
 def _moved(fc: FilteredComplex, rng: Random, bound: Fraction, pinned=None):
@@ -296,6 +441,20 @@ def _check_stability(fc: FilteredComplex, rng: Random, bound: Fraction) -> None:
     degrees = sorted({bar.degree for bar in barcode.bars if not bar.finite})
     moved, _ = _moved(fc, rng, bound, rng.choice(degrees))
     assert interleaving_distance(barcode, compute_barcode(moved)) == bound
+
+
+@settings(max_examples=25, deadline=None)
+@given(seeds, st.integers(1, 1500), st.fractions(Fraction(1, 1000), Fraction(1, 10), max_denominator=1000))
+def test_moving_heights_of_a_drawn_planted_complex_moves_its_barcode_at_most_as_far(seed, max_n, s):
+    # Planted heights are quarters, so moves of at most 1/10 keep them valid.
+    rng = Random(seed)
+    fc, _ = planted_complex(rng, max_n=max_n)
+    moved, largest = _moved(fc, rng, s)
+    b1, b2 = compute_barcode(fc), compute_barcode(moved)
+    d = interleaving_distance(b1, b2)
+    assert d <= largest <= s
+    if len(b1.bars) + len(b2.bars) <= 300:
+        assert d == kuhn_distance(b1, b2)
 
 
 def test_moving_planted_heights_moves_the_barcode_at_most_as_far():
