@@ -228,8 +228,8 @@ def _finite_distance(pts1: list[tuple[int, int]], pts2: list[tuple[int, int]]) -
 
 def _split_by_degree(barcode: Barcode, scale: int) -> dict[int, tuple[list[int], list[tuple[int, int]]]]:
     """Per degree, the births of the infinite bars times ``scale``, and the
-    points (d + b, d - b) of the finite bars [b, d) times ``scale``.  The
-    births come in order, as the bars are sorted by birth."""
+    points (d + b, d - b) of the finite bars [b, d) times ``scale``, each in
+    the barcode's order."""
     split: dict[int, tuple[list[int], list[tuple[int, int]]]] = {}
     for bar in barcode.bars:
         infinite, finite = split.setdefault(bar.degree, ([], []))
@@ -259,6 +259,6 @@ def interleaving_distance(b1: Barcode, b2: Barcode):
             return math.inf
         # Infinite bars match only each other, at the birth gap, so they form
         # their own problem: on a line, pairing them in sorted order is optimal.
-        infinite = 2 * max((abs(a - b) for a, b in zip(inf1, inf2)), default=0)
+        infinite = 2 * max((abs(a - b) for a, b in zip(sorted(inf1), sorted(inf2))), default=0)
         worst = max(worst, infinite, _finite_distance(finite1, finite2))
     return Fraction(worst, 2 * scale)

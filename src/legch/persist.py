@@ -6,6 +6,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import itemgetter
 
 from .algebra import BAD_HEIGHT, Generator, HeightAssignment, StructureError, _gids, _scaled
 from .augment import LinearizedComplex
@@ -46,19 +47,10 @@ class Bar:
 
 @dataclass(frozen=True)
 class Barcode:
-    """Bars sorted by degree, birth, death and labels."""
+    """Bars in the order they are given: ``compute_barcode`` sorts them by
+    degree, birth, death and labels, and a parsed barcode file keeps its own."""
 
     bars: tuple[Bar, ...]
-
-    def __post_init__(self):
-        scale = self.scale
-
-        def key(bar: Bar):
-            finite = bar.finite
-            death = _scaled(bar.death, scale) if finite else 0
-            return (bar.degree, _scaled(bar.birth, scale), not finite, death, bar.birth_label or "", bar.death_label or "")
-
-        object.__setattr__(self, "bars", tuple(sorted(self.bars, key=key)))
 
     @cached_property
     def scale(self) -> int:
@@ -82,7 +74,7 @@ def compute_barcode(fc: FilteredComplex) -> Barcode:
 
     Every finite bar has birth < death without a check: each entry of a
     reduced column sits strictly below the generator of that column, and so
-    does its pivot.
+    does its pivot.  The bars come sorted by degree, birth, death and labels.
     """
     heights = fc.heights.heights
     if len(heights) < len(fc.generators):
@@ -123,26 +115,25 @@ def compute_barcode(fc: FilteredComplex) -> Barcode:
     def label(mask: int) -> str:  # mask is over sorted positions
         return "+".join([fc.generators[g].name for g in sorted(map(order.__getitem__, _gids(mask)))])
 
-    bars = []
+    keyed = []  # (sort key, bar): ends compare as their scaled heights do
     for j, g in enumerate(order):
         if reduced[j]:
             i = order[reduced[j].bit_length() - 1]
-            bars.append(
-                Bar(
-                    degree=fc.generators[i].grading,
-                    birth=heights[i],
-                    death=heights[g],
-                    birth_label=label(reduced[j]),
-                    death_label=fc.generators[g].name,
-                )
+            bar = Bar(
+                degree=fc.generators[i].grading,
+                birth=heights[i],
+                death=heights[g],
+                birth_label=label(reduced[j]),
+                death_label=fc.generators[g].name,
             )
+            keyed.append(((bar.degree, scaled[i], False, scaled[g], bar.birth_label, bar.death_label), bar))
         elif j not in pivot_owner:
-            bars.append(
-                Bar(
-                    degree=fc.generators[g].grading,
-                    birth=heights[g],
-                    death=math.inf,
-                    birth_label=label(combo[j]),
-                )
+            bar = Bar(
+                degree=fc.generators[g].grading,
+                birth=heights[g],
+                death=math.inf,
+                birth_label=label(combo[j]),
             )
-    return Barcode(tuple(bars))
+            keyed.append(((bar.degree, scaled[g], True, 0, bar.birth_label, ""), bar))
+    keyed.sort(key=itemgetter(0))  # by key alone: bars are never compared
+    return Barcode(tuple(map(itemgetter(1), keyed)))

@@ -728,6 +728,14 @@ def gf2_rank(vectors) -> int:
     return rank
 
 
+def column_mask(fc: FilteredComplex, gid: int) -> int:
+    """The column of ``gid`` as a bitmask over generator ids."""
+    m = 0
+    for p in fc.columns[gid]:
+        m |= 1 << p
+    return m
+
+
 def homology_rank_oracle(fc: FilteredComplex, degree: int, t) -> int:
     """Rank of the homology of the sub-complex of generators with height <= t,
     by plain Gaussian elimination.  Cross-checks compute_barcode."""
@@ -735,15 +743,26 @@ def homology_rank_oracle(fc: FilteredComplex, degree: int, t) -> int:
     at = [g for g in inside if fc.generators[g].grading == degree]
     above = [g for g in inside if fc.generators[g].grading == degree + 1]
 
-    def mask(gid: int) -> int:
-        m = 0
-        for p in fc.columns[gid]:
-            m |= 1 << p
-        return m
-
-    rank_at = gf2_rank([mask(g) for g in at])
-    rank_above = gf2_rank([mask(g) for g in above])
+    rank_at = gf2_rank([column_mask(fc, g) for g in at])
+    rank_above = gf2_rank([column_mask(fc, g) for g in above])
     return len(at) - rank_at - rank_above
+
+
+def persistent_rank_oracle(fc: FilteredComplex, degree: int, s, t) -> int:
+    """For s <= t, the persistent rank r(s, t): the rank of the map from the
+    homology of C^{<=s} to that of C^{<=t} in ``degree`` (Zomorodian-Carlsson,
+    "Computing persistent homology", 2005).  It fixes the barcode, pairing
+    included: r(s, t) counts the bars with birth <= s and t < death.
+
+    r(s, t) = dim Z_s - dim(B_t ∩ C^{<=s}), by plain Gaussian elimination:
+    dim Z_s = |C_k^{<=s}| - rank d(C_k^{<=s}), and B_t ∩ C^{<=s} is the kernel
+    on B_t = d(C_{k+1}^{<=t}) of the projection onto the generators above s."""
+    def images(k: int, level) -> list[int]:
+        return [column_mask(fc, g.gid) for g in fc.generators if g.grading == k and fc.heights.of(g.gid) <= level]
+
+    at, above = images(degree, s), images(degree + 1, t)
+    high = sum(1 << g.gid for g in fc.generators if fc.heights.of(g.gid) > s)
+    return len(at) - gf2_rank(at) - gf2_rank(above) + gf2_rank([m & high for m in above])
 
 
 def dga_from_complex(fc: FilteredComplex) -> DGA:

@@ -17,6 +17,7 @@ from legch.augment import (
     linearized_differential,
 )
 from legch.cli import cli_dispatch
+from legch.corpus import trefoil_after_rii
 from legch.diagram import area_inequalities, assign_heights, flood
 from legch.metrics import check_strong_morse, interleaving_distance
 from legch.persist import build_filtered_complex, compute_barcode
@@ -200,6 +201,18 @@ def test_criterion_7_strand_slide_interleaving():
         d = interleaving_distance(b1, b2)
         assert d == Fraction(3, 20)
         assert d <= delta
+        # Every augmentation of the trefoil extends to exactly one of the slid
+        # diagram (d(a) = q4 + b forces b = q4), and at each bigon area delta
+        # the barcodes lie delta/2 apart, within the paper's bound 2 delta.
+        for delta in (Fraction(1, 20), Fraction(3, 10), Fraction(19, 20)):
+            slid = trefoil_after_rii(delta)
+            slid_augs = enumerate_augmentations(slid.dga)
+            for eps in enumerate_augmentations(trefoil.dga):
+                values = zero_grading_values(eps, trefoil.dga)
+                extensions = [zero_grading_augmentation(slid.dga, (*values, b)) for b in (0, 1)]
+                (ext,) = [e for e in extensions if e in slid_augs]
+                d = interleaving_distance(barcode_from(trefoil, eps), barcode_from(slid, ext))
+                assert d == delta / 2 <= 2 * delta
 
 
 def test_criterion_8_stabilization_bound():

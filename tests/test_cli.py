@@ -166,6 +166,16 @@ SINGLE_FAULTS = {
         "validate",
         "[UNKNOWN_GENERATOR] differential key 'zz' is not a generator",
     ),
+    "unknown_heights_key": (
+        lambda k: k["heights"].update(zz=1),
+        "validate",
+        "[UNKNOWN_GENERATOR] heights key 'zz' is not a generator",
+    ),
+    "unknown_heights_key_before_missing_height": (
+        lambda k: (k["heights"].pop("p"), k["heights"].update(zz=1)),
+        "validate",
+        "[UNKNOWN_GENERATOR] heights key 'zz' is not a generator",
+    ),
     "missing_differential": (
         lambda k: k["differential"].pop("p"),
         "validate",
@@ -234,6 +244,17 @@ def test_single_fault_files_report_their_code(tmp_path, fault):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(knot))
     assert run(command, str(bad)) == (1, "", f"error: {message}\n")
+
+
+class _ClosedPipe(io.StringIO):
+    def write(self, s):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_a_closed_stdout_is_reported_without_a_traceback():
+    err = io.StringIO()
+    assert cli_dispatch(["validate", path("trefoil")], stdout=_ClosedPipe(), stderr=err) == 1
+    assert err.getvalue() == "error: [Errno 32] Broken pipe\n"
 
 
 def test_fault_table_base_file_is_valid(tmp_path):

@@ -470,6 +470,16 @@ def test_trefoil_after_rii_needs_an_exact_delta():
     assert corpus.trefoil_after_rii("0.3").meta["bigon_area"] == Fraction(3, 10)
 
 
+def test_unknown_corpus_names_and_areas_outside_the_unit_interval_are_rejected():
+    with pytest.raises(ValueError) as exc:
+        corpus.corpus_path("nope")
+    assert str(exc.value) == f"unknown corpus knot 'nope'; choose from {corpus.NAMES}"
+    for delta in (0, 1):
+        with pytest.raises(ValueError) as exc:
+            corpus.trefoil_after_rii(delta)
+        assert str(exc.value) == f"delta must lie in (0, 1), got {delta}"
+
+
 # --- barcode files ----------------------------------------------------------------
 
 def test_integer_and_decimal_ends_read_the_same(tmp_path):
@@ -533,7 +543,7 @@ def test_barcode_parse_inf_and_errors():
     assert exc.value.code == BAD_SCHEMA
     with pytest.raises(StructureError):
         parse_barcode_file(b"nope")
-    # Labels order tied bars, so a label that is not a string cannot be sorted.
+    # The writers print labels as they are, so each must be a string.
     tied = [{"degree": 0, "birth": 1, "death": 2, "birth_label": label} for label in ("q", [])]
     with pytest.raises(StructureError, match=r"bars\[1\]\.birth_label must be a string") as exc:
         parse_barcode_file(json.dumps({"bars": tied}))
@@ -646,8 +656,8 @@ def test_render_svg_orders_ticks_exactly_where_floats_tie():
     barcode = Barcode(
         (
             Bar(0, big + Fraction(1, 2), math.inf, "a"),
-            Bar(1, big + Fraction(1, 4), big + Fraction(3, 4), "b", "c"),
             Bar(1, 3, big + Fraction(1, 2)),
+            Bar(1, big + Fraction(1, 4), big + Fraction(3, 4), "b", "c"),
         )
     )
     svg = render_barcode(barcode, "svg").decode()

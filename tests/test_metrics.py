@@ -160,6 +160,10 @@ def test_distance_moves_endpoints():
     b1 = Barcode((Bar(0, Fraction(1), math.inf),))
     b2 = Barcode((Bar(0, Fraction(4), math.inf),))
     assert interleaving_distance(b1, b2) == 3
+    # Infinite bars pair in order of birth, whatever order a barcode holds.
+    b1 = Barcode((Bar(0, 5, math.inf), Bar(0, 1, math.inf)))
+    b2 = Barcode((Bar(0, 2, math.inf), Bar(0, 6, math.inf)))
+    assert interleaving_distance(b1, b2) == 1
 
 
 def test_deleting_beats_bad_matching():

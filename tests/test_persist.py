@@ -1,6 +1,7 @@
 import math
 import re
 from fractions import Fraction
+from itertools import combinations
 from random import Random
 
 import pytest
@@ -22,6 +23,7 @@ from support import (
     homology_rank_oracle,
     in_degree,
     load_corpus,
+    persistent_rank_oracle,
     planted_complex,
     torus_2n_dga,
     triples,
@@ -166,6 +168,33 @@ def test_barcode_counts_match_rank_oracle(seed):
     for degree in degrees:
         for t in sample_levels(fc):
             assert bars_at(barcode, degree, t) == homology_rank_oracle(fc, degree, t)
+
+
+def assert_persistent_ranks(fc, pairs):
+    """r(s, t) from the oracle equals the number of bars with birth <= s and
+    t < death, in every degree, for each pair s < t."""
+    barcode = compute_barcode(fc)
+    for degree in sorted({g.grading for g in fc.generators}):
+        for s, t in pairs:
+            alive = sum(1 for b in barcode.bars if b.degree == degree and b.birth <= s and t < b.death)
+            assert alive == persistent_rank_oracle(fc, degree, s, t), (degree, s, t)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9), st.sampled_from((12, 60, 400)))
+def test_barcode_pairs_match_the_persistent_rank_oracle(seed, max_n):
+    fc, _ = planted_complex(Random(seed), max_n)
+    pairs = list(combinations(sample_levels(fc), 2))
+    assert_persistent_ranks(fc, Random(seed).sample(pairs, min(len(pairs), 40)))
+
+
+def test_persistent_ranks_over_every_torus_augmentation():
+    for n in range(3, 10):
+        dga = torus_2n_dga(n)
+        heights = flood_heights(dga)
+        for eps in enumerate_augmentations(dga):
+            fc = build_filtered_complex(linearized_differential(dga, eps), heights)
+            assert_persistent_ranks(fc, list(combinations(sample_levels(fc), 2)))
 
 
 @settings(max_examples=60, deadline=None)
