@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import Sequence
 
-from .algebra import DGA, StructureError, _gids
+from .algebra import DGA, Generator, StructureError, _gids
 
 # Nodes, or partial assignments, the augmentation search tree may have; a
 # subtree walked from its cached summary is charged its full size.  Without
@@ -202,13 +202,13 @@ class LinearizedComplex:
     letters changes a column, the column is the DGA's own frozenset of
     one-letter words, not a copy.
 
-    Not checked, and needs no check: ``dga`` passed ``validate_dga`` and the
+    Not checked, and needs no check: the DGA passed ``validate_dga`` and the
     augmentation was checked by ``linearized_differential``.  So the
     differential conjugated by q -> q + eps(q) squares to zero and has no
     constant term, and its linear part drops the degree by 1 and squares to
     zero."""
 
-    dga: DGA
+    generators: tuple[Generator, ...]
     columns: tuple[frozenset[int], ...]
 
 
@@ -256,4 +256,4 @@ def linearized_differential(dga: DGA, eps: Augmentation) -> LinearizedComplex:
         problems += [f"d({g.name}) does not evaluate to 0" for g in compress(dga.generators, parities)]
     if problems:
         raise ValueError("invalid augmentation: " + "; ".join(problems))
-    return LinearizedComplex(dga, tuple(columns))
+    return LinearizedComplex(dga.generators, tuple(columns))

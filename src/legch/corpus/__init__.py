@@ -41,4 +41,4 @@ def trefoil_after_rii(delta: Fraction) -> KnotData:
     a = next(g.gid for g in kd.dga.generators if g.name == "a")
     heights = kd.heights.heights
     heights = heights[:a] + (2 + delta,) + heights[a + 1 :]
-    return replace(kd, heights=HeightAssignment(heights), meta={**kd.meta, "bigon_area": delta})
+    return replace(kd, heights=HeightAssignment(heights))

@@ -10,6 +10,7 @@ import json
 import math
 import re
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from itertools import chain
 
@@ -41,7 +42,6 @@ class KnotData:
     dga: DGA
     diagram: LagrangianDiagramData
     heights: HeightAssignment | None
-    meta: dict
 
 
 # ---------------------------------------------------------------------------
@@ -51,14 +51,10 @@ _CHUNK = 10**1000
 
 
 def _digits(n: int) -> str:
-    """str(n) for n >= 0, also past Python's 4300-digit limit on int-to-str
-    conversion: the distance between two accepted numbers can need twice
-    MAX_NUMBER_DIGITS digits, and flood heights grow with the tiers."""
-    chunks = []
-    while n >= _CHUNK:
-        n, low = divmod(n, _CHUNK)
-        chunks.append(str(low).rjust(1000, "0"))
-    return str(n) + "".join(reversed(chunks))
+    """str(n) for n >= 0, also past Python's 4300-digit limit on int-to-str,
+    which ``Decimal`` does not have: a distance between two accepted numbers
+    can need 2 * MAX_NUMBER_DIGITS digits, and flood heights grow with the tiers."""
+    return str(n) if n < _CHUNK else format(Decimal(n), "f")
 
 
 def decimal_str(x) -> str:
@@ -160,6 +156,8 @@ def parse_knot_file(data: bytes | str) -> KnotData:
         if type(name) is not str or name == "":
             raise StructureError(f"generators[{i}].name must be a nonempty string", BAD_SCHEMA)
         _check_text(name, f"generators[{i}].name")
+        if "+" in name:  # bar labels join names with '+'
+            raise StructureError(f"generators[{i}].name contains '+'", BAD_SCHEMA)
         if type(grading) is not int:
             raise StructureError(f"generators[{i}].grading must be an integer", BAD_SCHEMA)
         gens.append((name, grading))
@@ -244,10 +242,9 @@ def parse_knot_file(data: bytes | str) -> KnotData:
                 raise StructureError(f"height of {name!r} must be positive, got {value}", BAD_HEIGHT)
         heights = HeightAssignment(tuple(raw_heights[name] for name, _ in gens))
 
-    meta = doc.get("meta", {})
-    if type(meta) is not dict:
+    if type(doc.get("meta", {})) is not dict:  # checked, not kept
         raise StructureError("'meta' must be an object", BAD_SCHEMA)
-    return KnotData(dga=dga, diagram=diagram, heights=heights, meta=meta)
+    return KnotData(dga=dga, diagram=diagram, heights=heights)
 
 
 def _read(path) -> bytes:
@@ -391,7 +388,7 @@ def _render_svg(b: Barcode) -> bytes:
         f'<line x1="{x(0):.1f}" y1="{axis_y:.1f}" x2="{left + span:.1f}" y2="{axis_y:.1f}" '
         'stroke="black" stroke-width="1"/>'
     )
-    scale = b.scale
+    scale = math.lcm(*(t.denominator for t in finite_ends))
     ticks = {_scaled(t, scale): t for t in (0, *finite_ends)}  # integer keys sort as the ends do
     for _, t in sorted(ticks.items()):
         tx = x(real(t))

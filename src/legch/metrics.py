@@ -104,11 +104,6 @@ def _covers(edges: list[list[int]], size: int) -> bool:
                 lefts.append(w)
 
 
-def _by_x(pts: list[tuple[int, int]]):
-    """The columns x = u - v, y = u + v and v of the points (u, v), sorted by x."""
-    return tuple(zip(*sorted((u - v, u + v, v) for u, v in pts)))
-
-
 def _lower_bound(side1, side2) -> int:
     """The threshold bound (Garfinkel 1971): the largest over all bars of the
     smaller of v and the cheapest edge to the other side.
@@ -171,14 +166,13 @@ def _weighted_median(runs) -> int:
             return value
 
 
-def _finite_distance(pts1: list[tuple[int, int]], pts2: list[tuple[int, int]]) -> int:
+def _finite_distance(pts1: list[tuple[int, int, int]], pts2: list[tuple[int, int, int]]) -> int:
     """Twice the bottleneck distance of finite bars, each matched or deleted,
-    given as the points (u, v) = (d + b, d - b) of their integer ends [b, d).
+    given as the points (x, y, v) = (2b, 2d, d - b) of their integer ends [b, d).
 
-    Deleting a bar costs v, and matching it to another costs |u - u'| + |v - v'|
-    = max(|x - x'|, |y - y'|) for x = u - v = 2b and y = u + v = 2d: twice the
-    larger endpoint displacement.  So a bar's edges at a cost delta are the
-    bars of the other side in an axis-aligned box around it.
+    Deleting a bar costs v, and matching it to another costs max(|x - x'|,
+    |y - y'|): twice the larger endpoint displacement.  So a bar's edges at a
+    cost delta are the bars of the other side in an axis-aligned box around it.
 
     A cost delta is feasible exactly when the bars whose deletion costs more
     than delta can all be matched at cost at most delta.  By Mendelsohn-Dulmage
@@ -193,11 +187,11 @@ def _finite_distance(pts1: list[tuple[int, int]], pts2: list[tuple[int, int]]) -
     listed, they are narrowed at their weighted median of medians until at
     most 8 per bar remain; those are listed and bisected.
     """
-    deletes = sorted(v for _, v in pts1 + pts2)
+    deletes = sorted(v for _, _, v in pts1 + pts2)
     upper = deletes[-1] if deletes else 0
     if not pts1 or not pts2:
         return upper
-    side1, side2 = _by_x(pts1), _by_x(pts2)
+    side1, side2 = (tuple(zip(*sorted(pts))) for pts in (pts1, pts2))  # columns x, y, v, sorted by x
 
     def feasible(delta: int) -> bool:
         return _covers(_edges(side1, side2, delta), len(pts2)) and _covers(_edges(side2, side1, delta), len(pts1))
@@ -226,17 +220,17 @@ def _finite_distance(pts1: list[tuple[int, int]], pts2: list[tuple[int, int]]) -
     return candidates[lo]
 
 
-def _split_by_degree(barcode: Barcode, scale: int) -> dict[int, tuple[list[int], list[tuple[int, int]]]]:
+def _split_by_degree(barcode: Barcode, scale: int) -> dict[int, tuple[list[int], list[tuple[int, int, int]]]]:
     """Per degree, the births of the infinite bars times ``scale``, and the
-    points (d + b, d - b) of the finite bars [b, d) times ``scale``, each in
+    points (2b, 2d, d - b) of the finite bars [b, d) times ``scale``, each in
     the barcode's order."""
-    split: dict[int, tuple[list[int], list[tuple[int, int]]]] = {}
+    split: dict[int, tuple[list[int], list[tuple[int, int, int]]]] = {}
     for bar in barcode.bars:
         infinite, finite = split.setdefault(bar.degree, ([], []))
         birth = _scaled(bar.birth, scale)
         if bar.finite:
             death = _scaled(bar.death, scale)
-            finite.append((death + birth, death - birth))
+            finite.append((2 * birth, 2 * death, death - birth))
         else:
             infinite.append(birth)
     return split
@@ -248,9 +242,11 @@ def interleaving_distance(b1: Barcode, b2: Barcode):
     A matched pair costs its largest endpoint displacement, an unmatched finite
     bar costs half its length, and infinite bars must be matched; mismatched
     infinite-bar counts make the distance infinite.  Exact over rational input:
-    every end is scaled once to an integer, by the lcm of both barcodes' scales.
+    every end is scaled once to an integer, by the lcm of the denominators of
+    both barcodes' finite ends.
     """
-    scale = math.lcm(b1.scale, b2.scale)
+    bars = b1.bars + b2.bars
+    scale = math.lcm(*(bar.birth.denominator for bar in bars), *(bar.death.denominator for bar in bars if bar.finite))
     split1, split2 = _split_by_degree(b1, scale), _split_by_degree(b2, scale)
     worst = 0  # in units of 1/(2 scale)
     for k in sorted(split1.keys() | split2.keys()):

@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from operator import itemgetter
 
 from .algebra import BAD_HEIGHT, Generator, HeightAssignment, StructureError, _gids, _scaled
@@ -29,7 +28,7 @@ class FilteredComplex:
 def build_filtered_complex(
     lin: LinearizedComplex, h: HeightAssignment
 ) -> FilteredComplex:
-    return FilteredComplex(lin.dga.generators, h, lin.columns)
+    return FilteredComplex(lin.generators, h, lin.columns)
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,15 +50,6 @@ class Barcode:
     degree, birth, death and labels, and a parsed barcode file keeps its own."""
 
     bars: tuple[Bar, ...]
-
-    @cached_property
-    def scale(self) -> int:
-        """The lcm of the denominators of the finite ends: each end times it is
-        an integer, and these integers compare as the ends do."""
-        return math.lcm(
-            *(bar.birth.denominator for bar in self.bars),
-            *(bar.death.denominator for bar in self.bars if bar.finite),
-        )
 
 
 def compute_barcode(fc: FilteredComplex) -> Barcode:

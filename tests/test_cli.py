@@ -156,6 +156,22 @@ SINGLE_FAULTS = {
         "augment",
         "[BAD_SCHEMA] generators[1].name has a control character",
     ),
+    "plus_in_name": (  # bar labels join names with '+', so a sum must not look like a name
+        lambda k: k.update(json.loads(json.dumps(k).replace('"p"', '"a+b"'))),
+        "validate",
+        "[BAD_SCHEMA] generators[1].name contains '+'",
+    ),
+    "generators_not_array": (
+        lambda k: k.update(generators={}),
+        "validate",
+        "[BAD_SCHEMA] 'generators' must be an array",
+    ),
+    "ng_resolved_not_boolean": (
+        lambda k: k.update(ng_resolved=1),
+        "validate",
+        "[BAD_SCHEMA] 'ng_resolved' must be a boolean",
+    ),
+    "meta_not_object": (lambda k: k.update(meta=[]), "validate", "[BAD_SCHEMA] 'meta' must be an object"),
     "duplicate_name": (
         lambda k: k["generators"].append({"name": "p", "grading": 0}),
         "validate",
@@ -255,6 +271,15 @@ def test_a_closed_stdout_is_reported_without_a_traceback():
     err = io.StringIO()
     assert cli_dispatch(["validate", path("trefoil")], stdout=_ClosedPipe(), stderr=err) == 1
     assert err.getvalue() == "error: [Errno 32] Broken pipe\n"
+
+
+def test_rendering_into_a_closed_stream_is_reported_without_a_traceback(monkeypatch):
+    # A closed stream's isatty raises ValueError, so text is plain; the write then fails.
+    monkeypatch.delenv("LEGCH_COLOR", raising=False)
+    out, err = io.StringIO(), io.StringIO()
+    out.close()
+    assert cli_dispatch(["barcode", path("trefoil"), "--render", "text"], stdout=out, stderr=err) == 1
+    assert err.getvalue() == "error: I/O operation on closed file\n"
 
 
 def test_fault_table_base_file_is_valid(tmp_path):

@@ -467,7 +467,9 @@ def test_trefoil_rii_file_matches_builder():
 def test_trefoil_after_rii_needs_an_exact_delta():
     with pytest.raises(TypeError):
         corpus.trefoil_after_rii(0.3)
-    assert corpus.trefoil_after_rii("0.3").meta["bigon_area"] == Fraction(3, 10)
+    kd = corpus.trefoil_after_rii("0.3")
+    heights = {g.name: h for g, h in zip(kd.dga.generators, kd.heights.heights)}
+    assert heights["a"] == 2 + Fraction(3, 10)
 
 
 def test_unknown_corpus_names_and_areas_outside_the_unit_interval_are_rejected():
@@ -534,6 +536,9 @@ def test_barcode_parse_inf_and_errors():
     doc = {"bars": [{"degree": 1, "birth": 1, "death": "inf"}]}
     barcode = parse_barcode_file(json.dumps(doc))
     assert barcode.bars[0].death == math.inf
+    # A label names a sum of generators, joined by '+', which no generator name holds.
+    doc = {"bars": [{"degree": 0, "birth": 1, "death": 2, "birth_label": "a+b", "death_label": "q"}]}
+    assert parse_barcode_file(json.dumps(doc)).bars[0].birth_label == "a+b"
 
     with pytest.raises(StructureError) as exc:
         parse_barcode_file(json.dumps({"bars": [{"degree": 0, "birth": 2, "death": 1}]}))

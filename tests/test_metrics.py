@@ -309,7 +309,8 @@ def _probed_distance(probe, b1: Barcode, b2: Barcode):
     d = interleaving_distance(b1, b2)
     (bound,) = bounds
     branch = ("bound", "listed")[len(counts)] if len(counts) < 2 else "counted"
-    return d, Fraction(bound, 2 * math.lcm(b1.scale, b2.scale)), branch
+    scale = math.lcm(*(end.denominator for bar in b1.bars + b2.bars for end in (bar.birth, bar.death)))
+    return d, Fraction(bound, 2 * scale), branch
 
 
 def _clustered_barcode(rng: Random, n: int, births: list[Fraction], longest: int) -> Barcode:

@@ -26,6 +26,7 @@ from support import (
     persistent_rank_oracle,
     planted_complex,
     torus_2n_dga,
+    torus_2n_knot,
     triples,
     zero_grading_values,
 )
@@ -188,13 +189,41 @@ def test_barcode_pairs_match_the_persistent_rank_oracle(seed, max_n):
     assert_persistent_ranks(fc, Random(seed).sample(pairs, min(len(pairs), 40)))
 
 
+def torus_sum_dga(m: int, n: int):
+    """T(2,m)'s DGA beside T(2,n)'s, whose names are primed."""
+    first, second = torus_2n_knot(m), torus_2n_knot(n)
+    generators = [(g["name"], g["grading"]) for g in first["generators"]]
+    generators += [(g["name"] + "'", g["grading"]) for g in second["generators"]]
+    differential = dict(first["differential"])
+    differential.update({q + "'": [[x + "'" for x in w] for w in words] for q, words in second["differential"].items()})
+    return dga_of(generators, differential)
+
+
 def test_persistent_ranks_over_every_torus_augmentation():
+    # Flood heights give every b one height, so no triple there tells which b
+    # a bar is born at or which a kills it.  Distinct heights, one per b and
+    # all below both a's, do; their ends are the integers 1..n+2, so the
+    # integer pairs s < t give every r(s, t).
     for n in range(3, 10):
         dga = torus_2n_dga(n)
-        heights = flood_heights(dga)
+        flooded = flood_heights(dga)
+        distinct = HeightAssignment((n + 1, n + 2, *range(1, n + 1)))  # a1, a2, b1..bn
+        for eps in enumerate_augmentations(dga):
+            lin = linearized_differential(dga, eps)
+            fc = build_filtered_complex(lin, flooded)
+            assert_persistent_ranks(fc, list(combinations(sample_levels(fc), 2)))
+            assert_persistent_ranks(build_filtered_complex(lin, distinct), list(combinations(range(n + 3), 2)))
+    # a1 and a2 always linearize to one column, so T(2,n) has at most one
+    # finite bar per degree.  Beside T(2,m), with the b's of the two summands
+    # interleaved and their a's too, it has two in degree 0, and a death moved
+    # from one to the other changes r(s, t).
+    for m, n in ((3, 3), (3, 4), (4, 5)):
+        dga = torus_sum_dga(m, n)
+        top = 2 * n  # above every b, since m <= n
+        heights = HeightAssignment((top + 1, top + 3, *range(1, 2 * m, 2), top + 2, top + 4, *range(2, 2 * n + 1, 2)))
         for eps in enumerate_augmentations(dga):
             fc = build_filtered_complex(linearized_differential(dga, eps), heights)
-            assert_persistent_ranks(fc, list(combinations(sample_levels(fc), 2)))
+            assert_persistent_ranks(fc, list(combinations(range(top + 5), 2)))
 
 
 @settings(max_examples=60, deadline=None)
