@@ -101,19 +101,29 @@ def _check_text(text: str, where: str) -> None:
 
 
 def _parse_number(literal: str, kind=Fraction):
-    """A JSON number literal as ``kind``; only a long one or one with an exponent can exceed the bound.
+    """A JSON number literal as ``kind``, or ValueError past the bound.
     JSON fixes a float's form, -?digits[.digits][(e|E)[+-]digits]: its digits over 10**places, shifted."""
-    if len(literal) > MAX_NUMBER_DIGITS or "e" in literal or "E" in literal:
-        mantissa, _, exponent = literal.lower().partition("e")
-        digits = len(mantissa) - mantissa.count("-") - mantissa.count(".")
-        if digits + abs(int(exponent or 0)) > MAX_NUMBER_DIGITS:
-            raise ValueError(f"number literal has more than {MAX_NUMBER_DIGITS} digits")
+    mantissa, _, exponent = literal.lower().partition("e")
+    digits = len(mantissa) - mantissa.count("-") - mantissa.count(".")
+    if digits + abs(int(exponent or 0)) > MAX_NUMBER_DIGITS:
+        raise ValueError(f"number literal has more than {MAX_NUMBER_DIGITS} digits")
     if kind is int:
         return int(literal)
-    mantissa, _, exponent = literal.lower().partition("e")
     whole, _, places = mantissa.partition(".")
     n, shift = int(whole + places), int(exponent or 0) - len(places)
     return Fraction(n * 10**shift) if shift >= 0 else Fraction(n, 10**-shift)
+
+
+# json's hooks: only a long literal or one with an exponent can exceed the bound
+def _parse_float(literal: str) -> Fraction:
+    if len(literal) > MAX_NUMBER_DIGITS or "e" in literal or "E" in literal:
+        return _parse_number(literal)
+    whole, _, places = literal.partition(".")
+    return Fraction(int(whole + places), 10 ** len(places))
+
+
+def _parse_int(literal: str) -> int:
+    return _parse_number(literal, int) if len(literal) > MAX_NUMBER_DIGITS else int(literal)
 
 
 def _load_json(data: bytes | str):
@@ -122,7 +132,7 @@ def _load_json(data: bytes | str):
     try:
         if isinstance(data, bytes):
             data = data.decode("utf-8")
-        return json.loads(data, parse_float=_parse_number, parse_int=lambda s: _parse_number(s, int))
+        return json.loads(data, parse_float=_parse_float, parse_int=_parse_int)
     except ValueError as exc:  # also bad JSON and bad UTF-8
         raise StructureError(f"not valid JSON: {exc}", MALFORMED_JSON) from None
     except RecursionError:
@@ -266,19 +276,21 @@ def parse_barcode_file(data: bytes | str) -> Barcode:
     doc = _load_json(data)
     if not (type(doc) is dict and "bars" in doc and type(doc["bars"]) is list):
         raise StructureError("barcode file must be an object with a 'bars' array", BAD_SCHEMA)
-    allowed = {"degree", "birth", "death", "birth_label", "death_label"}
+    required = {"degree", "birth", "death"}
+    allowed = required | {"birth_label", "death_label"}
     bars = []
     # Exact type tests, as in parse_knot_file; each end keeps the type JSON gave
     # it, and a death is compared with "inf" only when it is no number.
     for i, entry in enumerate(doc["bars"]):
         if type(entry) is not dict:
             raise StructureError(f"bars[{i}] must be an object", BAD_SCHEMA)
-        for key in entry:
-            if key not in allowed:
-                raise StructureError(f"bars[{i}] has unknown key {key!r}", BAD_SCHEMA)
-        for key in ("degree", "birth", "death"):
-            if key not in entry:
-                raise StructureError(f"bars[{i}] is missing {key!r}", BAD_SCHEMA)
+        if not required <= entry.keys() <= allowed:  # one set test; the loops only name the fault
+            for key in entry:
+                if key not in allowed:
+                    raise StructureError(f"bars[{i}] has unknown key {key!r}", BAD_SCHEMA)
+            for key in ("degree", "birth", "death"):
+                if key not in entry:
+                    raise StructureError(f"bars[{i}] is missing {key!r}", BAD_SCHEMA)
         degree, birth, death = entry["degree"], entry["birth"], entry["death"]
         if type(degree) is not int:
             raise StructureError(f"bars[{i}].degree must be an integer", BAD_SCHEMA)
@@ -288,15 +300,17 @@ def parse_barcode_file(data: bytes | str) -> Barcode:
             if death != "inf":
                 raise StructureError(f"bars[{i}].death must be a number or 'inf'", BAD_SCHEMA)
             death = math.inf
-        labels = entry.get("birth_label"), entry.get("death_label")
-        for key, label in zip(("birth_label", "death_label"), labels):
-            if label is not None:
-                if type(label) is not str:
-                    raise StructureError(f"bars[{i}].{key} must be a string", BAD_SCHEMA)
-                _check_text(label, f"bars[{i}].{key}")
+        birth_label = death_label = None
+        if len(entry) > 3:  # a label key is present
+            birth_label, death_label = entry.get("birth_label"), entry.get("death_label")
+            for key, label in (("birth_label", birth_label), ("death_label", death_label)):
+                if label is not None:
+                    if type(label) is not str:
+                        raise StructureError(f"bars[{i}].{key} must be a string", BAD_SCHEMA)
+                    _check_text(label, f"bars[{i}].{key}")
         if not birth < death:
             raise StructureError(f"bars[{i}]: bar must have birth < death, got [{birth}, {death})", INVALID_BAR)
-        bars.append(Bar(degree, birth, death, *labels))
+        bars.append(Bar(degree, birth, death, birth_label, death_label))
     return Barcode(tuple(bars))
 
 

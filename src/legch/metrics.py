@@ -8,7 +8,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import DGA, _scaled
+from .algebra import DGA
 from .persist import Barcode
 
 
@@ -227,12 +227,12 @@ def _split_by_degree(barcode: Barcode, scale: int) -> dict[int, tuple[list[int],
     split: dict[int, tuple[list[int], list[tuple[int, int, int]]]] = {}
     for bar in barcode.bars:
         infinite, finite = split.setdefault(bar.degree, ([], []))
-        birth = _scaled(bar.birth, scale)
-        if bar.finite:
-            death = _scaled(bar.death, scale)
-            finite.append((2 * birth, 2 * death, death - birth))
-        else:
+        birth, death = bar.birth.numerator * (scale // bar.birth.denominator), bar.death
+        if isinstance(death, float) and death == math.inf:  # not bar.finite
             infinite.append(birth)
+        else:
+            death = death.numerator * (scale // death.denominator)
+            finite.append((2 * birth, 2 * death, death - birth))
     return split
 
 
@@ -246,7 +246,8 @@ def interleaving_distance(b1: Barcode, b2: Barcode):
     both barcodes' finite ends.
     """
     bars = b1.bars + b2.bars
-    scale = math.lcm(*(bar.birth.denominator for bar in bars), *(bar.death.denominator for bar in bars if bar.finite))
+    death_denominators = {d.denominator for bar in bars if not (isinstance(d := bar.death, float) and d == math.inf)}
+    scale = math.lcm(*{bar.birth.denominator for bar in bars}, *death_denominators)
     split1, split2 = _split_by_degree(b1, scale), _split_by_degree(b2, scale)
     worst = 0  # in units of 1/(2 scale)
     for k in sorted(split1.keys() | split2.keys()):

@@ -155,8 +155,9 @@ def _bar_born_at(literal: str) -> str:
         (f"1e{MAX_NUMBER_DIGITS - 1}", f"1e{MAX_NUMBER_DIGITS}"),
         (f"-1e-{MAX_NUMBER_DIGITS - 1}", f"-1e-{MAX_NUMBER_DIGITS}"),
         ("9" * MAX_NUMBER_DIGITS, "9" * (MAX_NUMBER_DIGITS + 1)),
+        ("-" + "9" * MAX_NUMBER_DIGITS, "-" + "9" * (MAX_NUMBER_DIGITS + 1)),  # the sign is no digit
     ],
-    ids=["mantissa", "exponent", "negative_exponent", "integer"],
+    ids=["mantissa", "exponent", "negative_exponent", "integer", "signed_integer"],
 )
 def test_largest_accepted_literal_round_trips(largest, too_long):
     barcode = parse_barcode_file(_bar_born_at(largest))
@@ -539,6 +540,9 @@ def test_barcode_parse_inf_and_errors():
     # A label names a sum of generators, joined by '+', which no generator name holds.
     doc = {"bars": [{"degree": 0, "birth": 1, "death": 2, "birth_label": "a+b", "death_label": "q"}]}
     assert parse_barcode_file(json.dumps(doc)).bars[0].birth_label == "a+b"
+    # A null label is no label.
+    doc = {"bars": [{"degree": 0, "birth": 1, "death": 2, "death_label": None}]}
+    assert parse_barcode_file(json.dumps(doc)).bars[0] == Bar(0, 1, 2)
 
     with pytest.raises(StructureError) as exc:
         parse_barcode_file(json.dumps({"bars": [{"degree": 0, "birth": 2, "death": 1}]}))
@@ -553,6 +557,69 @@ def test_barcode_parse_inf_and_errors():
     with pytest.raises(StructureError, match=r"bars\[1\]\.birth_label must be a string") as exc:
         parse_barcode_file(json.dumps({"bars": tied}))
     assert exc.value.code == BAD_SCHEMA
+
+
+def _second_bar(bar: str) -> str:
+    return '{"bars": [{"degree": 0, "birth": 0, "death": 1}, %s]}' % bar
+
+
+@pytest.mark.parametrize(
+    "data, code, message",
+    [
+        ("[]", BAD_SCHEMA, "barcode file must be an object with a 'bars' array"),
+        ('{"bars": {}}', BAD_SCHEMA, "barcode file must be an object with a 'bars' array"),
+        ('{"bar": []}', BAD_SCHEMA, "barcode file must be an object with a 'bars' array"),
+        (_second_bar("1"), BAD_SCHEMA, "bars[1] must be an object"),
+        (_second_bar('{"zz": 0, "birth": 1, "yy": 0}'), BAD_SCHEMA, "bars[1] has unknown key 'zz'"),
+        (_second_bar('{"birth": 1, "death": 2, "zz": 0}'), BAD_SCHEMA, "bars[1] has unknown key 'zz'"),
+        (_second_bar('{"death": 2, "birth": 1}'), BAD_SCHEMA, "bars[1] is missing 'degree'"),
+        (_second_bar('{"death": 2, "degree": 0}'), BAD_SCHEMA, "bars[1] is missing 'birth'"),
+        (_second_bar('{"birth": 1, "degree": 0, "death_label": "q"}'), BAD_SCHEMA, "bars[1] is missing 'death'"),
+        (_second_bar('{"degree": true, "birth": 1, "death": 2}'), BAD_SCHEMA, "bars[1].degree must be an integer"),
+        (_second_bar('{"degree": 0, "birth": true, "death": 2}'), BAD_SCHEMA, "bars[1].birth must be a number"),
+        (_second_bar('{"degree": 0, "birth": "1", "death": 2}'), BAD_SCHEMA, "bars[1].birth must be a number"),
+        (_second_bar('{"degree": 0, "birth": "inf", "death": 2}'), BAD_SCHEMA, "bars[1].birth must be a number"),
+        (
+            _second_bar('{"degree": 0, "birth": 1, "death": Infinity}'),
+            BAD_SCHEMA,
+            "bars[1].death must be a number or 'inf'",
+        ),
+        (_second_bar('{"degree": 0, "birth": 1, "death": NaN}'), BAD_SCHEMA, "bars[1].death must be a number or 'inf'"),
+        (
+            _second_bar('{"degree": 0, "birth": 1, "death": "Infinity"}'),
+            BAD_SCHEMA,
+            "bars[1].death must be a number or 'inf'",
+        ),
+        (
+            _second_bar('{"degree": 0, "birth": 1, "death": 2, "birth_label": 3}'),
+            BAD_SCHEMA,
+            "bars[1].birth_label must be a string",
+        ),
+        (
+            _second_bar('{"degree": 0, "birth": 1, "death": 2, "death_label": ["q"]}'),
+            BAD_SCHEMA,
+            "bars[1].death_label must be a string",
+        ),
+        (
+            _second_bar('{"degree": 0, "birth": 1, "death": 1.0}'),
+            INVALID_BAR,
+            "bars[1]: bar must have birth < death, got [1, 1)",
+        ),
+    ],
+    ids=[
+        "top_level_array", "bars_not_array", "no_bars_key",
+        "not_an_object", "unknown_before_missing", "unknown_after_required", "missing_degree_first",
+        "missing_birth", "missing_death", "bool_degree", "bool_birth", "string_birth", "inf_birth",
+        "bare_infinity_death", "nan_death", "string_infinity_death", "number_label", "array_label", "birth_equal_to_death",
+    ],
+)
+def test_barcode_faults_keep_their_messages_and_order(data, code, message):
+    """Every fault of a barcode file, most in the second bar, behind a valid
+    first one: a bar's unknown keys are named, in file order, before its
+    missing keys, and those in the order degree, birth, death."""
+    with pytest.raises(StructureError) as exc:
+        parse_barcode_file(data)
+    assert (exc.value.code, str(exc.value)) == (code, message)
 
 
 @pytest.mark.parametrize("key", ["birth_label", "death_label"])

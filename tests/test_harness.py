@@ -101,6 +101,27 @@ def test_traced_counters_read_attributes_the_library_has():
     assert counted["cli.cli_dispatch.nonzero_exits"] == 0
 
 
+def test_distance_reads_both_files_through_the_module_attribute(monkeypatch, tmp_path):
+    """The traced run rebinds ``legch.fileio.parse_barcode_file``; ``legch
+    distance`` must reach it there, once per file, for its span to count."""
+    fileio = importlib.import_module("legch.fileio")
+    cli = importlib.import_module("legch.cli")
+    parse, read = fileio.parse_barcode_file, []
+
+    def counted(data):
+        read.append(data)
+        return parse(data)
+
+    monkeypatch.setattr(fileio, "parse_barcode_file", counted)
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    for path, death in zip(paths, ("2", "2.5")):
+        path.write_text('{"bars": [{"degree": 0, "birth": 1, "death": %s}]}' % death)
+    out, err = io.StringIO(), io.StringIO()
+    assert cli.cli_dispatch(["distance", *map(str, paths)], out, err) == 0
+    assert (out.getvalue(), err.getvalue()) == ("0.5\n", "")
+    assert read == [path.read_bytes() for path in paths]
+
+
 def defined_names(body: list[ast.stmt]) -> list[str]:
     """The names that the functions, classes and assignments of ``body`` define."""
     names = []

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from legch import metrics
 from legch.algebra import DGA, HeightAssignment
 from legch.augment import enumerate_augmentations, linearized_differential
+from legch.fileio import parse_barcode_file, serialize_barcode_file
 from legch.metrics import LaurentPolynomial, check_strong_morse, interleaving_distance
 from legch.persist import Bar, Barcode, FilteredComplex, build_filtered_complex, compute_barcode
 
@@ -176,6 +177,23 @@ def test_empty_degrees_contribute_nothing():
     b1 = Barcode((Bar(5, Fraction(1), Fraction(2)),))
     assert interleaving_distance(b1, Barcode(())) == Fraction(1, 2)
     assert interleaving_distance(Barcode(()), Barcode(())) == 0
+
+
+def test_distance_reads_mixed_ends_and_any_float_infinity():
+    """Integer and Fraction ends under one scale, and an infinite end that is
+    float("inf") rather than the math.inf object, as Bar.finite reads it."""
+    def bars(inf):
+        return Barcode((
+            Bar(0, 1, Fraction(7, 2)), Bar(0, Fraction(1, 4), 2), Bar(1, 2, inf),
+            Bar(1, Fraction(5, 8), 3), Bar(1, Fraction(-3, 5), Fraction(1, 5)),
+        ))
+    other = Barcode((Bar(0, 1, 4), Bar(1, Fraction(9, 4), math.inf), Bar(1, 0, Fraction(5, 2))))
+    assert float("inf") is not math.inf
+    mixed, plain = bars(float("inf")), bars(math.inf)
+    # degree 0 deletes [1/4, 2) at 7/8; degree 1 matches its infinite bars at 1/4
+    assert interleaving_distance(mixed, other) == interleaving_distance(plain, other) == Fraction(7, 8)
+    assert brute_force_distance(mixed, other) == Fraction(7, 8)
+    assert interleaving_distance(mixed, parse_barcode_file(serialize_barcode_file(mixed))) == 0
 
 
 seeds = st.integers(min_value=0, max_value=10**9)
