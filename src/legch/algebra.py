@@ -8,10 +8,9 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 Word = tuple[int, ...]
 
@@ -31,18 +30,38 @@ class StructureError(ValueError):
         self.code = code
 
 
-@dataclass(frozen=True, slots=True)
-class Generator:
+class _Record:
+    """Value equality, hashing, a repr and read-only fields over ``_fields``, for records that are not tuples."""
+
+    __slots__ = ()
+
+    def __reduce__(self):  # the class and the field values, which pickle, copy, ==, hash and repr read
+        return type(self), tuple(map(self.__getattribute__, self._fields))
+
+    def __eq__(self, other):
+        return self.__reduce__() == other.__reduce__() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.__reduce__())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(map('{}={!r}'.format, self._fields, self.__reduce__()[1]))})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to {type(self).__name__}.{name}: the record is read-only")
+    __delattr__ = __setattr__
+
+
+class Generator(NamedTuple):
     gid: int
     name: str
     grading: int
 
 
-@dataclass(frozen=True, init=False, slots=True)
-class Element:
-    """A Z2-linear combination of words.  The empty combination is zero."""
+class Element(_Record):
+    """A Z2-linear combination of words, the frozenset ``words``.  The empty combination is zero."""
 
-    words: frozenset[Word]
+    _fields = __slots__ = ("words",)
 
     def __init__(self, words: Iterable[Word] = ()):
         words = list(map(tuple, words))
@@ -55,17 +74,18 @@ class Element:
         return bool(self.words)
 
 
-@dataclass(frozen=True)
-class DGA:
+class DGA(_Record):
     """Generators with gradings plus a differential, both indexed by generator id.
 
-    A plain record, unchecked: ``parse_knot_file`` resolves and checks names
+    A read-only record, unchecked: ``parse_knot_file`` resolves and checks names
     and letters, so code that builds a DGA directly keeps ids 0..n-1 in order,
     names distinct and every letter a generator id.
     """
 
-    generators: tuple[Generator, ...]
-    differential: tuple[Element, ...]
+    _fields = ("generators", "differential")  # its __dict__ holds them and, once read, compiled_words
+
+    def __init__(self, generators: tuple[Generator, ...], differential: tuple[Element, ...]):
+        vars(self).update(generators=generators, differential=differential)
 
     def __len__(self) -> int:
         return len(self.generators)
@@ -118,8 +138,7 @@ def _scaled(x, scale: int) -> int:
     return x.numerator * (scale // x.denominator)
 
 
-@dataclass(frozen=True)
-class HeightAssignment:
+class HeightAssignment(NamedTuple):
     """The filtration datum: ``heights[gid]`` is the strictly positive height
     of the generator with id ``gid``, indexed as ``DGA.generators`` is.
     Unchecked, like a ``DGA`` built directly: ``parse_knot_file`` checks the

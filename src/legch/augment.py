@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import compress
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .algebra import DGA, Generator, StructureError, _gids
 
@@ -21,8 +20,7 @@ MAX_CACHED_STATES = 1 << 10
 SEARCH_BOUND = "SEARCH_BOUND"
 
 
-@dataclass(frozen=True)
-class Augmentation:
+class Augmentation(NamedTuple):
     """A {0,1} value per generator id, zero outside grading 0."""
 
     values: tuple[int, ...]
@@ -194,8 +192,7 @@ def pick_augmentation(dga: DGA, index: int) -> tuple[Augmentation | None, int]:
     return (found[0] if found else None), count
 
 
-@dataclass(frozen=True)
-class LinearizedComplex:
+class LinearizedComplex(NamedTuple):
     """Z2 chain complex on the generator span; columns[q] is the support of d1(q).
 
     Read from the words compiled once per DGA: where no word of two or more

@@ -4,9 +4,7 @@ adds a cancelling crossing pair, and the island diagram where flooding fails.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from fractions import Fraction
-from importlib import resources
 from pathlib import Path
 
 from ..algebra import HeightAssignment
@@ -18,7 +16,7 @@ NAMES = ("unknot", "trefoil", "trefoil_rii", "island")
 def corpus_path(name: str) -> Path:
     if name not in NAMES:
         raise ValueError(f"unknown corpus knot {name!r}; choose from {NAMES}")
-    return Path(str(resources.files(__package__).joinpath(f"{name}.json")))
+    return Path(__file__).with_name(f"{name}.json")
 
 
 def load(name: str) -> KnotData:
@@ -41,4 +39,4 @@ def trefoil_after_rii(delta: Fraction) -> KnotData:
     a = next(g.gid for g in kd.dga.generators if g.name == "a")
     heights = kd.heights.heights
     heights = heights[:a] + (2 + delta,) + heights[a + 1 :]
-    return replace(kd, heights=HeightAssignment(heights))
+    return kd._replace(heights=HeightAssignment(heights))

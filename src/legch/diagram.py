@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Literal
+from typing import Iterable, Literal, NamedTuple
 
 from .algebra import HeightAssignment
 
 
-@dataclass(frozen=True)
-class LagrangianDiagramData:
+class LagrangianDiagramData(NamedTuple):
     """Crossing ids and one patch per bounded region.  A patch is the linear
     form of the region's positive area: its (crossing id, coefficient) corners,
     sorted by id, as ``parse_knot_file`` checks and builds them."""
@@ -23,8 +21,7 @@ def area_inequalities(d: LagrangianDiagramData) -> tuple[tuple[tuple[int, int], 
     return d.patches
 
 
-@dataclass(frozen=True)
-class Tiering:
+class Tiering(NamedTuple):
     tiers: tuple[frozenset[int], ...]
     status: Literal["success", "failure"]
     unassigned: frozenset[int]

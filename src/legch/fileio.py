@@ -9,10 +9,10 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from itertools import chain
+from typing import NamedTuple
 
 from .algebra import BAD_HEIGHT, BAD_SCHEMA  # also the parser's codes
 from .algebra import DGA, Element, Generator, HeightAssignment, StructureError, _scaled, validate_dga
@@ -37,8 +37,7 @@ _SURROGATE = re.compile("[\ud800-\udfff]")
 _SURROGATE_OR_CONTROL = re.compile("[\ud800-\udfff\x00-\x1f\x7f-\x9f]")
 
 
-@dataclass(frozen=True)
-class KnotData:
+class KnotData(NamedTuple):
     dga: DGA
     diagram: LagrangianDiagramData
     heights: HeightAssignment | None
@@ -126,13 +125,17 @@ def _parse_int(literal: str) -> int:
     return _parse_number(literal, int) if len(literal) > MAX_NUMBER_DIGITS else int(literal)
 
 
+_DECODER = json.JSONDecoder(parse_float=_parse_float, parse_int=_parse_int)  # built once: json.loads builds one per call
+
+
 def _load_json(data: bytes | str):
-    """Decode UTF-8 and parse JSON with exact, bounded numbers; any failure is
-    MALFORMED_JSON."""
+    """Decode UTF-8 and parse JSON with exact, bounded numbers; any failure is MALFORMED_JSON."""
     try:
         if isinstance(data, bytes):
             data = data.decode("utf-8")
-        return json.loads(data, parse_float=_parse_float, parse_int=_parse_int)
+        if data.startswith("\ufeff"):  # json.loads' own check, which JSONDecoder.decode skips
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", data, 0)
+        return _DECODER.decode(data)
     except ValueError as exc:  # also bad JSON and bad UTF-8
         raise StructureError(f"not valid JSON: {exc}", MALFORMED_JSON) from None
     except RecursionError:

@@ -5,8 +5,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .algebra import DGA
 from .persist import Barcode
@@ -33,8 +33,7 @@ class LaurentPolynomial(Counter):
         return "".join(parts) or "0"
 
 
-@dataclass(frozen=True)
-class StrongMorseReport:
+class StrongMorseReport(NamedTuple):
     mc: LaurentPolynomial
     pc: LaurentPolynomial
     finite_bars: LaurentPolynomial

@@ -3,16 +3,15 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
+from typing import NamedTuple
 
 from .algebra import BAD_HEIGHT, Generator, HeightAssignment, StructureError, _gids, _scaled
 from .augment import LinearizedComplex
 
 
-@dataclass(frozen=True)
-class FilteredComplex:
+class FilteredComplex(NamedTuple):
     """A linearized complex with its heights, indexed by generator id.
 
     ``compute_barcode`` checks the heights: the tuple holds one per generator,
@@ -31,8 +30,7 @@ def build_filtered_complex(
     return FilteredComplex(lin.generators, h, lin.columns)
 
 
-@dataclass(frozen=True, slots=True)
-class Bar:
+class Bar(NamedTuple):
     degree: int
     birth: int | Fraction
     death: int | Fraction | float  # math.inf for an infinite bar
@@ -44,8 +42,7 @@ class Bar:
         return not isinstance(self.death, float) or self.death != math.inf
 
 
-@dataclass(frozen=True)
-class Barcode:
+class Barcode(NamedTuple):
     """Bars in the order they are given: ``compute_barcode`` sorts them by
     degree, birth, death and labels, and a parsed barcode file keeps its own."""
 

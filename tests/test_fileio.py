@@ -3,7 +3,6 @@ import json
 import math
 import re
 import xml.etree.ElementTree as ET
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -142,6 +141,28 @@ def test_undecodable_input_is_malformed_json(parse, payload):
     with pytest.raises(StructureError) as exc:
         parse(payload)
     assert exc.value.code == MALFORMED_JSON
+
+
+@pytest.mark.parametrize("as_bytes", [True, False], ids=["bytes", "str"])
+@pytest.mark.parametrize(
+    "parse, text",
+    [
+        (parse_knot_file, corpus.corpus_path("trefoil").read_text(encoding="utf-8")),
+        (parse_barcode_file, '{"bars": []}'),
+    ],
+    ids=["knot", "barcode"],
+)
+def test_a_leading_byte_order_mark_is_malformed_json(parse, text, as_bytes):
+    """json.loads refuses a leading U+FEFF; the parsers keep that refusal and
+    its message, for a file given as bytes or as str."""
+    parse(text.encode("utf-8") if as_bytes else text)
+    data = "﻿" + text
+    with pytest.raises(StructureError) as exc:
+        parse(data.encode("utf-8") if as_bytes else data)
+    assert exc.value.code == MALFORMED_JSON
+    assert str(exc.value) == (
+        "not valid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"
+    )
 
 
 def _bar_born_at(literal: str) -> str:
@@ -684,7 +705,7 @@ def test_render_svg_geometry_is_scale_free_beyond_float_range():
     scale = Fraction(2**2000)
     huge = Barcode(
         tuple(
-            replace(bar, birth=bar.birth * scale, death=bar.death * scale if bar.finite else bar.death)
+            bar._replace(birth=bar.birth * scale, death=bar.death * scale if bar.finite else bar.death)
             for bar in barcode.bars
         )
     )
