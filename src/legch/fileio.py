@@ -8,9 +8,9 @@ from __future__ import annotations
 
 import json
 import math
-import re
 from decimal import Decimal
 from fractions import Fraction
+from functools import partial
 from itertools import chain
 from typing import NamedTuple
 
@@ -30,11 +30,6 @@ INVALID_BAR = "INVALID_BAR"
 # decimal_str writes an accepted number back with no more digits, under Python's
 # 4300-digit limit, and Fraction never expands a huge exponent.
 MAX_NUMBER_DIGITS = 4000
-
-# JSON's "\ud800" escape gives a string that no UTF-8 output can hold, and a
-# C0 or C1 control character would reach a terminal or an SVG as it is.
-_SURROGATE = re.compile("[\ud800-\udfff]")
-_SURROGATE_OR_CONTROL = re.compile("[\ud800-\udfff\x00-\x1f\x7f-\x9f]")
 
 
 class KnotData(NamedTuple):
@@ -91,12 +86,15 @@ def format_extended(x) -> str:
 # ---------------------------------------------------------------------------
 # knot files
 
-def _check_text(text: str, where: str) -> None:
-    """Names and labels are printed as they are; no message echoes them."""
-    if _SURROGATE_OR_CONTROL.search(text):
-        if _SURROGATE.search(text):
-            raise StructureError(f"{where} is not valid Unicode", BAD_SCHEMA)
-        raise StructureError(f"{where} has a control character", BAD_SCHEMA)
+def _check_text(text: str, where: str, *args) -> None:
+    """Names and labels are printed as they are; no message echoes them.  UTF-8 cannot hold
+    a lone surrogate (JSON's "\\ud800" escape), and a C0 or C1 control character would reach
+    a terminal or an SVG.  Both fail ``isprintable``: only a text that fails it is searched."""
+    if not text.isprintable():
+        if any("\ud800" <= c <= "\udfff" for c in text):
+            raise StructureError(f"{where.format(*args)} is not valid Unicode", BAD_SCHEMA)
+        if any(c < " " or "\x7f" <= c <= "\x9f" for c in text):
+            raise StructureError(f"{where.format(*args)} has a control character", BAD_SCHEMA)
 
 
 def _parse_number(literal: str, kind=Fraction):
@@ -144,7 +142,9 @@ def _load_json(data: bytes | str):
 
 def parse_knot_file(data: bytes | str) -> KnotData:
     """Check a knot file and build its data.  JSON gives plain types, so exact
-    type tests stand for the isinstance checks (a bool is no int here)."""
+    type tests stand for the isinstance checks (a bool is no int here).  One
+    type pass covers every differential word and letter; only a fault walks the
+    keys, so a file raises its first fault in the order of the checks below."""
     doc = _load_json(data)
     if type(doc) is not dict:
         raise StructureError("top level must be a JSON object", BAD_SCHEMA)
@@ -161,31 +161,34 @@ def parse_knot_file(data: bytes | str) -> KnotData:
     raw_gens = doc["generators"]
     if type(raw_gens) is not list:
         raise StructureError("'generators' must be an array", BAD_SCHEMA)
-    gens: list[tuple[str, int]] = []
+    gens: list[Generator] = []
     for i, entry in enumerate(raw_gens):
         if not (type(entry) is dict and entry.keys() == {"name", "grading"}):
             raise StructureError(f"generators[{i}] must be an object with keys 'name' and 'grading'", BAD_SCHEMA)
         name, grading = entry["name"], entry["grading"]
         if type(name) is not str or name == "":
             raise StructureError(f"generators[{i}].name must be a nonempty string", BAD_SCHEMA)
-        _check_text(name, f"generators[{i}].name")
+        _check_text(name, "generators[{}].name", i)
         if "+" in name:  # bar labels join names with '+'
             raise StructureError(f"generators[{i}].name contains '+'", BAD_SCHEMA)
         if type(grading) is not int:
             raise StructureError(f"generators[{i}].grading must be an integer", BAD_SCHEMA)
-        gens.append((name, grading))
+        gens.append(Generator(i, name, grading))
 
     raw_diff = doc["differential"]
     if type(raw_diff) is not dict:
         raise StructureError("'differential' must be an object", BAD_SCHEMA)
-    for name, words in raw_diff.items():
-        if type(words) is not list:
-            raise StructureError(f"differential[{name!r}] must be an array of words", BAD_SCHEMA)
-        if not ({list}.issuperset(map(type, words)) and {str}.issuperset(map(type, chain.from_iterable(words)))):
-            raise StructureError(f"differential[{name!r}] words must be arrays of generator names", BAD_SCHEMA)
+    columns = raw_diff.values()
+    if not ({list}.issuperset(map(type, columns)) and {list}.issuperset(map(type, chain.from_iterable(columns)))
+            and {str}.issuperset(map(type, chain.from_iterable(chain.from_iterable(columns))))):
+        for name, words in raw_diff.items():
+            if type(words) is not list:
+                raise StructureError(f"differential[{name!r}] must be an array of words", BAD_SCHEMA)
+            if not ({list}.issuperset(map(type, words)) and {str}.issuperset(map(type, chain.from_iterable(words)))):
+                raise StructureError(f"differential[{name!r}] words must be arrays of generator names", BAD_SCHEMA)
     # One name index resolves the letters here and the patch corners and height keys below.
     index: dict[str, int] = {}
-    for gid, (name, _) in enumerate(gens):
+    for gid, name, _ in gens:
         if name in index:
             raise StructureError(f"generator name {name!r} appears twice", DUPLICATE_NAME)
         index[name] = gid
@@ -195,15 +198,17 @@ def parse_knot_file(data: bytes | str) -> KnotData:
     for name in index:
         if name not in raw_diff:
             raise StructureError(f"missing differential for generator {name!r}", BAD_SCHEMA)
+    resolve = partial(map, index.__getitem__)  # a word's letters, looked up with no Python frame per word
     cols = {}
     for name, words in raw_diff.items():
+        one_letter = {1}.issuperset(map(len, words))  # such a column is one run of letters, each looked up once
         try:
-            cols[name] = Element(map(index.__getitem__, w) for w in words)
+            cols[name] = Element(zip(resolve(chain.from_iterable(words))) if one_letter else map(resolve, words))
         except KeyError as exc:
             raise StructureError(
                 f"differential[{name!r}] uses unknown generator {exc.args[0]!r}", UNKNOWN_GENERATOR
             ) from None
-    dga = DGA(tuple(Generator(gid, *g) for gid, g in enumerate(gens)), tuple(cols[name] for name in index))
+    dga = DGA(tuple(gens), tuple(map(cols.__getitem__, index)))
     validate_dga(dga)
 
     raw_patches = doc["patches"]
@@ -245,7 +250,7 @@ def parse_knot_file(data: bytes | str) -> KnotData:
         for name in raw_heights:
             if name not in index:
                 raise StructureError(f"heights key {name!r} is not a generator", UNKNOWN_GENERATOR)
-        for name, _ in gens:
+        for name in index:
             if name not in raw_heights:
                 raise StructureError(f"missing height for generator {name!r}", BAD_HEIGHT)
             value = raw_heights[name]
@@ -253,7 +258,7 @@ def parse_knot_file(data: bytes | str) -> KnotData:
                 raise StructureError(f"height of {name!r} must be a number", BAD_HEIGHT)
             if value.numerator <= 0:
                 raise StructureError(f"height of {name!r} must be positive, got {value}", BAD_HEIGHT)
-        heights = HeightAssignment(tuple(raw_heights[name] for name, _ in gens))
+        heights = HeightAssignment(tuple(map(raw_heights.__getitem__, index)))
 
     if type(doc.get("meta", {})) is not dict:  # checked, not kept
         raise StructureError("'meta' must be an object", BAD_SCHEMA)
@@ -310,7 +315,7 @@ def parse_barcode_file(data: bytes | str) -> Barcode:
                 if label is not None:
                     if type(label) is not str:
                         raise StructureError(f"bars[{i}].{key} must be a string", BAD_SCHEMA)
-                    _check_text(label, f"bars[{i}].{key}")
+                    _check_text(label, "bars[{}].{}", i, key)
         if not birth < death:
             raise StructureError(f"bars[{i}]: bar must have birth < death, got [{birth}, {death})", INVALID_BAR)
         bars.append(Bar(degree, birth, death, birth_label, death_label))

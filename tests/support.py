@@ -14,13 +14,14 @@ import re
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import chain, product
 from random import Random
 
 from hypothesis import strategies as st
 
 from legch import corpus
 from legch.algebra import (
+    BAD_SCHEMA,
     D_SQUARED_NONZERO,
     DGA,
     GRADING_VIOLATION,
@@ -34,6 +35,7 @@ from legch.algebra import (
 )
 from legch.augment import Augmentation, enumerate_augmentations, linearized_differential
 from legch.diagram import Tiering, assign_heights, flood
+from legch.fileio import DUPLICATE_NAME, UNKNOWN_GENERATOR
 from legch.metrics import LaurentPolynomial
 from legch.persist import Bar, Barcode, FilteredComplex, build_filtered_complex, compute_barcode
 
@@ -353,7 +355,8 @@ def flood_heights(dga: DGA) -> HeightAssignment:
 
 # ---------------------------------------------------------------------------
 # the former validation: d² accumulated one letter at a time, gradings looked
-# up per letter through the DGA
+# up per letter through the DGA; and the former reading of a knot file's
+# differential, which feeds it
 
 def apply_differential_per_letter(elem: Element, dga: DGA) -> Element:
     """Extend the generator-level differential by linearity and the Leibniz rule."""
@@ -384,6 +387,56 @@ def validate_dga_per_letter(dga: DGA) -> None:
             raise StructureError(
                 f"d(d({g.name})) = {format_element(dd, dga)} is nonzero", D_SQUARED_NONZERO
             )
+
+
+def knot_doc(dga: DGA) -> dict:
+    """A knot document holding ``dga``: its generators, its words as lists of
+    names, and no patches or heights."""
+    name = [g.name for g in dga.generators]
+    return {
+        "generators": [{"name": g.name, "grading": g.grading} for g in dga.generators],
+        "differential": {
+            g.name: [[name[x] for x in word] for word in sorted(elem.words)]
+            for g, elem in zip(dga.generators, dga.differential)
+        },
+        "patches": [],
+    }
+
+
+def differential_per_letter(doc) -> DGA:
+    """The DGA of a knot document whose generators are well formed, read the
+    former way: every value, word and letter type-checked key by key, each
+    letter looked up by a scan of the names, one ``Element`` of each column's
+    words in file order (the order in which a grading fault is named), then
+    ``validate_dga_per_letter``.  It raises the faults of ``parse_knot_file``,
+    in the same order."""
+    names = [g["name"] for g in doc["generators"]]
+    differential = doc["differential"]
+    for key, words in differential.items():
+        if not isinstance(words, list):
+            raise StructureError(f"differential[{key!r}] must be an array of words", BAD_SCHEMA)
+        for word in words:
+            if not (isinstance(word, list) and all(isinstance(letter, str) for letter in word)):
+                raise StructureError(f"differential[{key!r}] words must be arrays of generator names", BAD_SCHEMA)
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise StructureError(f"generator name {name!r} appears twice", DUPLICATE_NAME)
+    for key in differential:
+        if key not in names:
+            raise StructureError(f"differential key {key!r} is not a generator", UNKNOWN_GENERATOR)
+    for name in names:
+        if name not in differential:
+            raise StructureError(f"missing differential for generator {name!r}", BAD_SCHEMA)
+    columns = {}
+    for key, words in differential.items():
+        for letter in chain.from_iterable(words):
+            if letter not in names:
+                raise StructureError(f"differential[{key!r}] uses unknown generator {letter!r}", UNKNOWN_GENERATOR)
+        columns[key] = Element([tuple(names.index(letter) for letter in word) for word in words])
+    gens = tuple(Generator(i, g["name"], g["grading"]) for i, g in enumerate(doc["generators"]))
+    dga = DGA(gens, tuple(columns[name] for name in names))
+    validate_dga_per_letter(dga)
+    return dga
 
 
 # ---------------------------------------------------------------------------

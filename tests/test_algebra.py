@@ -28,6 +28,7 @@ from support import (
     dga_of,
     gid_of,
     height_of_element,
+    knot_doc,
     load_corpus,
     planted_complex,
     plus,
@@ -280,6 +281,48 @@ def test_planted_complex_validates_and_a_toggled_word_fails_as_before():
         toggled = DGA(dga.generators, tuple(cols))
         assert outcome(validate_dga, toggled)[0] == code
         assert outcome(validate_dga, toggled) == outcome(validate_dga_per_letter, toggled)
+
+
+def test_a_planted_knot_file_validates_and_a_toggled_word_fails_as_before():
+    """The toggles above, read from knot-file bytes at n > 2000.  Two more
+    generators give one column that mixes one-letter and longer words: u = ab,
+    d(x) = d(u) and d(y) = x + u, so d(d(y)) = d(u) + d(u) = 0."""
+    fc, _ = planted_complex(Random(5), max_n=2600)
+    dga = dga_from_complex(fc)
+    n = len(dga)
+    assert n > 2000
+    a, b = next(
+        (a, b) for a in dga.generators for b in dga.generators if dga.differential[a.gid] and dga.differential[b.gid]
+    )
+    u = (a.gid, b.gid)
+    x = Generator(n, "x", a.grading + b.grading)
+    y = Generator(n + 1, "y", x.grading + 1)
+    cols = [*dga.differential, apply_differential_per_letter(Element([u]), dga), Element([(x.gid,), u])]
+    dga = DGA((*dga.generators, x, y), tuple(cols))
+    assert {len(w) for w in cols[y.gid].words} == {1, 2}
+
+    def read(d):
+        return parse_knot_file(json.dumps(knot_doc(d)).encode()).dga
+
+    assert read(dga) == dga
+    g, p = next(
+        (g, p)
+        for g in dga.generators
+        for p in dga.generators
+        if p.grading == g.grading - 1 and dga.differential[p.gid] and g.gid < n
+    )
+    q = next(q for q in dga.generators if q.grading == x.grading and dga.differential[q.gid])
+    for target, word, code in [
+        (g, (p.gid,), D_SQUARED_NONZERO),
+        (g, (g.gid,), GRADING_VIOLATION),
+        (y, (q.gid,), D_SQUARED_NONZERO),
+        (y, (y.gid,), GRADING_VIOLATION),
+    ]:
+        cols = list(dga.differential)
+        cols[target.gid] = plus(cols[target.gid], Element([word]))
+        toggled = DGA(dga.generators, tuple(cols))
+        assert outcome(read, toggled)[0] == code
+        assert outcome(read, toggled) == outcome(validate_dga_per_letter, toggled)
 
 
 @st.composite

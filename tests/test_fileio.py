@@ -30,7 +30,18 @@ from legch.fileio import (
 )
 from legch.persist import Bar, Barcode
 
-from support import CONTROL_IN_OUTPUT, CONTROLS, LETTERS, VALUES, barcode_of, gid_of, load_corpus, mutate, slots
+from support import (
+    CONTROL_IN_OUTPUT,
+    CONTROLS,
+    LETTERS,
+    VALUES,
+    barcode_of,
+    differential_per_letter,
+    gid_of,
+    load_corpus,
+    mutate,
+    slots,
+)
 
 UNKNOT = load_corpus("unknot")
 TREFOIL = load_corpus("trefoil")
@@ -275,6 +286,68 @@ def test_mutated_corpus_files_parse_or_fail_with_a_code(name, data):
         pass
 
 
+@st.composite
+def knot_docs(draw):
+    """Knot documents with well-formed generators and a differential of
+    one-letter, longer, empty and repeated words, its keys in any order.  Half
+    keep only the words that drop the grading by 1, with more one-letter words
+    of that kind, so that many reach d².  Up to three faults go under any keys:
+    an unknown letter, in a word of either kind; a letter that is no string; a
+    value or a word that is no array; a missing or an unknown key."""
+    n = draw(st.integers(1, 6))
+    names = [f"q{i}" for i in range(n)]
+    gradings = [draw(st.integers(0, 2)) for _ in range(n)]
+    letter = st.integers(0, n - 1)
+    word = st.one_of(letter.map(lambda g: (g,)), st.lists(letter, max_size=3).map(tuple))
+    graded = draw(st.booleans())
+    differential = {}
+    for i in draw(st.permutations(range(n))):
+        words = draw(st.lists(word, max_size=6))
+        below = [(x,) for x in range(n) if gradings[x] == gradings[i] - 1]
+        if graded:
+            words = [w for w in words if sum(gradings[x] for x in w) == gradings[i] - 1]
+            words += draw(st.lists(st.sampled_from(below), max_size=4)) if below else []
+        words += draw(st.lists(st.sampled_from(words), max_size=2)) if words else []
+        differential[names[i]] = [[names[x] for x in w] for w in words]
+    kinds = ["unknown_letter", "unknown_letter", "letter", "word", "value", "missing_key", "unknown_key"]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 1, 2, 3]))):
+        key = draw(st.sampled_from(list(differential) or ["zz"]))
+        kind = draw(st.sampled_from(kinds))
+        words = differential.get(key)
+        if kind == "value":
+            differential[key] = draw(st.sampled_from(["q0", 0, None, {}, {"q0": []}]))
+        elif kind == "missing_key":
+            differential.pop(key, None)
+        elif kind == "unknown_key":
+            differential["zz"] = []
+        elif type(words) is list and words:
+            j = draw(st.integers(0, len(words) - 1))
+            if kind == "word":
+                words[j] = draw(st.sampled_from(["q0", 0, None, {}]))
+            elif type(words[j]) is list and words[j]:
+                m = draw(st.integers(0, len(words[j]) - 1))
+                words[j][m] = "zz" if kind == "unknown_letter" else draw(st.sampled_from([0, None, True, ["q0"]]))
+    generators = [{"name": name, "grading": k} for name, k in zip(names, gradings)]
+    return {"generators": generators, "differential": differential, "patches": []}
+
+
+def _dga_or_fault(read, doc):
+    try:
+        return read(doc)
+    except StructureError as exc:
+        return exc.code, str(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(knot_docs())
+def test_the_parser_reads_a_differential_as_the_per_letter_reference_does(doc):
+    """The same DGA, or the same first fault's code and message, as the former
+    reading: types checked key by key, each letter looked up by a scan of the
+    names, and ``validate_dga_per_letter``."""
+    parsed = _dga_or_fault(lambda d: parse_knot_file(json.dumps(d)).dga, doc)
+    assert parsed == _dga_or_fault(differential_per_letter, doc)
+
+
 # number literals, put into the JSON text verbatim: negative, past the float
 # range, at the digit bound and just over it (MALFORMED_JSON)
 NUMBERS = st.sampled_from(
@@ -388,6 +461,14 @@ def _gens(*names, grading=1):
             "[BAD_SCHEMA] differential['a'] words must be arrays of generator names",
         ),
         (
+            {"generators": _gens("a", "b"), "differential": {"a": [["b", 1]], "b": "b"}},
+            "[BAD_SCHEMA] differential['a'] words must be arrays of generator names",
+        ),
+        (
+            {"generators": _gens("a", "b"), "differential": {"a": {}, "b": [["a"], [None]]}},
+            "[BAD_SCHEMA] differential['a'] must be an array of words",
+        ),
+        (
             {"generators": _gens("\ud800", "q\x01"), "differential": {}},
             "[BAD_SCHEMA] generators[0].name is not valid Unicode",
         ),
@@ -417,6 +498,8 @@ def _gens(*names, grading=1):
         "non_list_word_after_unknown_letter",
         "non_string_letter_before_duplicate_name",
         "null_letter_before_duplicate_name",
+        "non_string_letter_before_non_list_value",
+        "non_list_value_before_non_string_letter",
         "surrogate_name_before_control_name",
         "control_name_before_surrogate_name",
         "surrogate_after_control_in_one_name",
@@ -448,6 +531,11 @@ def test_the_first_of_two_faults_is_reported(tmp_path, doc, stderr):
             {"q": [[1]]},
             "[BAD_SCHEMA] differential['q'] words must be arrays of generator names",
         ),
+        (
+            _gens("a", "b"),
+            {"a": [["b"], [None]], "b": 5},
+            "[BAD_SCHEMA] differential['a'] words must be arrays of generator names",
+        ),
         (_gens("q", "q"), {"zz": [], "q": []}, "[DUPLICATE_NAME] generator name 'q' appears twice"),
         (_gens("q", "p"), {"q": [], "zz": []}, "[UNKNOWN_GENERATOR] differential key 'zz' is not a generator"),
         (_gens("q", "p"), {"q": [["zz"]]}, "[BAD_SCHEMA] missing differential for generator 'p'"),
@@ -464,6 +552,7 @@ def test_the_first_of_two_faults_is_reported(tmp_path, doc, stderr):
     ],
     ids=[
         "generator_shape_before_differential_shape",
+        "non_string_letter_before_non_list_value",
         "differential_shape_before_duplicate_name",
         "duplicate_name_before_unknown_key",
         "unknown_key_before_missing_differential",
@@ -657,6 +746,19 @@ def test_barcode_labels_must_be_printable(key, label, fault):
     with pytest.raises(StructureError) as exc:
         parse_barcode_file(json.dumps(doc))
     assert (exc.value.code, str(exc.value)) == (BAD_SCHEMA, f"bars[0].{key} {fault}")
+
+
+def test_every_surrogate_and_control_character_fails_isprintable():
+    """Names and labels are screened with ``str.isprintable``, and only a text
+    that fails it is searched for the two faults: so every character of either
+    kind must fail it.  A text that fails it and holds neither, such as a
+    no-break or a zero-width space, is still accepted."""
+    faulty = [*range(0x20), *range(0x7F, 0xA0), *range(0xD800, 0xE000)]
+    assert not any(chr(c).isprintable() for c in faulty)
+    label = "q\u00a0\u200b"
+    assert not label.isprintable()
+    doc = {"bars": [{"degree": 0, "birth": 1, "death": 2, "birth_label": label}]}
+    assert parse_barcode_file(json.dumps(doc)).bars[0].birth_label == label
 
 
 # --- rendering --------------------------------------------------------------------
