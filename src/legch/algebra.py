@@ -151,12 +151,16 @@ class HeightAssignment(NamedTuple):
 
 
 def apply_differential(elem: Element, dga: DGA) -> Element:
-    """Extend the generator-level differential by linearity and the Leibniz rule.
-    A one-letter word's image is its letter's whole column, toggled in at once."""
-    d = dga.differential
+    """Extend the generator-level differential by linearity and the Leibniz rule."""
+    return Element(_image(elem.words, dga.differential))
+
+
+def _image(words: Iterable[Word], d: tuple[Element, ...]) -> set[Word]:
+    """The words of the image of ``words`` under ``d``, as a set; no ``Element`` is built
+    for a one-letter word, whose image is its letter's whole column, toggled in at once."""
     out: set[Word] = set()
     longer = []
-    for word in elem.words:
+    for word in words:
         if len(word) == 1:
             out ^= d[word[0]].words
         else:
@@ -165,7 +169,7 @@ def apply_differential(elem: Element, dga: DGA) -> Element:
         out ^= Element(
             w[:i] + dw + w[i + 1 :] for w in longer for i, letter in enumerate(w) for dw in d[letter].words
         ).words
-    return Element(out)
+    return out
 
 
 def format_word(word: Sequence[int], dga: DGA) -> str:
@@ -187,28 +191,21 @@ def format_element(elem: Element, dga: DGA) -> str:
 def validate_dga(dga: DGA) -> None:
     """Check that every differential word drops the grading by exactly 1 and that
     the differential squares to zero on every generator; raise at the first fault,
-    checking every grading before any d².  A column of one-letter words, the
-    common case, builds no word: its d² is the symmetric difference of its
-    letters' columns.  Any other column takes its d² from ``apply_differential``."""
-    gradings = [g.grading for g in dga.generators]
-    columns = [elem.words for elem in dga.differential]
-    one_letter = [{1}.issuperset(map(len, words)) for words in columns]  # each column's path, chosen once
-    for g, words, single in zip(dga.generators, columns, one_letter):
+    checking every grading before any d².  Each column's d² is the set ``_image``
+    gives, the core of ``apply_differential``; an ``Element`` is built only for the
+    message."""
+    grading_of = [g.grading for g in dga.generators].__getitem__
+    for g, elem in zip(dga.generators, dga.differential):
         want = g.grading - 1
-        for word in words:
-            if (gradings[word[0]] if single else sum(map(gradings.__getitem__, word))) != want:
+        for word in elem.words:
+            if sum(map(grading_of, word)) != want:
                 raise StructureError(
                     f"word {format_word(word, dga)} in d({g.name}) has grading "
-                    f"{sum(map(gradings.__getitem__, word))}, expected {want}",
+                    f"{sum(map(grading_of, word))}, expected {want}",
                     GRADING_VIOLATION,
                 )
-    for g, elem, single in zip(dga.generators, dga.differential, one_letter):
-        if single:
-            dd = set()
-            for (letter,) in elem.words:
-                dd ^= columns[letter]
-        else:
-            dd = apply_differential(elem, dga).words
+    for g, elem in zip(dga.generators, dga.differential):
+        dd = _image(elem.words, dga.differential)
         if dd:
             raise StructureError(
                 f"d(d({g.name})) = {format_element(Element(dd), dga)} is nonzero", D_SQUARED_NONZERO

@@ -201,9 +201,8 @@ def parse_knot_file(data: bytes | str) -> KnotData:
     resolve = partial(map, index.__getitem__)  # a word's letters, looked up with no Python frame per word
     cols = {}
     for name, words in raw_diff.items():
-        one_letter = {1}.issuperset(map(len, words))  # such a column is one run of letters, each looked up once
         try:
-            cols[name] = Element(zip(resolve(chain.from_iterable(words))) if one_letter else map(resolve, words))
+            cols[name] = Element(map(resolve, words))
         except KeyError as exc:
             raise StructureError(
                 f"differential[{name!r}] uses unknown generator {exc.args[0]!r}", UNKNOWN_GENERATOR
