@@ -150,11 +150,6 @@ class HeightAssignment(NamedTuple):
         return self.heights[gid]
 
 
-def apply_differential(elem: Element, dga: DGA) -> Element:
-    """Extend the generator-level differential by linearity and the Leibniz rule."""
-    return Element(_image(elem.words, dga.differential))
-
-
 def _image(words: Iterable[Word], d: tuple[Element, ...]) -> set[Word]:
     """The words of the image of ``words`` under ``d``, as a set; no ``Element`` is built
     for a one-letter word, whose image is its letter's whole column, toggled in at once."""
@@ -191,14 +186,16 @@ def format_element(elem: Element, dga: DGA) -> str:
 def validate_dga(dga: DGA) -> None:
     """Check that every differential word drops the grading by exactly 1 and that
     the differential squares to zero on every generator; raise at the first fault,
-    checking every grading before any d².  Each column's d² is the set ``_image``
-    gives, the core of ``apply_differential``; an ``Element`` is built only for the
-    message."""
+    checking every grading before any d².  A grading fault names the column's least
+    bad word in ``format_element``'s order, so equal columns name the same word.
+    Each column's d² is the set ``_image`` gives; an ``Element`` is built only for
+    the message."""
     grading_of = [g.grading for g in dga.generators].__getitem__
     for g, elem in zip(dga.generators, dga.differential):
         want = g.grading - 1
         for word in elem.words:
-            if sum(map(grading_of, word)) != want:
+            if sum(map(grading_of, word)) != want:  # searched again, for the least, only on a fault
+                word = min((w for w in elem.words if sum(map(grading_of, w)) != want), key=lambda w: (len(w), w))
                 raise StructureError(
                     f"word {format_word(word, dga)} in d({g.name}) has grading "
                     f"{sum(map(grading_of, word))}, expected {want}",

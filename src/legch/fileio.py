@@ -97,30 +97,24 @@ def _check_text(text: str, where: str, *args) -> None:
             raise StructureError(f"{where.format(*args)} has a control character", BAD_SCHEMA)
 
 
-def _parse_number(literal: str, kind=Fraction):
-    """A JSON number literal as ``kind``, or ValueError past the bound.
-    JSON fixes a float's form, -?digits[.digits][(e|E)[+-]digits]: its digits over 10**places, shifted."""
-    mantissa, _, exponent = literal.lower().partition("e")
-    digits = len(mantissa) - mantissa.count("-") - mantissa.count(".")
-    if digits + abs(int(exponent or 0)) > MAX_NUMBER_DIGITS:
-        raise ValueError(f"number literal has more than {MAX_NUMBER_DIGITS} digits")
-    if kind is int:
-        return int(literal)
-    whole, _, places = mantissa.partition(".")
-    n, shift = int(whole + places), int(exponent or 0) - len(places)
-    return Fraction(n * 10**shift) if shift >= 0 else Fraction(n, 10**-shift)
-
-
-# json's hooks: only a long literal or one with an exponent can exceed the bound
+# json's hooks, or ValueError past the bound: only a long literal or one with an exponent can exceed it
 def _parse_float(literal: str) -> Fraction:
+    """JSON fixes a float's form, -?digits[.digits][(e|E)[+-]digits]: its digits over 10**places, shifted."""
     if len(literal) > MAX_NUMBER_DIGITS or "e" in literal or "E" in literal:
-        return _parse_number(literal)
+        mantissa, _, exponent = literal.lower().partition("e")
+        whole, _, places = mantissa.partition(".")
+        if len(whole) - whole.startswith("-") + len(places) + abs(int(exponent or 0)) > MAX_NUMBER_DIGITS:
+            raise ValueError(f"number literal has more than {MAX_NUMBER_DIGITS} digits")
+        n, shift = int(whole + places), int(exponent or 0) - len(places)
+        return Fraction(n * 10**shift) if shift >= 0 else Fraction(n, 10**-shift)
     whole, _, places = literal.partition(".")
     return Fraction(int(whole + places), 10 ** len(places))
 
 
 def _parse_int(literal: str) -> int:
-    return _parse_number(literal, int) if len(literal) > MAX_NUMBER_DIGITS else int(literal)
+    if len(literal) > MAX_NUMBER_DIGITS and len(literal) - literal.startswith("-") > MAX_NUMBER_DIGITS:
+        raise ValueError(f"number literal has more than {MAX_NUMBER_DIGITS} digits")
+    return int(literal)
 
 
 _DECODER = json.JSONDecoder(parse_float=_parse_float, parse_int=_parse_int)  # built once: json.loads builds one per call

@@ -57,7 +57,8 @@ def compute_barcode(fc: FilteredComplex) -> Barcode:
     in height are harmless because the differential strictly decreases height,
     so equal-height generators never pair with each other; the id tie-break
     fixes reproducible representative labels.  It checks the heights first, as
-    ``FilteredComplex`` says, naming the first fault in generator-id order.
+    ``FilteredComplex`` says, naming the first fault in generator-id order:
+    the first column with an entry too high, and that column's least such entry.
 
     Every finite bar has birth < death without a check: each entry of a
     reduced column sits strictly below the generator of that column, and so
@@ -71,6 +72,7 @@ def compute_barcode(fc: FilteredComplex) -> Barcode:
     for g, col in zip(fc.generators, fc.columns):
         for p in col:
             if not scaled[p] < scaled[g.gid]:
+                p = min(q for q in col if not scaled[q] < scaled[g.gid])  # the least id, as equal columns agree on
                 raise StructureError(
                     f"generator {fc.generators[p].name} appears in d({g.name}) but does not sit "
                     f"strictly below it; these heights are invalid for this differential",

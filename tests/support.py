@@ -29,7 +29,7 @@ from legch.algebra import (
     Generator,
     HeightAssignment,
     StructureError,
-    apply_differential,
+    _image,
     format_element,
     format_word,
 )
@@ -167,7 +167,7 @@ def validate_heights(h: HeightAssignment, forms) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# words: gradings, heights and products
+# words: gradings, heights, products and the differential
 
 ONE = Element([()])
 
@@ -178,6 +178,12 @@ def plus(a: Element, b: Element) -> Element:
 
 def times(a: Element, b: Element) -> Element:
     return Element(x + y for x in a.words for y in b.words)
+
+
+def apply_differential(elem: Element, dga: DGA) -> Element:
+    """Extend the generator-level differential by linearity and the Leibniz rule,
+    through ``_image``, the set that ``validate_dga`` reads each column's d² from."""
+    return Element(_image(elem.words, dga.differential))
 
 
 def word_grading(word, dga: DGA) -> int:
@@ -371,9 +377,9 @@ def apply_differential_per_letter(elem: Element, dga: DGA) -> Element:
 def validate_dga_per_letter(dga: DGA) -> None:
     """Check that every differential word drops the grading by exactly 1 and that
     the differential squares to zero on every generator; raise at the first fault,
-    checking every grading before any d²."""
+    checking every grading before any d², and each column's words shortest first."""
     for g in dga.generators:
-        for word in dga.differential[g.gid].words:
+        for word in sorted(dga.differential[g.gid].words, key=lambda w: (len(w), w)):
             wg = word_grading(word, dga)
             if wg != g.grading - 1:
                 raise StructureError(
@@ -407,8 +413,7 @@ def differential_per_letter(doc) -> DGA:
     """The DGA of a knot document whose generators are well formed, read the
     former way: every value, word and letter type-checked key by key, each
     letter looked up by a scan of the names, one ``Element`` of each column's
-    words in file order (the order in which a grading fault is named), then
-    ``validate_dga_per_letter``.  It raises the faults of ``parse_knot_file``,
+    words in file order, then ``validate_dga_per_letter``.  It raises the faults of ``parse_knot_file``,
     in the same order."""
     names = [g["name"] for g in doc["generators"]]
     differential = doc["differential"]

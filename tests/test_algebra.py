@@ -14,7 +14,6 @@ from legch.algebra import (
     Generator,
     HeightAssignment,
     StructureError,
-    apply_differential,
     format_element,
     format_word,
     validate_dga,
@@ -23,6 +22,7 @@ from legch.fileio import parse_knot_file
 
 from support import (
     ONE,
+    apply_differential,
     apply_differential_per_letter,
     dga_from_complex,
     dga_of,
@@ -236,7 +236,7 @@ def test_every_grading_is_checked_before_any_d_squared():
 
 def test_the_first_bad_word_of_the_first_bad_column_is_named():
     # d(a) holds two bad words, xx and by; c, a later generator, holds a third.
-    # The message names the word the column's own iteration reaches first.
+    # The message names the column's least bad word, shortest first, then by ids.
     dga = dga_of(
         [("a", 2), ("b", 1), ("x", 0), ("y", 3), ("c", 1)],
         {"a": [["b"], ["x", "x"], ["b", "y"]], "b": [], "x": [], "y": [], "c": [["y"]]},
@@ -255,6 +255,18 @@ def outcome(validate, dga):
     except StructureError as exc:
         return exc.code, str(exc)
     return None
+
+
+def test_equal_columns_name_the_same_bad_word():
+    # q0, q1 and q2 all have grading 0, so both 1 and q2 are bad words in d(q0).
+    # Built in two ways, the column is one frozenset whose iteration order may differ.
+    dga = dga_of([("q0", 0), ("q1", 0), ("q2", 0)], {"q0": [], "q1": [], "q2": []})
+    message = "word 1 in d(q0) has grading 0, expected -1"
+    for column in (Element([(0,), (0,), (2,), ()]), plus(Element([(2,)]), Element([()]))):
+        assert column == Element([(2,), ()])
+        built = DGA(dga.generators, (column, Element(), Element()))
+        for validate in (validate_dga, validate_dga_per_letter):
+            assert outcome(validate, built) == (GRADING_VIOLATION, message)
 
 
 def test_torus_2_19_validates():

@@ -212,6 +212,11 @@ SINGLE_FAULTS = {
         "validate",
         "[UNKNOWN_GENERATOR] patches[2] uses unknown generator 'zz'",
     ),
+    "non_string_patch_corner": (
+        lambda k: k["patches"][0][0].update(name=3),
+        "validate",
+        "[BAD_SCHEMA] patches[0] corner names must be strings",
+    ),
     "patch_coefficient_3": (
         lambda k: k["patches"][0][0].update(coeff=3),
         "validate",

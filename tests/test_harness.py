@@ -11,7 +11,6 @@ import importlib
 import importlib.util
 import io
 import os
-import re
 import subprocess
 import sys
 from collections import Counter
@@ -135,17 +134,32 @@ def defined_names(body: list[ast.stmt]) -> list[str]:
     return names
 
 
+def read_names(tree: ast.AST) -> Counter:
+    """How often code reads each name: as a loaded name, an attribute read, an
+    imported name or a keyword argument, also in an f-string's fields.  Words in
+    docstrings, comments and other strings do not count, nor do definitions."""
+    reads = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            reads[node.id] += 1
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            reads.update(node.name.split("."))
+        elif isinstance(node, ast.keyword) and node.arg is not None:
+            reads[node.arg] += 1
+    return reads
+
+
 def test_every_public_library_name_has_a_program_caller():
     """Each public module-level function, class and constant of ``src/legch``,
-    and each public method, property and field of its public classes, occurs
-    as a word in ``src/legch``, ``scripts/`` or ``perfbench/`` beyond its
-    definition.  What only tests use belongs in ``tests/support.py``."""
-    sources = [
-        path.read_text(encoding="utf-8")
-        for folder in ("src/legch", "scripts", "perfbench")
-        for path in sorted((ROOT / folder).rglob("*.py"))
-    ]
-    words = Counter(w for text in sources for w in re.findall(r"\w+", text))
+    and each public method, property and field of its public classes, is read by
+    code in ``src/legch``, ``scripts/`` or ``perfbench/``.  What only tests use
+    belongs in ``tests/support.py``."""
+    reads = Counter()
+    for folder in ("src/legch", "scripts", "perfbench"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            reads += read_names(ast.parse(path.read_text(encoding="utf-8")))
     unused = []
     for path in sorted((ROOT / "src" / "legch").rglob("*.py")):
         module = ast.parse(path.read_text(encoding="utf-8")).body
@@ -153,5 +167,5 @@ def test_every_public_library_name_has_a_program_caller():
         for node in module:
             if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
                 names += [(f"{node.name}.{member}", member) for member in defined_names(node.body)]
-        unused += [label for label, name in names if not name.startswith("_") and words[name] < 2]
+        unused += [label for label, name in names if not name.startswith("_") and not reads[name]]
     assert unused == []

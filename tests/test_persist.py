@@ -75,6 +75,17 @@ def test_first_height_fault_in_generator_order_is_named():
     assert exc.value.code == BAD_HEIGHT
 
 
+def test_equal_columns_name_the_same_height_fault():
+    # g0 and g8 both sit above top; the two builds of top's column are equal
+    # frozensets that iterate in different orders.
+    gens = tuple(Generator(i, f"g{i}", 0) for i in range(9)) + (Generator(9, "top", 1),)
+    heights = HeightAssignment((5,) + (1,) * 7 + (5, 2))
+    for column in (frozenset([0, 8]), frozenset([8, 0])):
+        with pytest.raises(StructureError, match="^generator g0 appears in d\\(top\\) but") as exc:
+            compute_barcode(FilteredComplex(gens, heights, (frozenset(),) * 9 + (column,)))
+        assert exc.value.code == BAD_HEIGHT
+
+
 def test_missing_height_rejected():
     gens = (Generator(0, "a", 0), Generator(1, "b", 1))
     with pytest.raises(StructureError, match="no height assigned to generator id 1"):
