@@ -194,7 +194,7 @@ def validate_dga(dga: DGA) -> None:
     for g, elem in zip(dga.generators, dga.differential):
         want = g.grading - 1
         for word in elem.words:
-            if sum(map(grading_of, word)) != want:  # searched again, for the least, only on a fault
+            if sum(map(grading_of, word)) != want:  # only on a fault: the least bad word
                 word = min((w for w in elem.words if sum(map(grading_of, w)) != want), key=lambda w: (len(w), w))
                 raise StructureError(
                     f"word {format_word(word, dga)} in d({g.name}) has grading "

@@ -72,7 +72,7 @@ def compute_barcode(fc: FilteredComplex) -> Barcode:
     for g, col in zip(fc.generators, fc.columns):
         for p in col:
             if not scaled[p] < scaled[g.gid]:
-                p = min(q for q in col if not scaled[q] < scaled[g.gid])  # the least id, as equal columns agree on
+                p = min(q for q in col if not scaled[q] < scaled[g.gid])  # the least id: equal columns name one entry
                 raise StructureError(
                     f"generator {fc.generators[p].name} appears in d({g.name}) but does not sit "
                     f"strictly below it; these heights are invalid for this differential",

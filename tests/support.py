@@ -413,8 +413,8 @@ def differential_per_letter(doc) -> DGA:
     """The DGA of a knot document whose generators are well formed, read the
     former way: every value, word and letter type-checked key by key, each
     letter looked up by a scan of the names, one ``Element`` of each column's
-    words in file order, then ``validate_dga_per_letter``.  It raises the faults of ``parse_knot_file``,
-    in the same order."""
+    words in file order, then ``validate_dga_per_letter``.  It raises the
+    faults of ``parse_knot_file``, in the same order."""
     names = [g["name"] for g in doc["generators"]]
     differential = doc["differential"]
     for key, words in differential.items():

@@ -166,6 +166,13 @@ SINGLE_FAULTS = {
         "validate",
         "[BAD_SCHEMA] 'generators' must be an array",
     ),
+    "differential_not_object": (
+        lambda k: k.update(differential=[]),
+        "validate",
+        "[BAD_SCHEMA] 'differential' must be an object",
+    ),
+    "patches_not_array": (lambda k: k.update(patches={}), "validate", "[BAD_SCHEMA] 'patches' must be an array"),
+    "heights_not_object": (lambda k: k.update(heights=[]), "validate", "[BAD_SCHEMA] 'heights' must be an object"),
     "ng_resolved_not_boolean": (
         lambda k: k.update(ng_resolved=1),
         "validate",
