@@ -41,9 +41,9 @@ class StrongMorseReport(NamedTuple):
 
 
 def check_strong_morse(dga: DGA, b: Barcode) -> StrongMorseReport:
-    """MC counts generators by grading; PC (the rank of the full homology) and R
-    count infinite and finite bars by degree.  MC - PC and (z+1)R come from
-    independent code paths, so their equality cross-checks the barcode."""
+    """MC counts generators by grading; PC and R count infinite and finite bars by degree.  MC - PC = (z+1)R
+    holds for every barcode that ``compute_barcode`` makes from ``dga``: each generator ends exactly one bar,
+    and each finite bar dies one degree above its birth.  A barcode not made from ``dga`` can fail it."""
     mc = LaurentPolynomial(g.grading for g in dga.generators)
     pc, r = LaurentPolynomial(), LaurentPolynomial()
     for bar in b.bars:

@@ -66,7 +66,7 @@ def compute_barcode(fc: FilteredComplex) -> Barcode:
     """
     heights = fc.heights.heights
     if len(heights) < len(fc.generators):
-        raise StructureError(f"no height assigned to generator id {len(heights)}")
+        raise StructureError(f"no height assigned to generator id {len(heights)}", BAD_HEIGHT)
     scale = math.lcm(*(h.denominator for h in heights))
     scaled = [_scaled(h, scale) for h in heights]  # integers that compare as the heights do
     for g, col in zip(fc.generators, fc.columns):

@@ -9,12 +9,14 @@ library reads the formula from words compiled once per DGA into bitmasks.
 
 from __future__ import annotations
 
+import importlib.util
 import math
 import re
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, product
+from pathlib import Path
 from random import Random
 
 from hypothesis import strategies as st
@@ -35,9 +37,20 @@ from legch.algebra import (
 )
 from legch.augment import Augmentation, enumerate_augmentations, linearized_differential
 from legch.diagram import Tiering, assign_heights, flood
-from legch.fileio import DUPLICATE_NAME, UNKNOWN_GENERATOR
+from legch.fileio import DUPLICATE_NAME, UNKNOWN_GENERATOR, parse_knot_file
 from legch.metrics import LaurentPolynomial
 from legch.persist import Bar, Barcode, FilteredComplex, build_filtered_complex, compute_barcode
+
+
+def perfbench_module(name: str):
+    """``perfbench/<name>.py``, loaded by path: gen.py and spans.py import nothing from legch."""
+    spec = importlib.util.spec_from_file_location(name, Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+gen = perfbench_module("gen")  # the benchmark's seeded inputs and their expected values
 
 
 @lru_cache(maxsize=None)
@@ -304,46 +317,11 @@ def search_nodes_brute(dga: DGA) -> int:
 
 
 # ---------------------------------------------------------------------------
-# the (2,n) torus family
-
-def continuant_words(letters: list[str]) -> list[list[str]]:
-    """Words of the noncommutative continuant K(letters) = K(..x_{n-1}) x_n + K(..x_{n-2})."""
-    older, prev = [], [[]]
-    for x in letters:
-        older, prev = prev, [w + [x] for w in prev] + older
-    return prev
-
-
-def torus_2n_knot(n: int) -> dict:
-    """Knot file, without patches or heights, of the (2,n) torus knot:
-    d(a2) = 1 + K(b1..bn), d(a1) = 1 + K(bn..b1)."""
-    b = [f"b{i}" for i in range(1, n + 1)]
-    differential = {
-        "a1": [[]] + continuant_words(b[::-1]),
-        "a2": [[]] + continuant_words(b),
-    }
-    differential.update({x: [] for x in b})
-    generators = [{"name": x, "grading": 1 if x[0] == "a" else 0} for x in ["a1", "a2"] + b]
-    return {"generators": generators, "differential": differential, "patches": []}
-
+# the (2,n) torus family, from the benchmark's own generator
 
 def torus_2n_dga(n: int) -> DGA:
-    knot = torus_2n_knot(n)
-    return dga_of([(g["name"], g["grading"]) for g in knot["generators"]], knot["differential"])
-
-
-def torus_2n_count(n: int) -> int:
-    """Vectors b in {0,1}^n with K(b) = 1 mod 2, by a transfer matrix over the
-    states (K_i, K_{i-1}), starting from (K_0, K_{-1}) = (1, 0)."""
-    counts = {(1, 0): 1}
-    for _ in range(n):
-        nxt: dict[tuple[int, int], int] = {}
-        for (cur, older), c in counts.items():
-            for x in (0, 1):
-                state = ((cur & x) ^ older, cur)
-                nxt[state] = nxt.get(state, 0) + c
-        counts = nxt
-    return sum(c for (cur, _), c in counts.items() if cur == 1)
+    """T(2,n)'s DGA, parsed from the knot file bytes that the benchmark times."""
+    return parse_knot_file(gen.torus_bytes(n)).dga
 
 
 def flood_heights(dga: DGA) -> HeightAssignment:

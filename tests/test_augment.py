@@ -23,6 +23,7 @@ from support import (
     dga_of,
     enumerate_augmentations_brute,
     evaluate,
+    gen,
     gid_of,
     linear_part,
     linearize_by_conjugation,
@@ -30,7 +31,6 @@ from support import (
     planted_complex,
     search_nodes_brute,
     ONE,
-    torus_2n_count,
     torus_2n_dga,
     zero_grading_augmentation,
     zero_grading_values,
@@ -220,7 +220,7 @@ def test_compiled_linearization_matches_the_oracles_on_random_dgas(dga, data):
 def test_torus_family_counts(n):
     # The transfer-matrix count shares no code with the search.
     count = len(enumerate_augmentations(torus_2n_dga(n)))
-    assert count == torus_2n_count(n) == (4 ** ((n + 1) // 2) - 1) // 3
+    assert count == gen.count_augmentations(n) == (4 ** ((n + 1) // 2) - 1) // 3
 
 
 def test_torus_family_matches_brute_force():

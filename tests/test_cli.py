@@ -26,10 +26,10 @@ from support import (
     CONTROLS,
     CRITERION_10_COMMANDS,
     corpus_argv,
+    gen,
     load_corpus,
     mutate,
     shift_pair,
-    torus_2n_knot,
 )
 
 
@@ -421,7 +421,7 @@ def test_a_pick_substitutes_once_per_search_state(tmp_path, monkeypatch):
 
     monkeypatch.setattr(augment, "_fix", counted)
     knot = tmp_path / "torus_2_13.json"
-    knot.write_text(json.dumps(torus_2n_knot(13)))
+    knot.write_bytes(gen.torus_bytes(13))
     for argv, head in ((["linearize", "--aug", "4000"], "d(a1) = "), (["augment"], "augmentations: 5461\n")):
         calls_by_cap, outputs = [], set()
         for cap in (0, augment.MAX_CACHED_STATES):

@@ -8,7 +8,6 @@ to what the CLI, ``scripts/`` and ``perfbench/`` use.
 
 import ast
 import importlib
-import importlib.util
 import io
 import os
 import subprocess
@@ -17,6 +16,8 @@ from collections import Counter
 from pathlib import Path
 
 from legch import corpus
+
+from support import perfbench_module
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -61,9 +62,7 @@ def test_package_import_loads_no_submodule():
 def test_traced_counters_read_attributes_the_library_has():
     """Evaluate every ``COUNTERS`` lambda on the arguments and result of its
     function, over one pass of the trefoil through the pipeline."""
-    spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)  # spans.py imports nothing from legch
+    spans = perfbench_module("spans")
     called, counted = set(), {}
 
     def call(name, *args):

@@ -387,6 +387,45 @@ def test_a_counting_round_narrows_before_the_listing(probe):
         assert lo <= a < b <= hi and (a, b) != (lo, hi)
 
 
+def _quarter_pair(n: int, last_birth: int) -> list[Barcode]:
+    """``n`` finite bars in degree 0 from ``Random(1)`` and from ``Random(2)``,
+    drawn as ``test_gallery.random_pair`` draws its files: births k/4 with
+    0 <= k <= ``last_birth`` and lengths j/4 with 1 <= j <= 400."""
+    pair = []
+    for seed in (1, 2):
+        rng = Random(seed)
+        bars = []
+        for _ in range(n):
+            k, j = rng.randint(0, last_birth), rng.randint(1, 400)
+            bars.append(Bar(0, Fraction(k, 4), Fraction(k + j, 4)))
+        pair.append(Barcode(tuple(bars)))
+    return pair
+
+
+def test_the_matchings_tested_do_not_grow_with_the_scale_of_the_ends(monkeypatch):
+    # Both pairs fail the threshold bound, so their distance is searched for
+    # among the candidate costs: 12 and 17 matching tests today.  Scaling
+    # every end moves no candidate's rank, so a search over the candidates
+    # tests as many at every scale; a bisection over magnitudes would not.
+    calls = []
+    covers = metrics._covers
+
+    def counted(*args):
+        calls.append(None)
+        return covers(*args)
+
+    monkeypatch.setattr(metrics, "_covers", counted)
+    # the gallery's random 1000-bar pair, and 300 bars born in [0, 50]
+    for pair, distance in ((_quarter_pair(1000, 8000), Fraction(293, 8)), (_quarter_pair(300, 200), Fraction(25, 2))):
+        counts = []
+        for factor in (1, 10**40, Fraction(1, 10**40)):
+            calls.clear()
+            b1, b2 = (Barcode(tuple(Bar(0, bar.birth * factor, bar.death * factor) for bar in b.bars)) for b in pair)
+            assert interleaving_distance(b1, b2) == distance * factor
+            counts.append(len(calls))
+        assert counts[0] == counts[1] == counts[2] <= 24, counts
+
+
 def _bars(*ends, degree=0) -> Barcode:
     return Barcode(tuple(Bar(degree, Fraction(b), Fraction(d)) for b, d in ends))
 

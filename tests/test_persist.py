@@ -19,6 +19,7 @@ from legch.persist import (
 from support import (
     dga_of,
     flood_heights,
+    gen,
     gf2_rank,
     homology_rank_oracle,
     in_degree,
@@ -26,7 +27,6 @@ from support import (
     persistent_rank_oracle,
     planted_complex,
     torus_2n_dga,
-    torus_2n_knot,
     triples,
     zero_grading_values,
 )
@@ -88,8 +88,9 @@ def test_equal_columns_name_the_same_height_fault():
 
 def test_missing_height_rejected():
     gens = (Generator(0, "a", 0), Generator(1, "b", 1))
-    with pytest.raises(StructureError, match="no height assigned to generator id 1"):
+    with pytest.raises(StructureError, match="no height assigned to generator id 1") as exc:
         compute_barcode(FilteredComplex(gens, HeightAssignment((1,)), (frozenset(), frozenset({0}))))
+    assert exc.value.code == BAD_HEIGHT
 
 
 # --- barcodes ----------------------------------------------------------------
@@ -202,7 +203,7 @@ def test_barcode_pairs_match_the_persistent_rank_oracle(seed, max_n):
 
 def torus_sum_dga(m: int, n: int):
     """T(2,m)'s DGA beside T(2,n)'s, whose names are primed."""
-    first, second = torus_2n_knot(m), torus_2n_knot(n)
+    first, second = gen.torus_doc(m), gen.torus_doc(n)
     generators = [(g["name"], g["grading"]) for g in first["generators"]]
     generators += [(g["name"] + "'", g["grading"]) for g in second["generators"]]
     differential = dict(first["differential"])
