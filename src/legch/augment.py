@@ -2,21 +2,18 @@
 
 from __future__ import annotations
 
-import math
+from array import array
 from bisect import bisect_left
 from itertools import compress
 from typing import NamedTuple, Sequence
 
 from .algebra import DGA, Generator, StructureError, _gids
 
-# Nodes, or partial assignments, the augmentation search tree may have; a
-# subtree walked from its cached summary is charged its full size.  Without
-# pruning, k grading-0 generators take 2^(k+1) - 1 of them, so this admits any
-# DGA with up to 17 such generators, among them the (2,17) torus knot.
+# Work the augmentation search may do: each distinct search state costs 1 plus
+# its live polynomials, and a listing also costs its length.  Free generators
+# share one state per depth, so a listing admits up to 17 of them and a pick
+# far more; the (2,25) torus knot's 73 states fit.
 MAX_SEARCH_NODES = 1 << 18
-# Search states whose subtree summaries are kept; past this many, states are
-# expanded each time they are met.
-MAX_CACHED_STATES = 1 << 10
 SEARCH_BOUND = "SEARCH_BOUND"
 
 
@@ -58,7 +55,7 @@ def _monomials(dga: DGA, zero_gens: list[int]) -> list[tuple[int, ...]]:
 _ONE = (0,)
 
 
-def _fix(polys: Sequence[tuple[int, ...]], bit: int, value: int) -> list[tuple[int, ...]] | None:
+def _fix(polys: Sequence[tuple[int, ...]], bit: int, value: int) -> tuple[tuple[int, ...], ...] | None:
     """Substitute ``value`` for the variable ``bit``; None once a polynomial is forced to 1.
 
     Every higher bit is already fixed and gone, so the monomials that contain
@@ -81,115 +78,113 @@ def _fix(polys: Sequence[tuple[int, ...]], bit: int, value: int) -> list[tuple[i
             return None
         if rest:
             out.append(rest)
-    return out
+    return tuple(out)
 
 
-def _search(dga: DGA, lo: int, hi: float) -> tuple[list[Augmentation], int]:
-    """The augmentations with index in ``[lo, hi)``, and how many there are in all.
+def _charge(work: int, k: int) -> None:
+    """Raise the ``SEARCH_BOUND`` error once ``work`` passes ``MAX_SEARCH_NODES``."""
+    if work > MAX_SEARCH_NODES:
+        raise StructureError(
+            f"augmentation search exceeds the bound of {MAX_SEARCH_NODES} search nodes "
+            f"({k} grading-0 generators)",
+            SEARCH_BOUND,
+        )
 
-    A depth-first search over the grading-0 generators, in generator order, 0
-    before 1, cut as soon as some differential is forced to evaluate to 1, so
-    the leaves come in lexicographic order of the value vector.  Depth d fixes
-    bit k - d, the highest one left, so each substitution splits every live
-    polynomial, a sorted tuple of monomials, at one bisection.  A subtree
-    depends only on its depth and its live polynomials, and a sorted tuple
-    names its polynomial uniquely, so up to
-    ``MAX_CACHED_STATES`` such states are expanded once and summarised, after
-    their children, as (leaves below, nodes below, the children's summaries,
-    None for a cut).  A state met again is walked from its summary, on the
-    same stack and with no substitution, where it holds wanted leaves, and
-    skipped by its count elsewhere.  Every node of the whole tree is charged
-    to the bound, a cut branch as 1 and a repeated state as its recorded
-    size.  The walk uses explicit stacks, since the depth is the number of
-    grading-0 generators.
+
+def _state_graph(dga: DGA) -> tuple[list[int], list[array], list[list[int]], int]:
+    """The search's states, built level by level, and the work charged for them.
+
+    The search fixes the grading-0 generators in generator order and cuts a
+    branch once some differential is forced to 1; depth d fixes bit k - 1 - d,
+    the highest one left (see ``_fix``).  What lies below a partial assignment
+    depends only on its depth and its live polynomials, which sorted tuples
+    name uniquely, so each distinct state is expanded once: a reduced ordered
+    decision diagram (Bryant 1986).  Each new state is charged 1 plus its live
+    polynomials, and the keys of two levels at most are held.  Returns the
+    grading-0 generator ids; ``children[d]``, the 0-child and the 1-child of
+    each state at depth d side by side, as indices at depth d + 1 or -1 for a
+    cut; ``counts[d]``, the leaves below each state at depth d, then a 0 for a
+    cut to read; and the work.
     """
     zero_gens = [g.gid for g in dga.generators if g.grading == 0]
-    polys = _monomials(dga, zero_gens)
-    if _ONE in polys:
-        return [], 0
     k = len(zero_gens)
-    found: list[Augmentation] = []
-    values = [0] * len(dga)
-    cache: dict[tuple, tuple] = {}
-    seen = nodes = 0  # leaves before the current position; nodes charged so far
-
-    def charge(n: int) -> None:
-        nonlocal nodes
-        nodes += n
-        if nodes > MAX_SEARCH_NODES:
-            raise StructureError(
-                f"augmentation search exceeds the bound of {MAX_SEARCH_NODES} search nodes "
-                f"({k} grading-0 generators)",
-                SEARCH_BOUND,
-            )
-
-    # Per expanded state on the current path: [key, seen, nodes, child summaries].
-    frames: list[list] = []
-    # (variables fixed, value of the last one, polynomials before fixing it,
-    # None) to expand, or (..., None, a cached summary) to replay; None closes
-    # the top frame once its children are done.
-    todo: list = [(0, 0, polys, None)]
-    while todo:
-        item = todo.pop()
-        if item is None:
-            key, seen0, nodes0, children = frames.pop()
-            # Nothing is cached past the cap, so a cached state's children are cached.
-            summary = None
-            if len(cache) < MAX_CACHED_STATES:
-                summary = cache[key] = (seen - seen0, nodes - nodes0, children)
-            if frames:
-                frames[-1][3].append(summary)
-            continue
-        depth, value, live, summary = item
-        if depth:
-            values[zero_gens[depth - 1]] = value
-        if summary is None:
-            if depth:
-                live = _fix(live, 1 << (k - depth), value)
-                if live is None:
-                    charge(1)
-                    frames[-1][3].append(None)
+    polys = tuple(_monomials(dga, zero_gens))
+    level = {} if _ONE in polys else {polys: 0}
+    work = 1 + len(polys) if level else 0
+    _charge(work, k)
+    children = []
+    for depth in range(k):
+        bit = 1 << (k - 1 - depth)
+        row, below = array("i"), {}
+        for live in level:
+            for value in (0, 1):
+                child = _fix(live, bit, value)
+                if child is None:
+                    row.append(-1)
                     continue
-            live = tuple(live)  # one copy serves as the key and for the children
-            key = (depth, live)
-            summary = cache.get(key)
-            if summary is None:
-                charge(1)
-                frames.append([key, seen, nodes - 1, []])
-                todo.append(None)
-                if depth < k:
-                    todo += [(depth + 1, 1, live, None), (depth + 1, 0, live, None)]
-                    continue
-                summary = (1, 1, ())  # a new leaf is walked as its own summary
-            else:
-                charge(summary[1])  # before the replay, so a listing stays within the bound
-                frames[-1][3].append(summary)
-        # Skip a summarised state by its count, or walk its children.
-        count, _, children = summary
-        if seen + count <= lo or seen >= hi:
-            seen += count
-        elif depth == k:
-            found.append(Augmentation(tuple(values)))
-            seen += 1
-        else:
-            todo += [(depth + 1, v, None, c) for v, c in ((1, children[1]), (0, children[0])) if c]
-    return found, seen
+                i = below.get(child)
+                if i is None:
+                    i = below[child] = len(below)
+                    work += 1 + len(child)
+                    _charge(work, k)
+                row.append(i)
+        children.append(row)
+        level = below
+    counts = [[1] * len(level) + [0]]
+    for row in reversed(children):
+        below = counts[-1]
+        counts.append([below[zero] + below[one] for zero, one in zip(row[::2], row[1::2])] + [0])
+    counts.reverse()
+    return zero_gens, children, counts, work
 
 
 def enumerate_augmentations(dga: DGA) -> list[Augmentation]:
     """All augmentations, ordered lexicographically by the value vector, so
     augmentation indices are stable across runs.  Raises a StructureError coded
-    ``SEARCH_BOUND`` once the search tree has more than ``MAX_SEARCH_NODES``
-    nodes."""
-    return _search(dga, 0, math.inf)[0]
+    ``SEARCH_BOUND`` once the state graph's work plus the number of
+    augmentations passes ``MAX_SEARCH_NODES``, before any is listed."""
+    zero_gens, children, counts, work = _state_graph(dga)
+    k = len(zero_gens)
+    _charge(work + counts[0][0], k)
+    found: list[Augmentation] = []
+    values = [0] * len(dga)
+    # (variables fixed, state, value of the last one), with 0 popped before 1
+    todo = [(0, 0, 0)] if counts[0][0] else []
+    while todo:
+        depth, state, value = todo.pop()
+        if depth:
+            values[zero_gens[depth - 1]] = value
+        if depth == k:
+            found.append(Augmentation(tuple(values)))
+            continue
+        row, below = children[depth], counts[depth + 1]
+        for value in (1, 0):
+            child = row[2 * state + value]
+            if below[child]:
+                todo.append((depth + 1, child, value))
+    return found
 
 
 def pick_augmentation(dga: DGA, index: int) -> tuple[Augmentation | None, int]:
     """The augmentation at ``index`` of ``enumerate_augmentations(dga)``, or None
-    when out of range, and the number of augmentations.  Raises on the same
-    search bound as ``enumerate_augmentations``."""
-    found, count = _search(dga, index, index + 1)
-    return (found[0] if found else None), count
+    when out of range, and the number of augmentations.  It descends the state
+    graph by its counts, so it is charged the graph's work alone and can
+    answer where the listing is refused."""
+    zero_gens, children, counts, _ = _state_graph(dga)
+    count = counts[0][0]
+    if not 0 <= index < count:
+        return None, count
+    values = [0] * len(dga)
+    state = 0
+    for gid, row, below in zip(zero_gens, children, counts[1:]):
+        zero = row[2 * state]
+        if index < below[zero]:
+            state = zero
+        else:
+            index -= below[zero]
+            state = row[2 * state + 1]
+            values[gid] = 1
+    return Augmentation(tuple(values)), count
 
 
 class LinearizedComplex(NamedTuple):

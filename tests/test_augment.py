@@ -29,7 +29,7 @@ from support import (
     linearize_by_conjugation,
     load_corpus,
     planted_complex,
-    search_nodes_brute,
+    search_work_brute,
     ONE,
     torus_2n_dga,
     zero_grading_augmentation,
@@ -63,22 +63,15 @@ def test_trefoil_has_exactly_five_augmentations():
     assert [zero_grading_values(a, TREFOIL) for a in augs] == TREFOIL_TRIPLES
 
 
-# Cache sizes that leave the search uncached, cache only the first state or a
-# few, and the default; each small one forces the uncached walk past the cap.
-CACHE_CAPS = (0, 1, 3, augment.MAX_CACHED_STATES)
-
-
 def assert_listing_and_picks(dga, brute, indices) -> None:
-    """Under every cache cap, the listing and each pick agree with ``brute``,
-    and an index out of range picks nothing but still gets the count."""
+    """The listing and each pick agree with ``brute``, and an index out of range
+    picks nothing but still gets the count."""
     count = len(brute)
-    for cap in CACHE_CAPS:
-        with patch.object(augment, "MAX_CACHED_STATES", cap):
-            assert enumerate_augmentations(dga) == brute, cap
-            for i in indices:
-                assert pick_augmentation(dga, i) == (brute[i], count), (cap, i)
-            for i in (-1, count, count + 1):
-                assert pick_augmentation(dga, i) == (None, count), (cap, i)
+    assert enumerate_augmentations(dga) == brute
+    for i in indices:
+        assert pick_augmentation(dga, i) == (brute[i], count), i
+    for i in (-1, count, count + 1):
+        assert pick_augmentation(dga, i) == (None, count), i
 
 
 def test_enumeration_is_the_lexicographic_filter():
@@ -116,20 +109,19 @@ def test_enumeration_matches_brute_force_on_random_dgas(dga, data):
 
 @settings(max_examples=60, deadline=None)
 @given(random_dgas())
-def test_search_bound_charges_every_node_of_the_tree(dga):
-    # A cached state is charged its whole subtree and a cut branch 1, so the
-    # bound fires exactly past the size of the unshared tree.
-    nodes = search_nodes_brute(dga)
-    for cap in CACHE_CAPS:
-        with patch.object(augment, "MAX_CACHED_STATES", cap):
-            with patch.object(augment, "MAX_SEARCH_NODES", nodes):
-                enumerate_augmentations(dga)
-                pick_augmentation(dga, 0)
-            if nodes:
-                with patch.object(augment, "MAX_SEARCH_NODES", nodes - 1):
-                    for search in (enumerate_augmentations, lambda d: pick_augmentation(d, 0)):
-                        with pytest.raises(StructureError, match=f"bound of {nodes - 1} search nodes"):
-                            search(dga)
+def test_search_bound_charges_the_work_of_the_state_graph(dga):
+    # Each distinct state costs 1 plus its live polynomials, and a listing
+    # also its length, so the bound fires exactly past the oracle's work.
+    work = search_work_brute(dga)
+    listed = work + len(enumerate_augmentations_brute(dga))
+    for search, cost in ((lambda d: pick_augmentation(d, 0), work), (enumerate_augmentations, listed)):
+        with patch.object(augment, "MAX_SEARCH_NODES", cost):
+            search(dga)
+        if cost:
+            with patch.object(augment, "MAX_SEARCH_NODES", cost - 1):
+                with pytest.raises(StructureError, match=f"bound of {cost - 1} search nodes") as exc:
+                    search(dga)
+                assert exc.value.code == SEARCH_BOUND
 
 
 # --- compiled words -----------------------------------------------------------
@@ -216,11 +208,15 @@ def test_compiled_linearization_matches_the_oracles_on_random_dgas(dga, data):
         assert str(exc.value) == former_fault_message(dga, eps)
 
 
-@pytest.mark.parametrize("n", [3, 5, 7, 9, 11, 13, 15])
+@pytest.mark.parametrize("n", [3, 5, 7, 9, 11, 13, 15, 17, 19, 21])
 def test_torus_family_counts(n):
-    # The transfer-matrix count shares no code with the search.
-    count = len(enumerate_augmentations(torus_2n_dga(n)))
+    # The transfer-matrix count shares no code with the search.  A pick reads
+    # the count off the state graph; past T(2,17) the listing is refused.
+    dga = torus_2n_dga(n)
+    count = pick_augmentation(dga, 0)[1]
     assert count == gen.count_augmentations(n) == (4 ** ((n + 1) // 2) - 1) // 3
+    if n <= 15:
+        assert len(enumerate_augmentations(dga)) == count
 
 
 def test_torus_family_matches_brute_force():
@@ -252,7 +248,9 @@ def test_enumeration_bound_guard():
 
 
 def test_search_bound_counts_partial_assignments(monkeypatch):
-    # Unpruned, k free generators take 2^(k+1) - 1 search nodes.
+    # k free generators share one state per depth, with no live polynomial, so
+    # a listing is charged k + 1 for them and 2^k for its length: 38 for k = 5
+    # and 71 for k = 6.
     monkeypatch.setattr(augment, "MAX_SEARCH_NODES", 2**6 - 1)
 
     def free(k):

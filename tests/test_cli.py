@@ -25,6 +25,7 @@ from support import (
     CONTROL_IN_OUTPUT,
     CONTROLS,
     CRITERION_10_COMMANDS,
+    FirstTorusOracle,
     corpus_argv,
     gen,
     load_corpus,
@@ -383,35 +384,39 @@ def free_knot_file(tmp_path, k: int) -> str:
 
 
 def test_search_bound_is_coded(tmp_path, monkeypatch):
-    # Unpruned, six free grading-0 generators take 127 search nodes.
-    monkeypatch.setattr(augment, "MAX_SEARCH_NODES", 2**6 - 1)
+    # Six free grading-0 generators share one state per depth, seven in all,
+    # each with no live polynomial: a pick is charged 7, and the listing 7 + 2^6.
     free = free_knot_file(tmp_path, 6)
-    message = "augmentation search exceeds the bound of 63 search nodes (6 grading-0 generators)"
-    # Free generators share every state, seven in all: a pick is charged the
-    # whole tree, as a listing is.
-    for argv in (["augment"], ["linearize", "--aug", "0"], ["morse", "--aug", "0"]):
-        assert run(argv[0], free, *argv[1:]) == (1, "", f"error: [SEARCH_BOUND] {message}\n")
+    picks = (["linearize", "--aug", "0"], ["morse", "--aug", "0"])
+    for bound, refused in ((2**6 - 1, (["augment"],)), (6, (["augment"], *picks))):
+        monkeypatch.setattr(augment, "MAX_SEARCH_NODES", bound)
+        message = f"augmentation search exceeds the bound of {bound} search nodes (6 grading-0 generators)"
+        for argv in (["augment"], *picks):
+            code, out, err = run(argv[0], free, *argv[1:])
+            if argv in refused:
+                assert (code, out, err) == (1, "", f"error: [SEARCH_BOUND] {message}\n")
+            else:
+                assert (code, err) == (0, "") and out, argv
 
 
 def test_search_bound_on_a_deep_search_is_coded(tmp_path):
-    # The first branch of the search runs 1200 levels deep before the bound.
+    # 1200 free generators take 1201 states, one per depth: a pick answers,
+    # and the listing of 2^1200 is refused before it lists any.
     free = free_knot_file(tmp_path, 1200)
     dga = load_knot(free).dga
-    for search in (lambda d: augment.pick_augmentation(d, 0), augment.enumerate_augmentations):
-        with pytest.raises(StructureError, match=r"\(1200 grading-0 generators\)") as exc:
-            search(dga)
-        assert exc.value.code == augment.SEARCH_BOUND
-    code, out, err = run("linearize", free, "--aug", "0")
+    assert augment.pick_augmentation(dga, 2**1200 - 1) == (augment.Augmentation((1,) * 1200), 2**1200)
+    with pytest.raises(StructureError, match=r"\(1200 grading-0 generators\)") as exc:
+        augment.enumerate_augmentations(dga)
+    assert exc.value.code == augment.SEARCH_BOUND
+    code, out, err = run("augment", free)
     assert (code, out) == (1, "")
     assert err.startswith("error: [SEARCH_BOUND] augmentation search exceeds the bound of ")
 
 
 def test_a_pick_substitutes_once_per_search_state(tmp_path, monkeypatch):
-    # Nothing prunes on T(2,13), so its search tree has 2^14 - 1 nodes and,
-    # with no state cached, a search substitutes 2^14 - 2 times.  With the
-    # cache, each of its 3n - 2 = 37 distinct states is substituted into at
-    # most twice: a pick walks down by the counts, and a listing replays the
-    # cached subtrees without substituting.
+    # Nothing prunes on T(2,13), so its search tree has 2^14 - 1 nodes, but
+    # only 3n - 2 = 37 distinct states.  A pick and a listing both build the
+    # state graph once, substituting twice into each state above the leaf.
     calls = []
     fix = augment._fix
 
@@ -423,17 +428,24 @@ def test_a_pick_substitutes_once_per_search_state(tmp_path, monkeypatch):
     knot = tmp_path / "torus_2_13.json"
     knot.write_bytes(gen.torus_bytes(13))
     for argv, head in ((["linearize", "--aug", "4000"], "d(a1) = "), (["augment"], "augmentations: 5461\n")):
-        calls_by_cap, outputs = [], set()
-        for cap in (0, augment.MAX_CACHED_STATES):
-            calls.clear()
-            monkeypatch.setattr(augment, "MAX_CACHED_STATES", cap)
-            code, out, _ = run(argv[0], str(knot), *argv[1:])
-            assert code == 0 and out.startswith(head)
-            calls_by_cap.append(len(calls))
-            outputs.add(out)
-        assert calls_by_cap[0] == 2**14 - 2
-        assert calls_by_cap[1] <= 200
-        assert len(outputs) == 1
+        calls.clear()
+        code, out, _ = run(argv[0], str(knot), *argv[1:])
+        assert code == 0 and out.startswith(head)
+        assert len(calls) == 2 * 36
+
+
+@pytest.mark.parametrize("n", [19, 21])
+def test_morse_on_a_large_torus_knot_picks_from_the_state_graph(tmp_path, n):
+    # 3n - 2 states, where the unshared search tree has 2^(n+1) - 1 nodes:
+    # charged by tree size, these picks passed MAX_SEARCH_NODES.
+    assert FirstTorusOracle(9).augs == gen.TorusOracle(9).augs[:1]
+    knot = tmp_path / f"torus_2_{n}.json"
+    knot.write_bytes(gen.torus_bytes(n))
+    start = time.perf_counter()
+    result = run("morse", str(knot), "--aug", "0")
+    elapsed = time.perf_counter() - start
+    assert result == (0, FirstTorusOracle(n).morse(0), "")
+    assert elapsed < 1.0, f"T(2,{n}) took {elapsed:.2f} s"
 
 
 def test_augment_listing():

@@ -12,6 +12,8 @@ import pytest
 
 from legch.cli import cli_dispatch
 
+from support import gen
+
 WALL_SECONDS = 5.0
 
 
@@ -105,3 +107,16 @@ def test_distance_memory_grows_linearly_in_bars(tmp_path, n, distance):
         tracemalloc.stop()
     assert (code, out) == (0, distance + "\n")
     assert peak < 4096 * n
+
+
+def test_augmentation_search_on_a_planted_3000_generator_file(tmp_path):
+    # 550 grading-0 generators whose states never repeat: the bound charges
+    # each state its live polynomials, so it ends the search early.
+    knot = tmp_path / "planted.json"
+    knot.write_bytes(gen.planted_complex(Random(7), 3000)[0])
+    start = time.perf_counter()
+    code, out, err = run_bounded(["barcode", str(knot), "--aug", "0"], 0, 200)
+    elapsed = time.perf_counter() - start
+    assert (code, out) == (1, "")
+    assert err.startswith("error: [SEARCH_BOUND] augmentation search exceeds the bound of ")
+    assert elapsed < 1.5, f"took {elapsed:.2f} s"
