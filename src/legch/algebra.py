@@ -25,7 +25,7 @@ class StructureError(ValueError):
     """A fault in the input; ``code`` names it.  The CLI prints it as
     ``error: [CODE] message``."""
 
-    def __init__(self, message: str, code: str = BAD_SCHEMA):
+    def __init__(self, message: str, code: str):
         super().__init__(message)
         self.code = code
 
@@ -91,19 +91,23 @@ class DGA(_Record):
         return len(self.generators)
 
     @cached_property
-    def compiled_words(self) -> tuple[tuple[frozenset[int], ...], tuple[tuple[tuple[int, int, int], ...], ...]]:
+    def compiled_words(self) -> tuple[tuple[int, ...], tuple[frozenset[int], ...], tuple[tuple[tuple[int, int, int], ...], ...]]:
         """The differential as augmentations read it, compiled on first use.
 
-        Two tuples indexed by generator id: the letters of its one-letter
-        words, and for each other word three gid bitmasks, of its letters, of
-        those with odd multiplicity and of those that occur once.  Every word
-        is kept, so the masks evaluate any 0/1 vector exactly.  A one-letter
-        word gets no mask: it always contributes its letter.
+        Three tuples: ``order``, the generator id at each bit position, the k
+        grading-0 ids at k - 1 down to 0 and the rest above them, each in id
+        order; then, indexed by generator id, the letters of its one-letter
+        words, and for each other word three position masks, of its letters,
+        of those with odd multiplicity and of those that occur once.  Every
+        word is kept, so the masks evaluate any 0/1 vector exactly, and one
+        over grading-0 letters is a letters mask below ``1 << k``.
 
-        One pass over a word's letters builds its masks: a letter's bit joins
-        ``twice`` when it is already in ``letters``, and toggles ``odd``; the
-        letters that occur once are those never met twice.
+        One pass over a word builds its masks: a letter's bit toggles ``odd``,
+        and joins ``twice`` when ``letters`` holds it; ``once`` is the rest.
         """
+        order = [g.gid for g in reversed(self.generators) if g.grading == 0]
+        order += [g.gid for g in self.generators if g.grading != 0]
+        position = sorted(range(len(order)), key=order.__getitem__)
         linears, masks = [], []
         for elem in self.differential:
             linear, words = set(), []
@@ -113,14 +117,14 @@ class DGA(_Record):
                 else:
                     letters = odd = twice = 0
                     for g in word:
-                        b = 1 << g
+                        b = 1 << position[g]
                         twice |= letters & b
                         letters |= b
                         odd ^= b
                     words.append((letters, odd, letters & ~twice))
             linears.append(frozenset(linear))
             masks.append(tuple(words))
-        return tuple(linears), tuple(masks)
+        return tuple(order), tuple(linears), tuple(masks)
 
 
 def _gids(mask: int) -> list[int]:

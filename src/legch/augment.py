@@ -9,10 +9,9 @@ from typing import NamedTuple, Sequence
 
 from .algebra import DGA, Generator, StructureError, _gids
 
-# Work the augmentation search may do: each distinct search state costs 1 plus
-# its live polynomials, and a listing also costs its length.  Free generators
-# share one state per depth, so a listing admits up to 17 of them and a pick
-# far more; the (2,25) torus knot's 73 states fit.
+# Work the augmentation search may do (see ``_state_graph``); a listing also
+# costs its length.  Free generators share one state per depth, so a listing
+# admits up to 17 of them and a pick far more; the (2,25) torus knot's 73 fit.
 MAX_SEARCH_NODES = 1 << 18
 SEARCH_BOUND = "SEARCH_BOUND"
 
@@ -26,27 +25,23 @@ class Augmentation(NamedTuple):
 def _monomials(dga: DGA, zero_gens: list[int]) -> list[tuple[int, ...]]:
     """Each differential as a mod-2 sorted tuple of bitmask monomials over ``zero_gens``.
 
-    ``zero_gens[i]`` is bit k - 1 - i, for k grading-0 generators, so the
-    search, which fixes them in order, fixes the top bit first; the unit word
-    is mask 0.  A word with a letter outside grading 0 evaluates to 0 and is
-    dropped, and since values are 0 or 1, repeated letters collapse.  Zero
-    polynomials are left out.  The bits are dense, not
-    ``DGA.compiled_words``'s generator ids: where few generators have grading
-    0, gid-wide masks make each substitution slower.
+    The bits are ``DGA.compiled_words``'s positions: ``zero_gens[i]``, of k, is
+    bit k - 1 - i, so the search, which fixes them in order, fixes the top bit
+    first.  As values are 0 or 1, a word is its letters mask, 0 for the unit;
+    one with a bit at k or above has a letter outside grading 0, so it
+    evaluates to 0 and is dropped.  Zero polynomials are left out.
     """
-    top = len(zero_gens) - 1
-    bit = {gid: 1 << (top - i) for i, gid in enumerate(zero_gens)}
+    top = 1 << len(zero_gens)
     polys = []
-    for elem in dga.differential:
+    for linear, words in zip(*dga.compiled_words[1:]):
         poly: set[int] = set()
-        for word in elem.words:
-            mask = 0
-            for g in word:
-                if g not in bit:
-                    break
-                mask |= bit[g]
-            else:
-                poly ^= {mask}
+        for g in linear:
+            i = bisect_left(zero_gens, g)
+            if zero_gens[i : i + 1] == [g]:
+                poly ^= {top >> 1 + i}
+        for letters, _, _ in words:
+            if letters < top:
+                poly ^= {letters}
         if poly:
             polys.append(tuple(sorted(poly)))
     return polys
@@ -85,8 +80,7 @@ def _charge(work: int, k: int) -> None:
     """Raise the ``SEARCH_BOUND`` error once ``work`` passes ``MAX_SEARCH_NODES``."""
     if work > MAX_SEARCH_NODES:
         raise StructureError(
-            f"augmentation search exceeds the bound of {MAX_SEARCH_NODES} search nodes "
-            f"({k} grading-0 generators)",
+            f"augmentation search exceeds the bound of {MAX_SEARCH_NODES} search nodes ({k} grading-0 generators)",
             SEARCH_BOUND,
         )
 
@@ -100,7 +94,8 @@ def _state_graph(dga: DGA) -> tuple[list[int], list[array], list[list[int]], int
     depends only on its depth and its live polynomials, which sorted tuples
     name uniquely, so each distinct state is expanded once: a reduced ordered
     decision diagram (Bryant 1986).  Each new state is charged 1 plus its live
-    polynomials, and the keys of two levels at most are held.  Returns the
+    polynomials plus (k - d) >> 10 at depth d, one per 1024 bits its exact
+    count can reach, and the keys of two levels at most are held.  Returns the
     grading-0 generator ids; ``children[d]``, the 0-child and the 1-child of
     each state at depth d side by side, as indices at depth d + 1 or -1 for a
     cut; ``counts[d]``, the leaves below each state at depth d, then a 0 for a
@@ -110,7 +105,7 @@ def _state_graph(dga: DGA) -> tuple[list[int], list[array], list[list[int]], int
     k = len(zero_gens)
     polys = tuple(_monomials(dga, zero_gens))
     level = {} if _ONE in polys else {polys: 0}
-    work = 1 + len(polys) if level else 0
+    work = 1 + len(polys) + (k >> 10) if level else 0
     _charge(work, k)
     children = []
     for depth in range(k):
@@ -125,7 +120,7 @@ def _state_graph(dga: DGA) -> tuple[list[int], list[array], list[list[int]], int
                 i = below.get(child)
                 if i is None:
                     i = below[child] = len(below)
-                    work += 1 + len(child)
+                    work += 1 + len(child) + (k - 1 - depth >> 10)
                     _charge(work, k)
                 row.append(i)
         children.append(row)
@@ -231,9 +226,10 @@ def linearized_differential(dga: DGA, eps: Augmentation) -> LinearizedComplex:
         for g, v in zip(dga.generators, values)
         if g.grading != 0 and v != 0
     ]
-    off = ~sum(1 << gid for gid, v in enumerate(values) if v)
+    order, linears, masks = dga.compiled_words
+    off = ~sum(1 << p for p, gid in enumerate(order) if values[gid])
     columns, parities = [], []
-    for linear, words in zip(*dga.compiled_words):
+    for linear, words in zip(linears, masks):
         acc, parity = 0, sum(map(values.__getitem__, linear))
         for letters, odd, once in words:
             zeros = letters & off
@@ -242,7 +238,7 @@ def linearized_differential(dga: DGA, eps: Augmentation) -> LinearizedComplex:
                 parity += 1
             elif zeros & once and not zeros & (zeros - 1):
                 acc ^= zeros
-        columns.append(linear.symmetric_difference(_gids(acc)) if acc else linear)
+        columns.append(linear.symmetric_difference(map(order.__getitem__, _gids(acc))) if acc else linear)
         parities.append(parity & 1)
     if 1 in parities:
         problems += [f"d({g.name}) does not evaluate to 0" for g in compress(dga.generators, parities)]

@@ -263,8 +263,13 @@ def linear_part(elem: Element, eps: Augmentation) -> frozenset[int]:
 
 def compiled_words_by_counting(dga: DGA):
     """``DGA.compiled_words`` recomputed from a Counter of each word's letters:
-    the one-letter words' letters per generator, and per longer word the gid
-    masks of its letters, of those of odd count and of those of count 1."""
+    the generator id at each bit position, the grading-0 ids first from the
+    highest, then the rest from the lowest; the one-letter words' letters per
+    generator; and per longer word the position masks of its letters, of those
+    of odd count and of those of count 1."""
+    by_rank = sorted(dga.generators, key=lambda g: (g.grading != 0, -g.gid if g.grading == 0 else g.gid))
+    order = tuple(g.gid for g in by_rank)
+    bit = {gid: 1 << p for p, gid in enumerate(order)}
     linears, masks = [], []
     for elem in dga.differential:
         linear, words = set(), []
@@ -274,13 +279,13 @@ def compiled_words_by_counting(dga: DGA):
                 continue
             letters = odd = once = 0
             for g, count in Counter(word).items():
-                letters |= 1 << g
-                odd |= (count & 1) << g
-                once |= (count == 1) << g
+                letters |= bit[g]
+                odd |= bit[g] * (count & 1)
+                once |= bit[g] * (count == 1)
             words.append((letters, odd, once))
         linears.append(frozenset(linear))
         masks.append(tuple(words))
-    return tuple(linears), tuple(masks)
+    return order, tuple(linears), tuple(masks)
 
 
 def enumerate_augmentations_brute(dga: DGA) -> list[Augmentation]:
@@ -312,7 +317,8 @@ def moebius(table: int, m: int) -> int:
 
 def search_work_brute(dga: DGA) -> int:
     """The work the augmentation search is charged, by evaluation alone: the sum,
-    over its distinct states, of 1 plus their nonzero residuals.
+    over its distinct states, of 1 plus their nonzero residuals plus (k - d) >> 10
+    at depth d, one per 1024 bits of the count below them.
 
     Each differential's truth table over the grading-0 generators comes from
     evaluating it at every assignment, in lexicographic order, so that the
@@ -335,7 +341,7 @@ def search_work_brute(dga: DGA) -> int:
             residuals = [moebius(t >> (size * prefix) & ((1 << size) - 1), k - d) for t in tables]
             if 1 not in residuals:
                 states.add(tuple(filter(None, residuals)))
-        work += sum(1 + len(state) for state in states)
+        work += sum(1 + len(state) + (k - d >> 10) for state in states)
     return work
 
 
@@ -769,17 +775,17 @@ def check_chain_complex(generators, columns) -> None:
     degree below its column and the columns square to zero: what
     ``FilteredComplex`` trusts of a linearized differential."""
     if len(columns) != len(generators):
-        raise StructureError("one column per generator required")
+        raise StructureError("one column per generator required", BAD_SCHEMA)
     for g, col in zip(generators, columns):
         for p in col:
             if generators[p].grading != g.grading - 1:
-                raise StructureError(f"entry ({generators[p].name}, {g.name}) violates the degree -1 rule")
+                raise StructureError(f"entry ({generators[p].name}, {g.name}) violates the degree -1 rule", GRADING_VIOLATION)
     for g, col in zip(generators, columns):
         square: set[int] = set()
         for p in col:
             square ^= columns[p]
         if square:
-            raise StructureError(f"differential does not square to zero at {g.name}")
+            raise StructureError(f"differential does not square to zero at {g.name}", D_SQUARED_NONZERO)
 
 
 def gf2_rank(vectors) -> int:

@@ -155,11 +155,13 @@ def test_compiled_words_count_letters_repeated_up_to_four_times_past_64_bits():
         tuple(Generator(i, f"g{i}", 0) for i in range(n)),
         tuple(columns) + tuple(Element() for _ in range(n - len(columns))),
     )
-    linears, masks = dga.compiled_words
-    assert (linears, masks) == compiled_words_by_counting(dga)
+    order, linears, masks = dga.compiled_words
+    assert (order, linears, masks) == compiled_words_by_counting(dga)
+    # Every generator has grading 0, so gid g is bit 200 - g.
+    assert order == tuple(range(200, -1, -1))
     # 64 three times, 3 twice, 200 once; 200 four times; 65 alone is linear.
     assert linears[40] == {65}
-    g3, g64, g200 = 1 << 3, 1 << 64, 1 << 200
+    g3, g64, g200 = 1 << 197, 1 << 136, 1 << 0
     assert sorted(masks[40]) == sorted([(g3 | g64 | g200, g64 | g200, g200), (g200, 0, 0)])
 
 
@@ -259,6 +261,23 @@ def test_search_bound_counts_partial_assignments(monkeypatch):
     assert len(enumerate_augmentations(free(5))) == 2**5
     with pytest.raises(ValueError, match="bound of 63 search nodes"):
         enumerate_augmentations(free(6))
+
+
+def test_search_bound_charges_the_bits_of_the_counts():
+    # A state at depth d keeps an exact count of up to 2^(k - d), so it is
+    # also charged (k - d) >> 10.  On 1200 free generators that adds 1 to the
+    # 177 states at depths 0..176: a pick costs 1201 + 177.  On 50,000 the
+    # counts would hold about 50,000^2 / 2 bits (150 MB): the pick is refused.
+    def free(k):
+        return DGA(tuple(Generator(i, f"g{i}", 0) for i in range(k)), (Element(),) * k)
+
+    with patch.object(augment, "MAX_SEARCH_NODES", 1378):
+        assert pick_augmentation(free(1200), 0)[1] == 2**1200
+    for k, bound in ((1200, 1377), (50_000, MAX_SEARCH_NODES)):
+        with patch.object(augment, "MAX_SEARCH_NODES", bound):
+            with pytest.raises(StructureError, match=rf"bound of {bound} search nodes \({k} grading-0") as exc:
+                pick_augmentation(free(k), 0)
+        assert exc.value.code == SEARCH_BOUND
 
 
 def test_enumeration_is_lexicographic_and_complete_on_island():

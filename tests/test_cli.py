@@ -401,7 +401,8 @@ def test_search_bound_is_coded(tmp_path, monkeypatch):
 
 def test_search_bound_on_a_deep_search_is_coded(tmp_path):
     # 1200 free generators take 1201 states, one per depth: a pick answers,
-    # and the listing of 2^1200 is refused before it lists any.
+    # and the listing of 2^1200 is refused before it lists any.  The pick
+    # costs 1378 (see test_search_bound_charges_the_bits_of_the_counts).
     free = free_knot_file(tmp_path, 1200)
     dga = load_knot(free).dga
     assert augment.pick_augmentation(dga, 2**1200 - 1) == (augment.Augmentation((1,) * 1200), 2**1200)

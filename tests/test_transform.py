@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from legch.algebra import DGA, Element, HeightAssignment, validate_dga
-from legch.augment import Augmentation, enumerate_augmentations, linearized_differential
+from legch.augment import Augmentation, enumerate_augmentations, linearized_differential, pick_augmentation
 from legch.metrics import interleaving_distance
 from legch.persist import build_filtered_complex, compute_barcode
 
@@ -24,6 +24,7 @@ from support import (
     dga_from_complex,
     dga_of,
     flood_heights,
+    gen,
     gid_of,
     height_of_element,
     is_semimonotonic,
@@ -74,6 +75,41 @@ def test_stabilize_unknot_at_grading_two():
 def test_stabilized_trefoil_is_valid():
     dga, _ = stabilize(TREFOIL.dga, 3, Fraction(9), Fraction(8), TREFOIL.heights)
     validate_dga(dga)
+
+
+def normalized_count(dga: DGA) -> Fraction:
+    """The number of augmentations squared, times 2^(-chi*), where chi* sums
+    (-1)^k r_k over gradings k >= 0 and (-1)^(k+1) r_k over k < 0, r_k being
+    the number of generators of grading k.  The count times 2^(-chi*/2) is
+    the normalized count of Ng–Sabloff (2006), which stabilization leaves
+    unchanged; squared, it is rational."""
+    chi = sum((-1 if g.grading & 1 else 1) * (1 if g.grading >= 0 else -1) for g in dga.generators)
+    return Fraction(pick_augmentation(dga, 0)[1]) ** 2 / Fraction(2) ** chi
+
+
+def assert_stabilizations_keep_the_normalized_count(dga: DGA, value: Fraction):
+    # At k = 0 the new grading-0 generator is free, so the count doubles and
+    # chi* grows by 2; at every other k, chi* and the count stay.
+    assert normalized_count(dga) == value
+    heights = HeightAssignment((1,) * len(dga))
+    for k in range(-2, 4):
+        assert normalized_count(stabilize(dga, k, 2, 1, heights)[0]) == value, k
+
+
+@pytest.mark.parametrize(
+    "name, value", [("unknot", 2), ("trefoil", Fraction(25, 2)), ("trefoil_rii", Fraction(25, 2)), ("island", 2**9)]
+)
+def test_stabilizations_keep_the_normalized_count_on_the_corpus(name, value):
+    # island: nine free grading-0 generators, so 2^9 augmentations and chi* = 9
+    assert_stabilizations_keep_the_normalized_count(load_corpus(name).dga, value)
+
+
+@pytest.mark.parametrize("n", [5, 9, 21])
+def test_stabilizations_keep_the_normalized_count_on_torus_knots(n):
+    # T(2,n) has n grading-0 and 2 grading-1 generators, so chi* = n - 2; the
+    # count comes from the transfer matrix.  No brute force reaches n = 21.
+    value = Fraction(gen.count_augmentations(n) ** 2, 2 ** (n - 2))
+    assert_stabilizations_keep_the_normalized_count(torus_2n_dga(n), value)
 
 
 def test_stabilize_rejects_bad_heights():
