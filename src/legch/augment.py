@@ -5,7 +5,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from itertools import compress
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .algebra import DGA, Generator, StructureError, _gids
 
@@ -133,31 +133,47 @@ def _state_graph(dga: DGA) -> tuple[list[int], list[array], list[list[int]], int
     return zero_gens, children, counts, work
 
 
+def _leaves(dga: DGA, start, pieces) -> tuple[int, Iterator]:
+    """The number of augmentations and an iterator over them in lexicographic
+    order, each read as ``start`` followed, per depth d, by ``pieces[d][v]``
+    for its value v there.  The walk carries each path's prefix down the state
+    graph, so a leaf costs one concatenation.  Raises the ``SEARCH_BOUND``
+    error once the graph's work plus the count passes ``MAX_SEARCH_NODES``,
+    before the walk starts."""
+    _, children, counts, work = _state_graph(dga)
+    count = counts[0][0]
+    _charge(work + count, len(children))
+    return count, _walk(children, counts, start, pieces) if children else iter([start] * count)
+
+
+def _walk(children, counts, start, pieces) -> Iterator:
+    last = len(children) - 1
+    todo = [(0, 0, start)] if counts[0][0] else []  # (depth, state, prefix), 0 popped before 1
+    while todo:
+        depth, state, prefix = todo.pop()
+        row, below, (zero, one) = children[depth], counts[depth + 1], pieces[depth]
+        zero_child, one_child = row[2 * state], row[2 * state + 1]
+        if depth == last:  # a leaf is yielded at once, saving a push and a pop
+            if below[zero_child]:
+                yield prefix + zero
+            if below[one_child]:
+                yield prefix + one
+        else:
+            if below[one_child]:
+                todo.append((depth + 1, one_child, prefix + one))
+            if below[zero_child]:
+                todo.append((depth + 1, zero_child, prefix + zero))
+
+
 def enumerate_augmentations(dga: DGA) -> list[Augmentation]:
     """All augmentations, ordered lexicographically by the value vector, so
     augmentation indices are stable across runs.  Raises a StructureError coded
     ``SEARCH_BOUND`` once the state graph's work plus the number of
     augmentations passes ``MAX_SEARCH_NODES``, before any is listed."""
-    zero_gens, children, counts, work = _state_graph(dga)
-    k = len(zero_gens)
-    _charge(work + counts[0][0], k)
-    found: list[Augmentation] = []
-    values = [0] * len(dga)
-    # (variables fixed, state, value of the last one), with 0 popped before 1
-    todo = [(0, 0, 0)] if counts[0][0] else []
-    while todo:
-        depth, state, value = todo.pop()
-        if depth:
-            values[zero_gens[depth - 1]] = value
-        if depth == k:
-            found.append(Augmentation(tuple(values)))
-            continue
-        row, below = children[depth], counts[depth + 1]
-        for value in (1, 0):
-            child = row[2 * state + value]
-            if below[child]:
-                todo.append((depth + 1, child, value))
-    return found
+    # a grading-0 generator's piece is its value, then the zeros up to the next one
+    cuts = [g.gid for g in dga.generators if g.grading == 0] + [len(dga)]
+    pieces = [((0,) * (b - a), (1,) + (0,) * (b - a - 1)) for a, b in zip(cuts, cuts[1:])]
+    return list(map(Augmentation, _leaves(dga, (0,) * cuts[0], pieces)[1]))
 
 
 def pick_augmentation(dga: DGA, index: int) -> tuple[Augmentation | None, int]:

@@ -10,7 +10,7 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 from .algebra import HeightAssignment, StructureError
-from .augment import enumerate_augmentations, linearized_differential, pick_augmentation
+from .augment import _leaves, linearized_differential, pick_augmentation
 from .diagram import area_inequalities, assign_heights, flood
 from .fileio import (
     KnotData,
@@ -124,12 +124,14 @@ def _cmd_validate(args) -> int:
 
 def _cmd_augment(args) -> int:
     kd = load_knot(args.file)
-    augs = enumerate_augmentations(kd.dga)
-    # One template per file: field 1 is the value vector, indexed by generator id.
-    line = "aug {0}:" + "".join(
-        f" {g.name.replace('{', '{{').replace('}', '}}')}={{1[{g.gid}]}}" for g in kd.dga.generators if g.grading == 0
-    )
-    print("\n".join([f"augmentations: {len(augs)}"] + [line.format(i, eps.values) for i, eps in enumerate(augs)]))
+    pieces = [(f" {g.name}=0", f" {g.name}=1") for g in kd.dga.generators if g.grading == 0]
+    count, lines = _leaves(kd.dga, "", pieces)
+    print(f"augmentations: {count}")
+    # About 64 KB per write, a pipe's default capacity: lines differ only in
+    # their index, of at most 6 digits.
+    step = (1 << 16) // (12 + sum(len(one) for _, one in pieces)) + 1
+    for i in range(0, count, step):
+        print("".join([f"aug {j}:{line}\n" for j, line in zip(range(i, i + step), lines)]), end="")
     return EXIT_OK
 
 
@@ -240,9 +242,20 @@ def cli_dispatch(argv, stdout=None, stderr=None) -> int:
             print(f"error: [{exc.code}] {exc}", file=sys.stderr)
             return EXIT_ERROR
         except (OSError, ValueError) as exc:
+            if stdout is None and isinstance(exc, BrokenPipeError):
+                raise  # the process's reader closed stdout: ``main`` ends quietly
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_ERROR
 
 
 def main() -> None:
-    sys.exit(cli_dispatch(sys.argv[1:]))
+    # A reader that closes stdout early (``legch augment knot.json | head``)
+    # gets exit 1 and no report: fd 1 goes to devnull, so the flush at exit
+    # fails no more (the Python docs' note on SIGPIPE).
+    try:
+        code = cli_dispatch(sys.argv[1:])
+        print(end="", flush=True)  # flushes stdout, if the process has one
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_ERROR
+    sys.exit(code)

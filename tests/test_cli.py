@@ -286,6 +286,25 @@ def test_a_closed_stdout_is_reported_without_a_traceback():
     assert err.getvalue() == "error: [Errno 32] Broken pipe\n"
 
 
+@pytest.mark.parametrize("command, first", [("augment", b"augmentations: 87381\n"), ("validate", b"")])
+def test_a_reader_that_closes_stdout_early_gets_no_report(tmp_path, command, first):
+    # T(2,17)'s 9 MB listing, far more than a pipe holds, breaks the pipe in
+    # mid-stream once the reader has taken its first line; validate's one
+    # line, held in the buffer, breaks it at the flush before exit, as the
+    # reader closes the pipe before the process starts.  Stdout is buffered,
+    # as it is by default.
+    knot = tmp_path / "torus_2_17.json"
+    knot.write_bytes(gen.torus_bytes(17))
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    argv = [sys.executable, "-m", "legch", command, str(knot)]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        read = proc.stdout.readline() if first else b""
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, read, err) == (1, first, b"")
+
+
 def test_rendering_into_a_closed_stream_is_reported_without_a_traceback(monkeypatch):
     # A closed stream's isatty raises ValueError, so text is plain; the write then fails.
     monkeypatch.delenv("LEGCH_COLOR", raising=False)
@@ -460,6 +479,41 @@ def test_augment_listing():
         "aug 3: q3=1 q4=1 q5=0",
         "aug 4: q3=1 q4=1 q5=1",
     ]
+
+
+@pytest.mark.parametrize("n", range(3, 16))
+def test_augment_listing_matches_the_torus_oracle(tmp_path, n):
+    knot = tmp_path / f"torus_2_{n}.json"
+    knot.write_bytes(gen.torus_bytes(n))
+    assert run("augment", str(knot)) == (0, gen.TorusOracle(n).augment(), "")
+
+
+class _Writes(list):
+    """A stdout that keeps each write apart."""
+
+    def write(self, text):
+        self.append(text)
+        return len(text)
+
+
+def test_augment_streams_its_listing_from_one_state_graph(tmp_path, monkeypatch):
+    # T(2,17)'s 87,381 lines take 9.1 MB; no write may hold more than 1 MB of them.
+    n = 17
+    knot = tmp_path / f"torus_2_{n}.json"
+    knot.write_bytes(gen.torus_bytes(n))
+    graphs = []
+    state_graph = augment._state_graph
+    monkeypatch.setattr(augment, "_state_graph", lambda dga: graphs.append(None) or state_graph(dga))
+    out, err = _Writes(), io.StringIO()
+    assert (cli_dispatch(["augment", str(knot)], stdout=out, stderr=err), err.getvalue()) == (0, "")
+    assert len(graphs) == 1
+    assert max(map(len, out)) <= 1 << 20
+    lines = "".join(out).splitlines()
+    count = gen.count_augmentations(n)
+    assert (lines[0], len(lines)) == (f"augmentations: {count}", count + 1)
+    first, last = (next(bits for bits in product(order, repeat=n) if gen.continuant_bit(bits)) for order in ((0, 1), (1, 0)))
+    for i, line, bits in ((0, lines[1], first), (count - 1, lines[-1], last)):
+        assert line == f"aug {i}: " + " ".join(f"b{j}={v}" for j, v in enumerate(bits, start=1))
 
 
 def test_augment_unknot_has_one_empty_assignment():
