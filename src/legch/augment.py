@@ -22,23 +22,22 @@ class Augmentation(NamedTuple):
     values: tuple[int, ...]
 
 
-def _monomials(dga: DGA, zero_gens: list[int]) -> list[tuple[int, ...]]:
-    """Each differential as a mod-2 sorted tuple of bitmask monomials over ``zero_gens``.
+def _monomials(dga: DGA, k: int) -> list[tuple[int, ...]]:
+    """Each differential as a mod-2 sorted tuple of bitmask monomials.
 
-    The bits are ``DGA.compiled_words``'s positions: ``zero_gens[i]``, of k, is
-    bit k - 1 - i, so the search, which fixes them in order, fixes the top bit
-    first.  As values are 0 or 1, a word is its letters mask, 0 for the unit;
-    one with a bit at k or above has a letter outside grading 0, so it
-    evaluates to 0 and is dropped.  Zero polynomials are left out.
+    The bits are ``DGA.compiled_words``'s positions, of which the k grading-0
+    generators hold ``order[:k]``: the i-th of them is bit k - 1 - i, so the
+    search, which fixes them in order, fixes the top bit first.  As values are
+    0 or 1, a word is its letters mask, 0 for the unit; one with a bit at k or
+    above has a letter outside grading 0, so it evaluates to 0 and is dropped.
+    Zero polynomials are left out.
     """
-    top = 1 << len(zero_gens)
+    order, linears, masks = dga.compiled_words
+    bits = {g: 1 << p for p, g in enumerate(order[:k])}
+    top = 1 << k
     polys = []
-    for linear, words in zip(*dga.compiled_words[1:]):
-        poly: set[int] = set()
-        for g in linear:
-            i = bisect_left(zero_gens, g)
-            if zero_gens[i : i + 1] == [g]:
-                poly ^= {top >> 1 + i}
+    for linear, words in zip(linears, masks):
+        poly = {bits[g] for g in linear if g in bits}
         for letters, _, _ in words:
             if letters < top:
                 poly ^= {letters}
@@ -103,7 +102,7 @@ def _state_graph(dga: DGA) -> tuple[list[int], list[array], list[list[int]], int
     """
     zero_gens = [g.gid for g in dga.generators if g.grading == 0]
     k = len(zero_gens)
-    polys = tuple(_monomials(dga, zero_gens))
+    polys = tuple(_monomials(dga, k))
     level = {} if _ONE in polys else {polys: 0}
     work = 1 + len(polys) + (k >> 10) if level else 0
     _charge(work, k)

@@ -43,36 +43,28 @@ class _FloodFailure(Exception):
 
 @functools.cache  # parse_args keeps no state in the parser, so one serves every call
 def _build_parser() -> _Parser:
+    """The one table of commands: each subparser carries its handler as ``run``."""
     parser = _Parser(prog="legch", description="Persistent contact homology of knot diagrams")
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    p = sub.add_parser("validate", help="check a knot file")
-    p.add_argument("file")
+    def command(name, run, help, positionals=("file",), aug=False):
+        p = sub.add_parser(name, help=help)
+        for positional in positionals:
+            p.add_argument(positional)
+        if aug:
+            p.add_argument("--aug", type=int, default=0, metavar="I")
+        p.set_defaults(run=run)
+        return p
 
-    p = sub.add_parser("augment", help="list the augmentations of a knot file")
-    p.add_argument("file")
-
-    p = sub.add_parser("linearize", help="print the linearized differential")
-    p.add_argument("file")
-    p.add_argument("--aug", type=int, default=0, metavar="I")
-
-    p = sub.add_parser("flood", help="tier the crossings and assign heights")
-    p.add_argument("file")
-
-    p = sub.add_parser("barcode", help="compute the barcode of a knot file")
-    p.add_argument("file")
-    p.add_argument("--aug", type=int, default=0, metavar="I")
+    command("validate", _cmd_validate, "check a knot file")
+    command("augment", _cmd_augment, "list the augmentations of a knot file")
+    command("linearize", _cmd_linearize, "print the linearized differential", aug=True)
+    command("flood", _cmd_flood, "tier the crossings and assign heights")
+    p = command("barcode", _cmd_barcode, "compute the barcode of a knot file", aug=True)
     p.add_argument("--heights", choices=("file", "flood"), default=None)
     p.add_argument("--render", choices=("text", "svg"), default=None)
-
-    p = sub.add_parser("distance", help="distance between two barcode files")
-    p.add_argument("barcode1")
-    p.add_argument("barcode2")
-
-    p = sub.add_parser("morse", help="counting polynomials and the strong Morse check")
-    p.add_argument("file")
-    p.add_argument("--aug", type=int, default=0, metavar="I")
-
+    command("distance", _cmd_distance, "distance between two barcode files", ("barcode1", "barcode2"))
+    command("morse", _cmd_morse, "counting polynomials and the strong Morse check", aug=True)
     return parser
 
 
@@ -172,10 +164,10 @@ def _cmd_barcode(args) -> int:
     kd = load_knot(args.file)
     barcode = _barcode_for(kd, args.aug, args.heights)
     if args.render is None:
-        sys.stdout.write(serialize_barcode_file(barcode).decode("utf-8"))
+        print(serialize_barcode_file(barcode).decode("utf-8"), end="")
     else:
         color = args.render == "text" and _color_enabled()
-        sys.stdout.write(render_barcode(barcode, args.render, color=color).decode("utf-8"))
+        print(render_barcode(barcode, args.render, color=color).decode("utf-8"), end="")
     return EXIT_OK
 
 
@@ -206,17 +198,6 @@ def _cmd_morse(args) -> int:
     return EXIT_OK if report.holds else EXIT_ERROR
 
 
-_COMMANDS = {
-    "validate": _cmd_validate,
-    "augment": _cmd_augment,
-    "linearize": _cmd_linearize,
-    "flood": _cmd_flood,
-    "barcode": _cmd_barcode,
-    "distance": _cmd_distance,
-    "morse": _cmd_morse,
-}
-
-
 def cli_dispatch(argv, stdout=None, stderr=None) -> int:
     """Run one command; streams default to the process streams."""
     out = stdout if stdout is not None else sys.stdout
@@ -235,7 +216,7 @@ def cli_dispatch(argv, stdout=None, stderr=None) -> int:
             parser.print_usage(sys.stderr)
             return EXIT_ERROR
         try:
-            return _COMMANDS[args.command](args)
+            return args.run(args)
         except _FloodFailure:
             return EXIT_FLOOD_FAILURE
         except StructureError as exc:

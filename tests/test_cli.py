@@ -305,6 +305,36 @@ def test_a_reader_that_closes_stdout_early_gets_no_report(tmp_path, command, fir
     assert (proc.returncode, read, err) == (1, first, b"")
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["validate", "trefoil"], 0),
+        (["augment", "trefoil"], 0),
+        (["linearize", "trefoil", "--aug", "2"], 0),
+        (["flood", "trefoil"], 0),
+        (["flood", "island"], 2),
+        (["barcode", "trefoil", "--aug", "2"], 0),
+        (["barcode", "trefoil", "--aug", "2", "--render", "text"], 0),
+        (["barcode", "trefoil", "--aug", "2", "--render", "svg"], 0),
+        (["distance", "bars", "bars"], 0),
+        (["morse", "trefoil"], 0),
+    ],
+    ids=lambda value: " ".join(value) if isinstance(value, list) else f"exit {value}",
+)
+def test_a_process_without_stdout_exits_as_with_one(tmp_path, argv, code):
+    # The child starts with fd 1 closed, so sys.stdout is None: every command
+    # writes nothing, reports nothing and exits as it does with stdout open.
+    bars = tmp_path / "bars.json"
+    bars.write_text(run("barcode", path("trefoil"), "--aug", "2")[1])
+    argv = [str(bars) if a == "bars" else path(a) if a in corpus.NAMES else a for a in argv]
+    assert run(*argv)[0] == code
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "legch", *argv], stderr=subprocess.PIPE, env=env, preexec_fn=lambda: os.close(1)
+    )
+    assert (proc.returncode, proc.stderr) == (code, b"")
+
+
 def test_rendering_into_a_closed_stream_is_reported_without_a_traceback(monkeypatch):
     # A closed stream's isatty raises ValueError, so text is plain; the write then fails.
     monkeypatch.delenv("LEGCH_COLOR", raising=False)
@@ -707,6 +737,33 @@ def test_no_command_prints_usage():
     code, _, err = run()
     assert code == 1
     assert "usage" in err.lower()
+
+
+USAGE_ERRORS = [
+    (command, case, argv)
+    for command, positionals, takes_aug in [
+        ("validate", ["k.json"], False),
+        ("augment", ["k.json"], False),
+        ("linearize", ["k.json"], True),
+        ("flood", ["k.json"], False),
+        ("barcode", ["k.json"], True),
+        ("distance", ["a.json", "b.json"], False),
+        ("morse", ["k.json"], True),
+    ]
+    for case, argv in [
+        ("missing positional", [command, *positionals[:-1]]),
+        ("unknown option", [command, *positionals, "--bogus"]),
+        *([("aug z", [command, *positionals, "--aug", "z"])] if takes_aug else []),
+    ]
+]
+
+
+@pytest.mark.parametrize("argv", [argv for *_, argv in USAGE_ERRORS], ids=[f"{c}-{k}" for c, k, _ in USAGE_ERRORS])
+def test_every_subcommand_reports_usage_errors(argv):
+    code, out, err = run(*argv)
+    lines = err.splitlines()
+    assert (code, out) == (1, "")
+    assert lines[0].startswith("usage: legch") and lines[-1].startswith("error: "), err
 
 
 def test_bad_augmentation_index():
