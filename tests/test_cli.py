@@ -740,7 +740,7 @@ def test_no_command_prints_usage():
 
 
 USAGE_ERRORS = [
-    (command, case, argv)
+    pytest.param([command, *argv], id=f"{command}-{case}")
     for command, positionals, takes_aug in [
         ("validate", ["k.json"], False),
         ("augment", ["k.json"], False),
@@ -751,14 +751,14 @@ USAGE_ERRORS = [
         ("morse", ["k.json"], True),
     ]
     for case, argv in [
-        ("missing positional", [command, *positionals[:-1]]),
-        ("unknown option", [command, *positionals, "--bogus"]),
-        *([("aug z", [command, *positionals, "--aug", "z"])] if takes_aug else []),
+        ("missing positional", positionals[:-1]),
+        ("unknown option", [*positionals, "--bogus"]),
+        *([("aug z", [*positionals, "--aug", "z"])] if takes_aug else []),
     ]
 ]
 
 
-@pytest.mark.parametrize("argv", [argv for *_, argv in USAGE_ERRORS], ids=[f"{c}-{k}" for c, k, _ in USAGE_ERRORS])
+@pytest.mark.parametrize("argv", USAGE_ERRORS)
 def test_every_subcommand_reports_usage_errors(argv):
     code, out, err = run(*argv)
     lines = err.splitlines()
