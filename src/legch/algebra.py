@@ -10,6 +10,7 @@ import heapq
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property
+from itertools import filterfalse
 from typing import Iterable, NamedTuple, Sequence
 
 Word = tuple[int, ...]
@@ -192,9 +193,11 @@ def validate_dga(dga: DGA) -> None:
     the differential squares to zero on every generator; raise at the first fault,
     checking every grading before any d².  A grading fault names the column's least
     bad word in ``format_element``'s order, so equal columns name the same word.
-    Each column's d² is the set ``_image`` gives; an ``Element`` is built only for
-    the message."""
+    Each column's d² is the set ``_image`` gives, and only the words that hold a
+    letter whose differential is nonzero are expanded, since the others map to
+    zero; an ``Element`` is built only for the message."""
     grading_of = [g.grading for g in dga.generators].__getitem__
+    live = {g for g, elem in enumerate(dga.differential) if elem.words}
     for g, elem in zip(dga.generators, dga.differential):
         want = g.grading - 1
         for word in elem.words:
@@ -206,7 +209,7 @@ def validate_dga(dga: DGA) -> None:
                     GRADING_VIOLATION,
                 )
     for g, elem in zip(dga.generators, dga.differential):
-        dd = _image(elem.words, dga.differential)
+        dd = _image(filterfalse(live.isdisjoint, elem.words), dga.differential)
         if dd:
             raise StructureError(
                 f"d(d({g.name})) = {format_element(Element(dd), dga)} is nonzero", D_SQUARED_NONZERO

@@ -65,6 +65,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--render", choices=("text", "svg"), default=None)
     command("distance", _cmd_distance, "distance between two barcode files", ("barcode1", "barcode2"))
     command("morse", _cmd_morse, "counting polynomials and the strong Morse check", aug=True)
+    parser.commands = sub.choices  # a usage error names the command that argv opens with
     return parser
 
 
@@ -207,7 +208,7 @@ def cli_dispatch(argv, stdout=None, stderr=None) -> int:
         try:
             args = parser.parse_args(argv)
         except _UsageError as exc:
-            parser.print_usage(sys.stderr)
+            parser.commands.get(argv[0] if argv else None, parser).print_usage(sys.stderr)
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_ERROR
         except SystemExit as exc:  # --help

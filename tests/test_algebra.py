@@ -1,11 +1,13 @@
 import json
 import math
+from collections import Counter
 from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from legch import algebra
 from legch.algebra import (
     D_SQUARED_NONZERO,
     DGA,
@@ -387,6 +389,96 @@ def test_a_column_cancels_a_longer_words_expansion():
     assert apply_differential(cols[v], dga) == Element([(w,)]) == apply_differential_per_letter(cols[v], dga)
     assert outcome(validate_dga, dga) == (D_SQUARED_NONZERO, "d(d(v)) = w is nonzero")
     assert outcome(validate_dga, dga) == outcome(validate_dga_per_letter, dga)
+
+
+# --- d² expands only the words that hold a letter whose differential is nonzero
+
+def with_a_live_cycle(n: int, j: int) -> DGA:
+    """T(2,n) with a generator c of grading -1 and d(b_j) = c: b_j, of grading 0,
+    is no longer a cycle, and every word of d(a1) and d(a2) that holds it
+    expands to a word that holds c."""
+    dga = torus_2n_dga(n)
+    c = Generator(len(dga), "c", -1)
+    cols = [*dga.differential, Element()]
+    cols[gid_of(dga, f"b{j}")] = Element([(c.gid,)])
+    return DGA((*dga.generators, c), tuple(cols))
+
+
+@pytest.mark.parametrize("n, j", [(n, j) for n in (5, 9) for j in range(1, n + 1)])
+def test_a_torus_letter_with_a_differential_fails_d_squared_as_before(n, j):
+    dga = with_a_live_cycle(n, j)
+    code, message = outcome(validate_dga, dga)
+    assert code == D_SQUARED_NONZERO and "c" in message.split(" = ")[1]
+    assert outcome(validate_dga, dga) == outcome(validate_dga_per_letter, dga)
+
+
+def dga_with_cycles(rng: Random) -> DGA:
+    """A DGA in which at least half of the generators are cycles, of gradings
+    -1 to 1.  Each live letter maps to one word of cycles.  Each pair (x, y)
+    over a word u of 2 to 6 letters, cycles and live letters mixed, has
+    d(x) = d(u) and d(y) = x + u, so d(d(y)) = 0; in half of the DGAs one y
+    loses x, and its d² is d(u)."""
+    gradings, cols = [], []
+
+    def add(grading, words):
+        gradings.append(grading)
+        cols.append(Element(words))
+        return len(cols) - 1
+
+    cycles = [add(rng.randint(-1, 1), []) for _ in range(rng.randint(4, 8))]
+    live = []
+    for _ in range(rng.randint(1, len(cycles) // 3)):
+        word = tuple(rng.choices(cycles, k=rng.randint(0, 3)))
+        live.append(add(sum(gradings[g] for g in word) + 1, [word]))
+    pairs = []
+    for _ in range(rng.randint(1, (len(cycles) - len(live)) // 2)):
+        u = tuple(rng.choices(cycles + live, k=rng.randint(2, 6)))
+        gens = tuple(Generator(i, f"g{i}", k) for i, k in enumerate(gradings))
+        x = add(sum(gradings[g] for g in u), apply_differential_per_letter(Element([u]), DGA(gens, tuple(cols))).words)
+        pairs.append((add(gradings[x] + 1, [(x,), u]), x))
+    if rng.random() < 0.5:
+        y, x = rng.choice(pairs)
+        cols[y] = plus(cols[y], Element([(x,)]))
+    return DGA(tuple(Generator(i, f"g{i}", k) for i, k in enumerate(gradings)), tuple(cols))
+
+
+def test_dgas_of_cycles_and_live_letters_validate_as_the_per_letter_oracle_does():
+    seen = Counter()
+    for seed in range(300):
+        dga = dga_with_cycles(Random(seed))
+        live = {g for g, elem in enumerate(dga.differential) if elem}
+        assert 2 * len(live) <= len(dga)
+        for word in (w for elem in dga.differential for w in elem.words if len(w) > 1):
+            seen[len(live.intersection(word)), len(set(word) - live) > 0] += 1
+            seen["live grading 0"] += any(dga.generators[g].grading == 0 for g in live.intersection(word))
+        got = outcome(validate_dga, dga)
+        assert got == outcome(validate_dga_per_letter, dga), seed
+        seen[got and got[0]] += 1
+    # both outcomes, and long words of cycles only, of one live letter among
+    # cycles and of several live letters, some of them of grading 0
+    assert seen[None] > 50 and seen[D_SQUARED_NONZERO] > 50, seen
+    assert seen[0, True] and seen[1, True] and seen[2, True] and seen["live grading 0"], seen
+
+
+def test_a_torus_file_validates_without_expanding_a_word_of_cycles(monkeypatch):
+    """Every word of T(2,13)'s differential is a product of the cycles b_i, so
+    d² builds no ``Element`` and looks up no letter's differential."""
+    dga = torus_2n_dga(13)
+    built, looked_up = [], []
+
+    class Counted(Element):
+        def __init__(self, words=()):
+            built.append(self)
+            super().__init__(words)
+
+    class Lookups(tuple):
+        def __getitem__(self, i):
+            looked_up.append(i)
+            return super().__getitem__(i)
+
+    monkeypatch.setattr(algebra, "Element", Counted)
+    validate_dga(DGA(dga.generators, Lookups(dga.differential)))
+    assert (built, looked_up) == ([], [])
 
 
 def test_dga_structure_checks():

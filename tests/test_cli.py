@@ -760,10 +760,30 @@ USAGE_ERRORS = [
 
 @pytest.mark.parametrize("argv", USAGE_ERRORS)
 def test_every_subcommand_reports_usage_errors(argv):
+    """The usage line is the subcommand's, also for an unknown option, which
+    argparse reports from the top-level parser."""
     code, out, err = run(*argv)
     lines = err.splitlines()
     assert (code, out) == (1, "")
-    assert lines[0].startswith("usage: legch") and lines[-1].startswith("error: "), err
+    assert lines[0].startswith(f"usage: legch {argv[0]} ") and lines[-1].startswith("error: "), err
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        ([], None),
+        (["frobnicate"], "error: argument command: invalid choice: 'frobnicate'"),
+        (["--bogus"], "error: unrecognized arguments: --bogus"),
+        (["--bogus", "validate", "k.json"], "error: unrecognized arguments: --bogus"),
+    ],
+    ids=["no command", "unknown command", "top-level option", "top-level option before a command"],
+)
+def test_usage_errors_outside_a_command_print_the_top_level_usage(argv, error):
+    code, out, err = run(*argv)
+    lines = err.splitlines()
+    assert (code, out) == (1, "")
+    assert lines[0] == "usage: legch [-h] command ...", err
+    assert lines[-1].startswith(error) if error else len(lines) == 1, err
 
 
 def test_bad_augmentation_index():
