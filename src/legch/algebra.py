@@ -155,23 +155,6 @@ class HeightAssignment(NamedTuple):
         return self.heights[gid]
 
 
-def _image(words: Iterable[Word], d: tuple[Element, ...]) -> set[Word]:
-    """The words of the image of ``words`` under ``d``, as a set; no ``Element`` is built
-    for a one-letter word, whose image is its letter's whole column, toggled in at once."""
-    out: set[Word] = set()
-    longer = []
-    for word in words:
-        if len(word) == 1:
-            out ^= d[word[0]].words
-        else:
-            longer.append(word)
-    if longer:
-        out ^= Element(
-            w[:i] + dw + w[i + 1 :] for w in longer for i, letter in enumerate(w) for dw in d[letter].words
-        ).words
-    return out
-
-
 def format_word(word: Sequence[int], dga: DGA) -> str:
     if not word:
         return "1"
@@ -193,12 +176,13 @@ def validate_dga(dga: DGA) -> None:
     the differential squares to zero on every generator; raise at the first fault,
     checking every grading before any d².  A grading fault names the column's least
     bad word in ``format_element``'s order, so equal columns name the same word.
-    Each column's d² is the set ``_image`` gives, and only the words that hold a
-    letter whose differential is nonzero are expanded, since the others map to
-    zero; an ``Element`` is built only for the message."""
+    d² expands only the words that hold a letter whose differential is nonzero: a
+    one-letter word toggles its letter's whole column in, and the longer ones expand
+    by the Leibniz rule, reduced mod 2 through one ``Element``."""
+    d = dga.differential
     grading_of = [g.grading for g in dga.generators].__getitem__
-    live = {g for g, elem in enumerate(dga.differential) if elem.words}
-    for g, elem in zip(dga.generators, dga.differential):
+    live = {g for g, elem in enumerate(d) if elem.words}
+    for g, elem in zip(dga.generators, d):
         want = g.grading - 1
         for word in elem.words:
             if sum(map(grading_of, word)) != want:  # only on a fault: the least bad word
@@ -208,8 +192,15 @@ def validate_dga(dga: DGA) -> None:
                     f"{sum(map(grading_of, word))}, expected {want}",
                     GRADING_VIOLATION,
                 )
-    for g, elem in zip(dga.generators, dga.differential):
-        dd = _image(filterfalse(live.isdisjoint, elem.words), dga.differential)
+    for g, elem in zip(dga.generators, d):
+        dd, longer = set(), []
+        for word in filterfalse(live.isdisjoint, elem.words):
+            if len(word) == 1:
+                dd ^= d[word[0]].words
+            else:
+                longer.append(word)
+        if longer:
+            dd ^= Element(w[:i] + dw + w[i + 1 :] for w in longer for i, letter in enumerate(w) for dw in d[letter].words).words
         if dd:
             raise StructureError(
                 f"d(d({g.name})) = {format_element(Element(dd), dga)} is nonzero", D_SQUARED_NONZERO

@@ -31,7 +31,6 @@ from legch.algebra import (
     Generator,
     HeightAssignment,
     StructureError,
-    _image,
     format_element,
     format_word,
 )
@@ -195,8 +194,13 @@ def times(a: Element, b: Element) -> Element:
 
 def apply_differential(elem: Element, dga: DGA) -> Element:
     """Extend the generator-level differential by linearity and the Leibniz rule,
-    through ``_image``, the set that ``validate_dga`` reads each column's d² from."""
-    return Element(_image(elem.words, dga.differential))
+    one letter at a time."""
+    out = Element()
+    for word in elem.words:
+        for i, letter in enumerate(word):
+            prefix, suffix = word[:i], word[i + 1 :]
+            out = plus(out, Element(prefix + dw + suffix for dw in dga.differential[letter].words))
+    return out
 
 
 def word_grading(word, dga: DGA) -> int:
@@ -381,16 +385,6 @@ def flood_heights(dga: DGA) -> HeightAssignment:
 # up per letter through the DGA; and the former reading of a knot file's
 # differential, which feeds it
 
-def apply_differential_per_letter(elem: Element, dga: DGA) -> Element:
-    """Extend the generator-level differential by linearity and the Leibniz rule."""
-    out = Element()
-    for word in elem.words:
-        for i, letter in enumerate(word):
-            prefix, suffix = word[:i], word[i + 1 :]
-            out = plus(out, Element(prefix + dw + suffix for dw in dga.differential[letter].words))
-    return out
-
-
 def validate_dga_per_letter(dga: DGA) -> None:
     """Check that every differential word drops the grading by exactly 1 and that
     the differential squares to zero on every generator; raise at the first fault,
@@ -405,7 +399,7 @@ def validate_dga_per_letter(dga: DGA) -> None:
                     GRADING_VIOLATION,
                 )
     for g in dga.generators:
-        dd = apply_differential_per_letter(dga.differential[g.gid], dga)
+        dd = apply_differential(dga.differential[g.gid], dga)
         if dd:
             raise StructureError(
                 f"d(d({g.name})) = {format_element(dd, dga)} is nonzero", D_SQUARED_NONZERO

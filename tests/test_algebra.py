@@ -25,7 +25,6 @@ from legch.fileio import parse_knot_file
 from support import (
     ONE,
     apply_differential,
-    apply_differential_per_letter,
     dga_from_complex,
     dga_of,
     gid_of,
@@ -311,7 +310,7 @@ def test_a_planted_knot_file_validates_and_a_toggled_word_fails_as_before():
     u = (a.gid, b.gid)
     x = Generator(n, "x", a.grading + b.grading)
     y = Generator(n + 1, "y", x.grading + 1)
-    cols = [*dga.differential, apply_differential_per_letter(Element([u]), dga), Element([(x.gid,), u])]
+    cols = [*dga.differential, apply_differential(Element([u]), dga), Element([(x.gid,), u])]
     dga = DGA((*dga.generators, x, y), tuple(cols))
     assert {len(w) for w in cols[y.gid].words} == {1, 2}
 
@@ -343,11 +342,12 @@ def test_a_planted_knot_file_validates_and_a_toggled_word_fails_as_before():
 def dgas_with_an_element(draw):
     """Arbitrary gradings and words, one-letter and longer mixed, and an element
     over the same generators.  Half of the DGAs keep only the words that drop the
-    grading by 1, so that validation reaches d², which need not vanish.
+    grading by 1, and their element only the words of its last word's grading, so
+    that validation reaches d², which need not vanish.
 
     Half of them also get a generator x with d(x) = d(u) for a longer word u,
-    and one above it with d = x + u; the element then holds x and u, so x's whole
-    column cancels u's expansion term by term."""
+    and one above it with d = x + u; the element then ends in x and u, so x's
+    whole column cancels u's expansion term by term."""
     n = draw(st.integers(1, 6))
     letter = st.integers(0, n - 1)
     word = st.one_of(letter.map(lambda g: (g,)), st.lists(letter, max_size=3).map(tuple))
@@ -360,33 +360,52 @@ def dgas_with_an_element(draw):
             words = [w for w in words if sum(gradings[x] for x in w) == k - 1]
         cols.append(Element(words))
     gens = [Generator(i, f"g{i}", k) for i, k in enumerate(gradings)]
-    elem = Element(draw(st.lists(word, max_size=6)))
+    words = draw(st.lists(word, min_size=1, max_size=6))
     if draw(st.booleans()):
         u = draw(st.lists(letter, min_size=2, max_size=3).map(tuple))
         x = Generator(n, f"g{n}", sum(gradings[g] for g in u))
         gens += [x, Generator(n + 1, f"g{n + 1}", x.grading + 1)]
-        cols += [apply_differential_per_letter(Element([u]), DGA(tuple(gens[:n]), tuple(cols))), Element([(n,), u])]
-        elem = plus(elem, cols[-1])
-    return DGA(tuple(gens), tuple(cols)), elem
+        cols += [apply_differential(Element([u]), DGA(tuple(gens[:n]), tuple(cols))), Element([(n,), u])]
+        gradings.append(x.grading)
+        words += [(n,), u]
+    if graded:
+        words = [w for w in words if sum(gradings[x] for x in w) == sum(gradings[x] for x in words[-1])]
+    return DGA(tuple(gens), tuple(cols)), Element(words)
+
+
+def headed_by(elem: Element, dga: DGA) -> DGA:
+    """``dga`` behind a new first generator t with d(t) = ``elem``, every other id
+    one higher.  t's grading is one above the least grading of ``elem``'s words,
+    so when they all share it and ``dga`` passes the grading check,
+    validation reaches d(d(t)) = d(elem) before any other d²."""
+    grading = 1 + min((word_grading(w, dga) for w in elem.words), default=0)
+
+    def shifted(e):
+        return Element(tuple(g + 1 for g in w) for w in e.words)
+
+    gens = [Generator(0, "t", grading), *(g._replace(gid=g.gid + 1) for g in dga.generators)]
+    return DGA(tuple(gens), (shifted(elem), *map(shifted, dga.differential)))
 
 
 @settings(max_examples=300, deadline=None)
 @given(dgas_with_an_element())
 def test_differential_and_validation_match_the_former_code(case):
     dga, elem = case
-    assert apply_differential(elem, dga) == apply_differential_per_letter(elem, dga)
     # the code and the whole message, so a D_SQUARED_NONZERO lists the same words
     assert outcome(validate_dga, dga) == outcome(validate_dga_per_letter, dga)
+    # the element's image, as the d² of a column that validation checks first
+    headed = headed_by(elem, dga)
+    assert outcome(validate_dga, headed) == outcome(validate_dga_per_letter, headed)
 
 
 def test_a_column_cancels_a_longer_words_expansion():
     # d(x) = wz and d(y) = w, so d(x + yz) = wz + wz = 0; d(v) = x + yz + y adds w.
     gens = tuple(Generator(i, name, k) for i, (name, k) in enumerate([("w", 0), ("z", 0), ("y", 1), ("x", 1), ("g", 2), ("v", 2)]))
-    w, z, y, x, g, v = range(6)
+    w, z, y, x, _, v = range(6)
     cols = [Element(), Element(), Element([(w,)]), Element([(w, z)]), Element([(x,), (y, z)]), Element([(x,), (y, z), (y,)])]
     dga = DGA(gens, tuple(cols))
-    assert not apply_differential(cols[g], dga)
-    assert apply_differential(cols[v], dga) == Element([(w,)]) == apply_differential_per_letter(cols[v], dga)
+    without_v = DGA(gens[:v], tuple(cols[:v]))
+    assert outcome(validate_dga, without_v) is None is outcome(validate_dga_per_letter, without_v)
     assert outcome(validate_dga, dga) == (D_SQUARED_NONZERO, "d(d(v)) = w is nonzero")
     assert outcome(validate_dga, dga) == outcome(validate_dga_per_letter, dga)
 
@@ -434,7 +453,7 @@ def dga_with_cycles(rng: Random) -> DGA:
     for _ in range(rng.randint(1, (len(cycles) - len(live)) // 2)):
         u = tuple(rng.choices(cycles + live, k=rng.randint(2, 6)))
         gens = tuple(Generator(i, f"g{i}", k) for i, k in enumerate(gradings))
-        x = add(sum(gradings[g] for g in u), apply_differential_per_letter(Element([u]), DGA(gens, tuple(cols))).words)
+        x = add(sum(gradings[g] for g in u), apply_differential(Element([u]), DGA(gens, tuple(cols))).words)
         pairs.append((add(gradings[x] + 1, [(x,), u]), x))
     if rng.random() < 0.5:
         y, x = rng.choice(pairs)

@@ -162,6 +162,16 @@ SINGLE_FAULTS = {
         "validate",
         "[BAD_SCHEMA] generators[1].name contains '+'",
     ),
+    "empty_name": (
+        lambda k: k["generators"][1].update(name=""),
+        "validate",
+        "[BAD_SCHEMA] generators[1].name must be a nonempty string",
+    ),
+    "grading_not_integer": (
+        lambda k: k["generators"][1].update(grading=0.5),
+        "validate",
+        "[BAD_SCHEMA] generators[1].grading must be an integer",
+    ),
     "generators_not_array": (
         lambda k: k.update(generators={}),
         "validate",
@@ -173,6 +183,7 @@ SINGLE_FAULTS = {
         "[BAD_SCHEMA] 'differential' must be an object",
     ),
     "patches_not_array": (lambda k: k.update(patches={}), "validate", "[BAD_SCHEMA] 'patches' must be an array"),
+    "missing_patches": (lambda k: k.pop("patches"), "validate", "[BAD_SCHEMA] missing required key 'patches'"),
     "heights_not_object": (lambda k: k.update(heights=[]), "validate", "[BAD_SCHEMA] 'heights' must be an object"),
     "ng_resolved_not_boolean": (
         lambda k: k.update(ng_resolved=1),
@@ -215,6 +226,12 @@ SINGLE_FAULTS = {
         "validate",
         "[BAD_SCHEMA] differential['q'] words must be arrays of generator names",
     ),
+    "patch_not_array": (lambda k: k["patches"].append({}), "validate", "[BAD_SCHEMA] patches[2] must be an array of corners"),
+    "corner_not_object": (
+        lambda k: k["patches"][0].append(["q", 1]),
+        "validate",
+        "[BAD_SCHEMA] patches[0] corners must be objects with keys 'name' and 'coeff'",
+    ),
     "unknown_patch_corner": (
         lambda k: k["patches"].append([{"name": "zz", "coeff": 1}]),
         "validate",
@@ -224,6 +241,11 @@ SINGLE_FAULTS = {
         lambda k: k["patches"][0][0].update(name=3),
         "validate",
         "[BAD_SCHEMA] patches[0] corner names must be strings",
+    ),
+    "patch_coefficient_not_integer": (
+        lambda k: k["patches"][0][0].update(coeff=1.5),
+        "validate",
+        "[BAD_SCHEMA] patches[0] coefficient for 'q' must be an integer",
     ),
     "patch_coefficient_3": (
         lambda k: k["patches"][0][0].update(coeff=3),
