@@ -1,6 +1,8 @@
 import json
 import math
 from collections import Counter
+from functools import cache
+from itertools import product
 from random import Random
 
 import pytest
@@ -340,36 +342,54 @@ def test_a_planted_knot_file_validates_and_a_toggled_word_fails_as_before():
 
 @st.composite
 def dgas_with_an_element(draw):
-    """Arbitrary gradings and words, one-letter and longer mixed, and an element
-    over the same generators.  Half of the DGAs keep only the words that drop the
-    grading by 1, and their element only the words of its last word's grading, so
-    that validation reaches d², which need not vanish.
+    """Arbitrary gradings from -1 to 2 and words, one-letter and longer mixed, and
+    an element over the same generators.  Half of the DGAs pass the grading check:
+    each column is drawn, with no word twice, from the words of up to 3 letters
+    that drop its grading by 1, and up to half the letters are cycles.  Their
+    element's words share one grading and hold a letter with a differential where
+    such a word exists, so that validation mostly reaches a nonzero d².
 
     Half of them also get a generator x with d(x) = d(u) for a longer word u,
-    and one above it with d = x + u; the element then ends in x and u, so x's
-    whole column cancels u's expansion term by term."""
-    n = draw(st.integers(1, 6))
+    live where it can be, and one above it with d = x + u; the element then ends
+    in x and u, so x's whole column cancels u's expansion term by term."""
+    graded = draw(st.booleans())
+    n = draw(st.integers(1 + graded, 6))
     letter = st.integers(0, n - 1)
     word = st.one_of(letter.map(lambda g: (g,)), st.lists(letter, max_size=3).map(tuple))
-    gradings = [draw(st.integers(0, 2)) for _ in range(n)]
-    graded = draw(st.booleans())
-    cols = []
-    for k in gradings:
-        words = draw(st.lists(word, max_size=6))
-        if graded:
-            words = [w for w in words if sum(gradings[x] for x in w) == k - 1]
-        cols.append(Element(words))
+    gradings = [draw(st.sampled_from((1, 0, 2, -1))) for _ in range(n)]
+    by_grading = {}
+    for w in product(range(n), repeat=3):
+        for cut in range(4):
+            by_grading.setdefault(sum(gradings[g] for g in w[:cut]), set()).add(w[:cut])
+
+    @cache
+    def word_in(pool):  # one word of pool, one-letter as often as longer
+        pool = sorted(pool)
+        return st.one_of(st.sampled_from([w for w in pool if len(w) == 1] or pool), st.sampled_from(pool))
+
+    def words_of(pool, min_size=0):  # in the graded half, from pool, with no word twice
+        if not graded:
+            return st.lists(word, min_size=min_size, max_size=6)
+        if not pool:
+            return st.just([])
+        return st.lists(word_in(frozenset(pool)), min_size=min_size, max_size=6).map(lambda ws: sorted(set(ws)))
+
+    cycles = draw(st.sets(letter, max_size=n // 2))
+    cols = [Element(draw(words_of(by_grading.get(k - 1), int(graded and g not in cycles)))) for g, k in enumerate(gradings)]
     gens = [Generator(i, f"g{i}", k) for i, k in enumerate(gradings)]
-    words = draw(st.lists(word, min_size=1, max_size=6))
+    live = {k: {w for w in ws if any(cols[g] for g in w)} for k, ws in by_grading.items()}
     if draw(st.booleans()):
-        u = draw(st.lists(letter, min_size=2, max_size=3).map(tuple))
-        x = Generator(n, f"g{n}", sum(gradings[g] for g in u))
-        gens += [x, Generator(n + 1, f"g{n + 1}", x.grading + 1)]
+        longer = sorted(w for ws in live.values() if len(ws) > 1 for w in ws if len(w) > 1) if graded else []
+        u = draw(st.sampled_from(longer) if longer else st.lists(letter, min_size=2, max_size=3).map(tuple))
+        top = sum(gradings[g] for g in u)
+    else:
+        u, top = None, draw(st.sampled_from(sorted(k for k in live if live[k]) or sorted(live)))
+    words = draw(words_of((live[top] or by_grading[top]) - {u}, min_size=1))
+    if u:
+        x = Generator(n, f"g{n}", top)
+        gens += [x, Generator(n + 1, f"g{n + 1}", top + 1)]
         cols += [apply_differential(Element([u]), DGA(tuple(gens[:n]), tuple(cols))), Element([(n,), u])]
-        gradings.append(x.grading)
         words += [(n,), u]
-    if graded:
-        words = [w for w in words if sum(gradings[x] for x in w) == sum(gradings[x] for x in words[-1])]
     return DGA(tuple(gens), tuple(cols)), Element(words)
 
 

@@ -105,37 +105,32 @@ def test_validate_ok():
     assert err == ""
 
 
-def test_validate_rejects_bad_file(tmp_path):
-    bad = tmp_path / "bad.json"
-    bad.write_text(
-        json.dumps(
-            {
-                "generators": [{"name": "q", "grading": 1}],
-                "differential": {"q": [["q"]]},
-                "patches": [],
-            }
-        )
-    )
-    code, out, err = run("validate", str(bad))
-    assert code == 1
-    assert "GRADING_VIOLATION" in err
+NOT_JSON = "[MALFORMED_JSON] not valid JSON: "
 
 
 @pytest.mark.parametrize(
-    "payload",
-    [b"\xff\xfe{", b"[" * 100000 + b"]" * 100000],
-    ids=["invalid_utf8", "deeply_nested"],
+    "payload, command, stderr",
+    [
+        (b"\xff\xfe{", "validate", NOT_JSON + "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+        (b"\xff\xfe{", "distance", NOT_JSON + "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+        (b"[" * 100000 + b"]" * 100000, "validate", NOT_JSON + "nested too deeply"),
+        (b"[" * 100000 + b"]" * 100000, "distance", NOT_JSON + "nested too deeply"),
+        (b"{ not json", "validate", NOT_JSON + "Expecting property name enclosed in double quotes: line 1 column 3 (char 2)"),
+        (b"nope", "distance", NOT_JSON + "Expecting value: line 1 column 1 (char 0)"),
+        (b"[]", "validate", "[BAD_SCHEMA] top level must be a JSON object"),
+    ],
+    ids=[
+        "validate-invalid_utf8", "distance-invalid_utf8", "validate-deeply_nested", "distance-deeply_nested",
+        "validate-not_json", "distance-not_json", "validate-top_level_array",
+    ],
 )
-@pytest.mark.parametrize("command", ["validate", "distance"])
-def test_unreadable_json_is_malformed(tmp_path, command, payload):
-    # validate reads a knot file, distance two barcode files.
+def test_raw_payload_files_report_their_code(tmp_path, payload, command, stderr):
+    # Files that hold no knot or barcode object; validate reads a knot file,
+    # distance two barcode files.
     bad = tmp_path / "bad.json"
     bad.write_bytes(payload)
     files = [str(bad)] if command == "validate" else [str(bad), str(bad)]
-    code, out, err = run(command, *files)
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error: [MALFORMED_JSON]")
+    assert run(command, *files) == (1, "", f"error: {stderr}\n")
 
 
 # One fault per file, each on top of this valid knot file.
@@ -191,6 +186,7 @@ SINGLE_FAULTS = {
         "[BAD_SCHEMA] 'ng_resolved' must be a boolean",
     ),
     "meta_not_object": (lambda k: k.update(meta=[]), "validate", "[BAD_SCHEMA] 'meta' must be an object"),
+    "unknown_top_level_key": (lambda k: k.update(zz=1), "validate", "[BAD_SCHEMA] unknown top-level key 'zz'"),
     "duplicate_name": (
         lambda k: k["generators"].append({"name": "p", "grading": 0}),
         "validate",
@@ -211,6 +207,15 @@ SINGLE_FAULTS = {
         "validate",
         "[UNKNOWN_GENERATOR] heights key 'zz' is not a generator",
     ),
+    "string_height": (lambda k: k["heights"].update(p="1"), "validate", "[BAD_HEIGHT] height of 'p' must be a number"),
+    "boolean_height": (lambda k: k["heights"].update(p=True), "validate", "[BAD_HEIGHT] height of 'p' must be a number"),
+    "zero_height": (lambda k: k["heights"].update(p=0), "validate", "[BAD_HEIGHT] height of 'p' must be positive, got 0"),
+    "negative_height": (
+        lambda k: k["heights"].update(p=-1.5),
+        "validate",
+        "[BAD_HEIGHT] height of 'p' must be positive, got -3/2",
+    ),
+    "missing_height": (lambda k: k["heights"].pop("p"), "validate", "[BAD_HEIGHT] missing height for generator 'p'"),
     "missing_differential": (
         lambda k: k["differential"].pop("p"),
         "validate",

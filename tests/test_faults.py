@@ -34,7 +34,7 @@ CHILD_PROCESS_ONLY = {
 FAULT_TESTS = [
     # the CLI's fault tables and usage errors
     test_cli.test_single_fault_files_report_their_code,
-    test_cli.test_unreadable_json_is_malformed,
+    test_cli.test_raw_payload_files_report_their_code,
     test_cli.test_oversized_numbers_are_malformed_and_fast,
     test_cli.test_missing_file_is_an_input_error,
     test_cli.test_every_subcommand_reports_usage_errors,
@@ -42,13 +42,9 @@ FAULT_TESTS = [
     test_cli.test_barcode_explicit_file_heights_missing,
     test_cli.test_search_bound_is_coded,
     # the parsers' rows
-    test_fileio.test_error_codes,
-    test_fileio.test_the_parser_alone_guards_heights,
     test_fileio.test_the_first_of_two_faults_is_reported,
-    test_fileio.test_name_checks_keep_their_order,
     test_fileio.test_barcode_faults_keep_their_messages_and_order,
     test_fileio.test_barcode_labels_must_be_printable,
-    test_fileio.test_undecodable_input_is_malformed_json,
     test_fileio.test_a_leading_byte_order_mark_is_malformed_json,
     test_fileio.test_float_literals_of_4001_digits_are_malformed,
     # the library's own argument checks

@@ -1,5 +1,5 @@
-"""Growth checks: a stage's ``tracemalloc`` peak at sizes n and 2n, for the
-stages that grow linearly today.  A peak ratio, not a time ratio: it is exact
+"""Growth checks: a stage's ``tracemalloc`` peak at two sizes of its input, for
+the stages that grow linearly today.  A peak ratio, not a time ratio: it is exact
 from run to run, so a stage that starts to hold more than its input fails
 tier-1 even where the benchmark's noise would hide it."""
 
@@ -8,6 +8,7 @@ import tracemalloc
 from random import Random
 
 from legch import cli
+from legch.augment import pick_augmentation
 from legch.fileio import parse_knot_file
 
 from support import gen
@@ -49,3 +50,16 @@ def test_the_augment_listing_takes_memory_flat_in_the_augmentation_count(monkeyp
         code, peaks[n] = peak_of(lambda: cli.cli_dispatch(["augment", "knot.json"], stdout=sink, stderr=io.StringIO()))
         assert (code, sink.lines) == (0, 1 + count)
     assert peaks[15] <= 2 * peaks[13], peaks
+
+
+def test_a_torus_pick_takes_memory_linear_in_the_differential():
+    # T(2,15) has 2.61 times T(2,13)'s differential words and 4 times its
+    # augmentations; its file is loaded before the trace starts, so the peak is
+    # the state graph's, which grows with the words and not with the count.
+    peaks, words = {}, {}
+    for n, count in ((13, 5461), (15, 21845)):
+        dga = parse_knot_file(gen.torus_bytes(n)).dga
+        words[n] = sum(len(elem.words) for elem in dga.differential)
+        (eps, got), peaks[n] = peak_of(lambda: pick_augmentation(dga, 0))
+        assert eps is not None and got == count
+    assert peaks[15] / peaks[13] <= 1.25 * words[15] / words[13], (peaks, words)
