@@ -124,7 +124,7 @@ NOT_JSON = "[MALFORMED_JSON] not valid JSON: "
         "validate-not_json", "distance-not_json", "validate-top_level_array",
     ],
 )
-def test_raw_payload_files_report_their_code(tmp_path, payload, command, stderr):
+def test_unreadable_json_is_malformed(tmp_path, payload, command, stderr):
     # Files that hold no knot or barcode object; validate reads a knot file,
     # distance two barcode files.
     bad = tmp_path / "bad.json"

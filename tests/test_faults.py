@@ -34,7 +34,7 @@ CHILD_PROCESS_ONLY = {
 FAULT_TESTS = [
     # the CLI's fault tables and usage errors
     test_cli.test_single_fault_files_report_their_code,
-    test_cli.test_raw_payload_files_report_their_code,
+    test_cli.test_unreadable_json_is_malformed,
     test_cli.test_oversized_numbers_are_malformed_and_fast,
     test_cli.test_missing_file_is_an_input_error,
     test_cli.test_every_subcommand_reports_usage_errors,
