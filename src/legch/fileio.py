@@ -88,13 +88,16 @@ def format_extended(x) -> str:
 
 def _check_text(text: str, where: str, *args) -> None:
     """Names and labels are printed as they are; no message echoes them.  UTF-8 cannot hold
-    a lone surrogate (JSON's "\\ud800" escape), and a C0 or C1 control character would reach
-    a terminal or an SVG.  Both fail ``isprintable``: only a text that fails it is searched."""
+    a lone surrogate (JSON's "\\ud800" escape), a C0 or C1 control character would reach
+    a terminal or an SVG, and XML 1.0 excludes U+FFFE and U+FFFF.  All fail ``isprintable``:
+    only a text that fails it is searched."""
     if not text.isprintable():
         if any("\ud800" <= c <= "\udfff" for c in text):
             raise StructureError(f"{where.format(*args)} is not valid Unicode", BAD_SCHEMA)
         if any(c < " " or "\x7f" <= c <= "\x9f" for c in text):
             raise StructureError(f"{where.format(*args)} has a control character", BAD_SCHEMA)
+        if "\ufffe" in text or "\uffff" in text:
+            raise StructureError(f"{where.format(*args)} has U+FFFE or U+FFFF, which XML excludes", BAD_SCHEMA)
 
 
 # json's hooks, or ValueError past the bound: only a long literal or one with an exponent can exceed it

@@ -83,6 +83,11 @@ def corpus_argv(command: list[str]) -> list[str]:
     return [command[0], str(corpus.corpus_path(command[1])), *command[2:]]
 
 
+def bar_born_at(literal: str) -> bytes:
+    """A barcode file of one bar born at ``literal``, as written in its JSON text."""
+    return b'{"bars": [{"degree": 0, "birth": %s, "death": "inf"}]}' % literal.encode()
+
+
 def dga_of(generators, differential) -> DGA:
     """A DGA from (name, grading) pairs and each name's words as lists of names,
     unchecked: names must be distinct and every key and letter a generator."""
@@ -130,9 +135,10 @@ def evaluate_at(p: LaurentPolynomial, x) -> Fraction:
 # JSON file mutations, for the fuzz tests
 
 LETTERS = st.sampled_from(["q", "q1", "q3", "a", "b", "zz", ""])
-# control characters for names and labels; no output may hold one but "\n"
-CONTROLS = ["\n", "\x1b", "\x01", "\x7f", "\x85"]
-CONTROL_IN_OUTPUT = re.compile("[\x00-\x09\x0b-\x1f\x7f-\x9f]")
+# control characters, and U+FFFF, which XML 1.0 excludes, for names and labels;
+# no output may hold one but "\n", nor U+FFFE
+CONTROLS = ["\n", "\x1b", "\x01", "\x7f", "\x85", "\uffff"]
+CONTROL_IN_OUTPUT = re.compile("[\x00-\x09\x0b-\x1f\x7f-\x9f\ufffe\uffff]")
 # fresh containers per draw: a later mutation must not leak into the next example
 VALUES = st.one_of(
     st.none(), st.booleans(), st.integers(-2, 3), LETTERS, st.builds(list), st.builds(dict), st.builds(lambda: [[]])
