@@ -85,12 +85,23 @@ def test_cli_output_matches_the_golden_transcript():
         PYTHONPATH=src:tests python -c "import json, test_cli; \\
             test_cli.GOLDEN.write_text(json.dumps(test_cli.golden_transcript(), indent=1, sort_keys=True) + '\\n')"
     """
-    assert cli._build_parser() is cli._build_parser()
     code, out, err = run("barcode", path("trefoil"), "--aug", "2", "--render", "pdf")
     assert (code, out) == (1, "") and "invalid choice: 'pdf'" in err
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     assert golden_transcript() == golden
     for command in golden_commands()[::-1]:
+        code, out, err = run(*corpus_argv(command))
+        assert {"exit": code, "stdout": out, "stderr": err} == golden[" ".join(command)], command
+
+
+def test_one_parser_serves_every_call_in_one_process():
+    """The parser is built once per process, and a usage error on the same
+    arguments just before a golden command changes nothing that command prints."""
+    assert cli._build_parser() is cli._build_parser()
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    for command in golden_commands():
+        code, out, err = run(*corpus_argv(command), "--no-such-option")
+        assert (code, out) == (1, "") and "unrecognized arguments: --no-such-option" in err, command
         code, out, err = run(*corpus_argv(command))
         assert {"exit": code, "stdout": out, "stderr": err} == golden[" ".join(command)], command
 
