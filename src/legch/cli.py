@@ -1,5 +1,5 @@
-"""Command-line interface.  Exit codes: 0 success, 1 input or usage error,
-2 flooding failure."""
+"""Command-line interface.  Exit codes: 0 success, 1 input or usage error, 2 flooding
+failure.  The handlers import augment, persist and metrics, so a command loads only what it runs."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 from .algebra import HeightAssignment, StructureError
-from .augment import _leaves, linearized_differential, pick_augmentation
 from .diagram import area_inequalities, assign_heights, flood
 from .fileio import (
     KnotData,
@@ -20,8 +19,6 @@ from .fileio import (
     render_barcode,
     serialize_barcode_file,
 )
-from .metrics import check_strong_morse, interleaving_distance
-from .persist import Barcode, build_filtered_complex, compute_barcode
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -74,6 +71,7 @@ def _names(kd: KnotData, gids) -> str:
 
 
 def _pick_augmentation(kd: KnotData, index: int):
+    from .augment import pick_augmentation
     eps, count = pick_augmentation(kd.dga, index)
     if not count:
         raise StructureError("this differential admits no augmentation", "NO_AUGMENTATION")
@@ -116,6 +114,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_augment(args) -> int:
+    from .augment import _leaves
     kd = load_knot(args.file)
     pieces = [(f" {g.name}=0", f" {g.name}=1") for g in kd.dga.generators if g.grading == 0]
     count, lines = _leaves(kd.dga, "", pieces)
@@ -129,16 +128,13 @@ def _cmd_augment(args) -> int:
 
 
 def _cmd_linearize(args) -> int:
+    from .augment import linearized_differential
     kd = load_knot(args.file)
     eps = _pick_augmentation(kd, args.aug)
     lin = linearized_differential(kd.dga, eps)
     for g in kd.dga.generators:
-        col = sorted(lin.columns[g.gid])
-        if col:
-            rhs = " + ".join(kd.dga.generators[p].name for p in col)
-        else:
-            rhs = "0"
-        print(f"d({g.name}) = {rhs}")
+        rhs = " + ".join(kd.dga.generators[p].name for p in sorted(lin.columns[g.gid]))
+        print(f"d({g.name}) = {rhs or '0'}")
     return EXIT_OK
 
 
@@ -154,7 +150,9 @@ def _cmd_flood(args) -> int:
     return EXIT_OK
 
 
-def _barcode_for(kd: KnotData, aug_index: int, heights_mode: str | None) -> Barcode:
+def _barcode_for(kd: KnotData, aug_index: int, heights_mode: str | None):
+    from .augment import linearized_differential
+    from .persist import build_filtered_complex, compute_barcode
     eps = _pick_augmentation(kd, aug_index)
     heights = _resolve_heights(kd, heights_mode)
     lin = linearized_differential(kd.dga, eps)
@@ -182,6 +180,7 @@ def _color_enabled() -> bool:
 
 
 def _cmd_distance(args) -> int:
+    from .metrics import interleaving_distance
     b1 = load_barcode(args.barcode1)
     b2 = load_barcode(args.barcode2)
     print(format_extended(interleaving_distance(b1, b2)))
@@ -189,6 +188,7 @@ def _cmd_distance(args) -> int:
 
 
 def _cmd_morse(args) -> int:
+    from .metrics import check_strong_morse
     kd = load_knot(args.file)
     barcode = _barcode_for(kd, args.aug, None)
     report = check_strong_morse(kd.dga, barcode)

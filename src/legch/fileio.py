@@ -17,7 +17,6 @@ from typing import NamedTuple
 from .algebra import BAD_HEIGHT, BAD_SCHEMA  # also the parser's codes
 from .algebra import DGA, Element, Generator, HeightAssignment, StructureError, _scaled, validate_dga
 from .diagram import LagrangianDiagramData
-from .persist import Bar, Barcode
 
 UNKNOWN_GENERATOR = "UNKNOWN_GENERATOR"
 DUPLICATE_NAME = "DUPLICATE_NAME"
@@ -87,10 +86,10 @@ def format_extended(x) -> str:
 # knot files
 
 def _check_text(text: str, where: str, *args) -> None:
-    """Names and labels are printed as they are; no message echoes them.  UTF-8 cannot hold
-    a lone surrogate (JSON's "\\ud800" escape), a C0 or C1 control character would reach
-    a terminal or an SVG, and XML 1.0 excludes U+FFFE and U+FFFF.  All fail ``isprintable``:
-    only a text that fails it is searched."""
+    """Names and labels are printed as they are; no message echoes them.  UTF-8 cannot hold a
+    lone surrogate (JSON's "\\ud800" escape); a C0 or C1 control, a line or paragraph separator or
+    a bidirectional control would reach a terminal or an SVG; XML 1.0 excludes U+FFFE and U+FFFF.
+    All fail ``isprintable``: only a text that fails it is searched."""
     if not text.isprintable():
         if any("\ud800" <= c <= "\udfff" for c in text):
             raise StructureError(f"{where.format(*args)} is not valid Unicode", BAD_SCHEMA)
@@ -98,6 +97,8 @@ def _check_text(text: str, where: str, *args) -> None:
             raise StructureError(f"{where.format(*args)} has a control character", BAD_SCHEMA)
         if "\ufffe" in text or "\uffff" in text:
             raise StructureError(f"{where.format(*args)} has U+FFFE or U+FFFF, which XML excludes", BAD_SCHEMA)
+        if any(c in "\u061c\u200e\u200f\u2028\u2029\u202a\u202b\u202c\u202d\u202e\u2066\u2067\u2068\u2069" for c in text):
+            raise StructureError(f"{where.format(*args)} has a line separator or a bidirectional control", BAD_SCHEMA)
 
 
 # json's hooks, or ValueError past the bound: only a long literal or one with an exponent can exceed it
@@ -277,6 +278,7 @@ def load_knot(path) -> KnotData:
 # barcode files
 
 def parse_barcode_file(data: bytes | str) -> Barcode:
+    from .persist import Bar, Barcode  # imported here, so that a knot command does not load persist
     doc = _load_json(data)
     if not (type(doc) is dict and "bars" in doc and type(doc["bars"]) is list):
         raise StructureError("barcode file must be an object with a 'bars' array", BAD_SCHEMA)

@@ -8,7 +8,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .algebra import BAD_HEIGHT, Generator, HeightAssignment, StructureError, _gids, _scaled
-from .augment import LinearizedComplex
+from .augment import LinearizedComplex  # an annotation only; kept so that `legch distance` loads augment, which perfbench traces
 
 
 class FilteredComplex(NamedTuple):

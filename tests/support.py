@@ -135,10 +135,12 @@ def evaluate_at(p: LaurentPolynomial, x) -> Fraction:
 # JSON file mutations, for the fuzz tests
 
 LETTERS = st.sampled_from(["q", "q1", "q3", "a", "b", "zz", ""])
-# control characters, and U+FFFF, which XML 1.0 excludes, for names and labels;
-# no output may hold one but "\n", nor U+FFFE
-CONTROLS = ["\n", "\x1b", "\x01", "\x7f", "\x85", "\uffff"]
-CONTROL_IN_OUTPUT = re.compile("[\x00-\x09\x0b-\x1f\x7f-\x9f\ufffe\uffff]")
+# the line and paragraph separators and the bidirectional controls that names and labels may not hold
+LINE_AND_BIDI = "\u061c\u200e\u200f\u2028\u2029\u202a\u202b\u202c\u202d\u202e\u2066\u2067\u2068\u2069"
+# control characters, U+FFFF, which XML 1.0 excludes, and those, for names and
+# labels; no output may hold one but "\n", nor U+FFFE
+CONTROLS = ["\n", "\x1b", "\x01", "\x7f", "\x85", "\uffff", *LINE_AND_BIDI]
+CONTROL_IN_OUTPUT = re.compile(f"[\x00-\x09\x0b-\x1f\x7f-\x9f\ufffe\uffff{LINE_AND_BIDI}]")
 # fresh containers per draw: a later mutation must not leak into the next example
 VALUES = st.one_of(
     st.none(), st.booleans(), st.integers(-2, 3), LETTERS, st.builds(list), st.builds(dict), st.builds(lambda: [[]])

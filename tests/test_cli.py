@@ -181,6 +181,11 @@ SINGLE_FAULTS = {
         "barcode",
         "[BAD_SCHEMA] generators[1].name has U+FFFE or U+FFFF, which XML excludes",
     ),
+    "bidirectional_control_name": (  # a right-to-left override would reverse the rest of a printed line
+        lambda k: k.update(json.loads(json.dumps(k).replace('"p"', '"p\\u202e"'))),
+        "augment",
+        "[BAD_SCHEMA] generators[1].name has a line separator or a bidirectional control",
+    ),
     "plus_in_name": (  # bar labels join names with '+', so a sum must not look like a name
         lambda k: k.update(json.loads(json.dumps(k).replace('"p"', '"a+b"'))),
         "validate",

@@ -52,6 +52,7 @@ FAULT_TESTS = [
     test_fileio.test_trefoil_after_rii_needs_an_exact_delta,
     test_persist.test_missing_height_rejected,
     test_records.test_fields_are_read_only,
+    test_records.test_the_package_names_only_its_submodules,
     # every command on the corpus, a flood failure, an index past the last and a file without heights among them
     test_cli.test_cli_output_matches_the_golden_transcript,
 ]

@@ -31,6 +31,7 @@ from support import (
     CONTROL_IN_OUTPUT,
     CONTROLS,
     LETTERS,
+    LINE_AND_BIDI,
     VALUES,
     bar_born_at,
     barcode_of,
@@ -592,6 +593,11 @@ def _labelled(key: str, label: str) -> str:
             BAD_SCHEMA,
             "bars[1].death_label has U+FFFE or U+FFFF, which XML excludes",
         ),
+        (
+            _labelled("birth_label", "q\u2028"),
+            BAD_SCHEMA,
+            "bars[1].birth_label has a line separator or a bidirectional control",
+        ),
     ],
     ids=[
         "top_level_array", "bars_not_array", "no_bars_key",
@@ -600,6 +606,7 @@ def _labelled(key: str, label: str) -> str:
         "bare_infinity_death", "nan_death", "string_infinity_death", "number_label", "array_label", "birth_equal_to_death",
         "birth_after_death", "surrogate_birth_label", "surrogate_death_label", "escape_birth_label",
         "escape_death_label", "c1_control_birth_label", "c1_control_death_label", "noncharacter_death_label",
+        "line_separator_birth_label",
     ],
 )
 def test_barcode_faults_keep_their_messages_and_order(data, code, message):
@@ -615,11 +622,11 @@ def test_barcode_faults_keep_their_messages_and_order(data, code, message):
 
 def test_every_surrogate_and_control_character_fails_isprintable():
     """Names and labels are screened with ``str.isprintable``, and only a text
-    that fails it is searched for the three faults: so every surrogate, every
-    control character, U+FFFE and U+FFFF must fail it.  A text that fails it and
-    holds none of them, such as a no-break or a zero-width space, is still
-    accepted."""
-    faulty = [*range(0x20), *range(0x7F, 0xA0), *range(0xD800, 0xE000), 0xFFFE, 0xFFFF]
+    that fails it is searched for the four faults: so every surrogate, every
+    control character, U+FFFE, U+FFFF, each line or paragraph separator and each
+    bidirectional control must fail it.  A text that fails it and holds none of
+    them, such as a no-break or a zero-width space, is still accepted."""
+    faulty = [*range(0x20), *range(0x7F, 0xA0), *range(0xD800, 0xE000), 0xFFFE, 0xFFFF, *map(ord, LINE_AND_BIDI)]
     assert not any(chr(c).isprintable() for c in faulty)
     label = "q\u00a0\u200b"
     assert not label.isprintable()

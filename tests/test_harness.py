@@ -55,8 +55,32 @@ def test_harness_names_resolve_after_importing_cli_and_corpus():
 
 
 def test_package_import_loads_no_submodule():
-    loaded = run_python("import sys, legch\nprint(sorted(m for m in sys.modules if m.startswith('legch.')))")
-    assert loaded == "[]\n"
+    """``import legch`` loads no submodule, and ``legch.metrics`` loads metrics and what it imports."""
+    loaded = run_python(
+        "import sys, legch\n"
+        "print(sorted(m for m in sys.modules if m.startswith('legch.')))\n"
+        "legch.metrics.interleaving_distance\n"
+        "print(sorted(m for m in sys.modules if m.startswith('legch.')))\n"
+    )
+    assert loaded == "[]\n['legch.algebra', 'legch.augment', 'legch.metrics', 'legch.persist']\n"
+
+
+def test_one_distance_command_loads_every_traced_module(tmp_path):
+    """The traced run reads ``sys.modules["legch.<module>"]`` for each
+    ``COUNTERS`` key after the untraced passes, and ``bottleneck`` runs only
+    ``legch distance``: that command must load every traced module."""
+    bars = tmp_path / "bars.json"
+    bars.write_text('{"bars": [{"degree": 0, "birth": 1, "death": 2}]}')
+    missing = run_python(
+        "import io, sys, legch.cli, legch.corpus\n"
+        "assert legch.cli.cli_dispatch(['distance', sys.argv[1], sys.argv[1]], io.StringIO(), io.StringIO()) == 0\n"
+        "for key in sys.argv[2:]:\n"
+        "    if 'legch.' + key.split('.')[0] not in sys.modules:\n"
+        "        print(key)\n",
+        str(bars),
+        *traced_names(),
+    )
+    assert missing == ""
 
 
 def test_traced_counters_read_attributes_the_library_has():

@@ -1,5 +1,5 @@
 """The public records: value semantics, and a cold import graph that holds
-neither ``dataclasses`` nor ``inspect``.
+neither ``dataclasses`` nor ``inspect`` and, per command, only the modules it runs.
 
 Eleven records are named tuples, so they also have a length, iterate and
 equal a plain tuple of their fields.  ``Element`` and ``DGA`` are not tuples:
@@ -18,6 +18,8 @@ from pathlib import Path
 
 import pytest
 
+import legch
+from legch import corpus
 from legch.algebra import DGA, Element, Generator, HeightAssignment
 from legch.augment import Augmentation, LinearizedComplex
 from legch.diagram import LagrangianDiagramData, Tiering
@@ -130,15 +132,51 @@ def test_element_and_dga_are_not_tuples():
     assert repr(Element([(0,)])) == "Element(words=frozenset({(0,)}))"
 
 
-def test_cold_cli_import_leaves_out_dataclasses_and_inspect():
-    """Each ``legch`` command starts a fresh interpreter, so what
-    ``legch.cli`` imports is paid on every command; pytest imports both
-    modules itself, so only a fresh interpreter can tell."""
+# Each command, and the legch submodules it loads besides algebra, cli, diagram
+# and fileio: the handlers import augment, persist and metrics where they run them.
+COLD_COMMANDS = [
+    (["validate", "trefoil"], []),
+    (["flood", "trefoil"], []),
+    (["augment", "trefoil"], ["augment"]),
+    (["linearize", "trefoil", "--aug", "1"], ["augment"]),
+    (["barcode", "trefoil", "--render", "text"], ["augment", "persist"]),
+    (["morse", "trefoil"], ["augment", "metrics", "persist"]),
+    (["distance", "bars", "bars"], ["augment", "metrics", "persist"]),
+]
+
+
+def test_cold_cli_import_leaves_out_dataclasses_and_inspect(tmp_path):
+    """Each ``legch`` command starts a fresh interpreter, so what it imports is
+    paid on every command; pytest imports every module itself, so only a fresh
+    interpreter can tell.  Per command: its exit code and the legch submodules
+    it loads; then, with ``legch.corpus`` too, whether ``dataclasses`` or
+    ``inspect`` came in."""
+    bars = tmp_path / "bars.json"
+    bars.write_text('{"bars": [{"degree": 0, "birth": 1, "death": 2}]}')
+    paths = {"trefoil": str(corpus.corpus_path("trefoil")), "bars": str(bars)}
     code = (
-        "import sys; before = set(sys.modules); import legch.cli, legch.corpus; "
-        "print(sorted({'dataclasses', 'inspect'} & (sys.modules.keys() - before)))"
+        "import io, sys; before = set(sys.modules)\n"
+        "from legch.cli import cli_dispatch\n"
+        "code = cli_dispatch(sys.argv[1:], io.StringIO(), io.StringIO())\n"
+        "print(code, *sorted(m[6:] for m in sys.modules if m.startswith('legch.')))\n"
+        "import legch.corpus\n"
+        "print(sorted({'dataclasses', 'inspect'} & (sys.modules.keys() - before)))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    loaded, expected = {}, {}
+    for argv, modules in COLD_COMMANDS:
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *[paths.get(arg, arg) for arg in argv]],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded[argv[0]] = proc.stdout
+        expected[argv[0]] = f"0 {' '.join(sorted(['algebra', 'cli', 'diagram', 'fileio', *modules]))}\n[]\n"
+    assert loaded == expected
+
+
+def test_the_package_names_only_its_submodules():
+    """Only a submodule's name resolves on the package; ``__main__``, which would run the CLI, is not one."""
+    with pytest.raises(AttributeError, match="module 'legch' has no attribute 'nosuch'"):
+        legch.nosuch
+    assert not hasattr(legch, "__main__")
