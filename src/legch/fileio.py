@@ -169,6 +169,8 @@ def parse_knot_file(data: bytes | str) -> KnotData:
         _check_text(name, "generators[{}].name", i)
         if "+" in name:  # bar labels join names with '+'
             raise StructureError(f"generators[{i}].name contains '+'", BAD_SCHEMA)
+        if name.split() != [name]:  # the CLI joins names with spaces; split() cuts at each c.isspace()
+            raise StructureError(f"generators[{i}].name contains whitespace", BAD_SCHEMA)
         if type(grading) is not int:
             raise StructureError(f"generators[{i}].grading must be an integer", BAD_SCHEMA)
         gens.append(Generator(i, name, grading))

@@ -36,7 +36,7 @@ from legch.algebra import (
 )
 from legch.augment import Augmentation, enumerate_augmentations, linearized_differential
 from legch.diagram import Tiering, assign_heights, flood
-from legch.fileio import DUPLICATE_NAME, UNKNOWN_GENERATOR, parse_knot_file
+from legch.fileio import DUPLICATE_NAME, UNKNOWN_GENERATOR, KnotData, parse_knot_file
 from legch.metrics import LaurentPolynomial
 from legch.persist import Bar, Barcode, FilteredComplex, build_filtered_complex, compute_barcode
 
@@ -52,9 +52,28 @@ def perfbench_module(name: str):
 gen = perfbench_module("gen")  # the benchmark's seeded inputs and their expected values
 
 
+CORPUS_NAMES = ("unknot", "trefoil", "trefoil_rii", "island")
+
+
+def corpus_file(name: str) -> Path:
+    """The bundled knot file ``name``, next to ``legch/corpus/__init__.py``."""
+    return Path(corpus.__file__).with_name(f"{name}.json")
+
+
 @lru_cache(maxsize=None)
-def load_corpus(name: str):
-    return corpus.load(name)
+def load_corpus(name: str) -> KnotData:
+    return parse_knot_file(corpus_file(name).read_bytes())
+
+
+def trefoil_after_rii(delta: Fraction) -> KnotData:
+    """The trefoil diagram with an extra finger pushed through near q4, creating
+    crossings a (grading 1) and b (grading 0) whose bigon has area ``delta``, an
+    exact number in (0, 1): the shipped trefoil_rii.json (delta = 0.3) with
+    h(a) = 2 + delta."""
+    kd = load_corpus("trefoil_rii")
+    a = gid_of(kd.dga, "a")
+    heights = kd.heights.heights
+    return kd._replace(heights=HeightAssignment(heights[:a] + (2 + delta,) + heights[a + 1 :]))
 
 
 # Acceptance criterion 10's CLI commands, each naming its corpus knot in place
@@ -80,7 +99,7 @@ CRITERION_10_COMMANDS = [
 
 def corpus_argv(command: list[str]) -> list[str]:
     """``command`` with its knot name replaced by the corpus file's path."""
-    return [command[0], str(corpus.corpus_path(command[1])), *command[2:]]
+    return [command[0], str(corpus_file(command[1])), *command[2:]]
 
 
 def bar_born_at(literal: str) -> bytes:

@@ -17,14 +17,15 @@ from legch.augment import (
     linearized_differential,
 )
 from legch.cli import cli_dispatch
-from legch.corpus import trefoil_after_rii
 from legch.diagram import area_inequalities, assign_heights, flood
+from legch.fileio import format_extended
 from legch.metrics import check_strong_morse, interleaving_distance
 from legch.persist import build_filtered_complex, compute_barcode
 
 from support import (
     CRITERION_10_COMMANDS,
     corpus_argv,
+    corpus_file,
     dga_from_complex,
     gid_of,
     homology_rank_oracle,
@@ -32,6 +33,7 @@ from support import (
     planted_complex,
     random_barcode,
     stabilize,
+    trefoil_after_rii,
     triples,
     validate_heights,
     zero_grading_augmentation,
@@ -190,7 +192,7 @@ def test_criterion_6_barcode_oracle_equivalence():
             oracle_agrees(fc, compute_barcode(fc))
 
 
-def test_criterion_7_strand_slide_interleaving():
+def test_criterion_7_strand_slide_interleaving(tmp_path):
     with criterion(7, "slide-move interleaving distance", 1.0):
         trefoil = load_corpus("trefoil")
         rii = load_corpus("trefoil_rii")
@@ -213,6 +215,22 @@ def test_criterion_7_strand_slide_interleaving():
                 (ext,) = [e for e in extensions if e in slid_augs]
                 d = interleaving_distance(barcode_from(trefoil, eps), barcode_from(slid, ext))
                 assert d == delta / 2 <= 2 * delta
+        # The same through the CLI, on file bytes: augmentation 2 is q3 = 1,
+        # q4 = q5 = 0 on the trefoil, and the same with b = 0 after the move.
+        def stdout(*argv):
+            out, err = io.StringIO(), io.StringIO()
+            assert cli_dispatch(list(argv), stdout=out, stderr=err) == 0, err.getvalue()
+            return out.getvalue()
+
+        before, slid, after = tmp_path / "before.json", tmp_path / "slid.json", tmp_path / "after.json"
+        before.write_text(stdout("barcode", str(corpus_file("trefoil")), "--aug", "2"))
+        rii_bytes = corpus_file("trefoil_rii").read_bytes()
+        assert rii_bytes.count(b'"a": 2.3,') == 1
+        for numerator in (1, 2, 3, 5, 8, 12, 16, 19):
+            delta = Fraction(numerator, 20)
+            slid.write_bytes(rii_bytes.replace(b'"a": 2.3,', b'"a": %s,' % format_extended(2 + delta).encode()))
+            after.write_text(stdout("barcode", str(slid), "--aug", "2"))
+            assert stdout("distance", str(before), str(after)) == format_extended(delta / 2) + "\n"
 
 
 def test_criterion_8_stabilization_bound():

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from legch import augment, cli, corpus
+from legch import augment, cli
 from legch.algebra import StructureError
 from legch.cli import cli_dispatch
 from legch.fileio import MAX_NUMBER_DIGITS, load_knot, serialize_barcode_file
@@ -24,10 +24,12 @@ from legch.fileio import MAX_NUMBER_DIGITS, load_knot, serialize_barcode_file
 from support import (
     CONTROL_IN_OUTPUT,
     CONTROLS,
+    CORPUS_NAMES,
     CRITERION_10_COMMANDS,
     FirstTorusOracle,
     bar_born_at,
     corpus_argv,
+    corpus_file,
     gen,
     load_corpus,
     mutate,
@@ -42,7 +44,7 @@ def run(*argv):
 
 
 def path(name):
-    return str(corpus.corpus_path(name))
+    return str(corpus_file(name))
 
 
 GOLDEN = Path(__file__).with_name("cli_golden.json")
@@ -54,7 +56,7 @@ def golden_commands() -> list[list[str]]:
     0, 2, the last index and one past it; last, ``barcode island --heights
     file``, whose file holds no heights."""
     commands = [list(c) for c in CRITERION_10_COMMANDS]
-    for name in corpus.NAMES:
+    for name in CORPUS_NAMES:
         commands += [["validate", name], ["augment", name], ["flood", name], ["barcode", name, "--render", "svg"]]
         last = len(augment.enumerate_augmentations(load_corpus(name).dga)) - 1
         for aug in sorted({0, 2, last, last + 1}):
@@ -122,7 +124,7 @@ KNOT_HEAD = b'{"generators": [{"name": "q", "grading": 1}], "differential": {"q"
         (b"{ not json", "validate", NOT_JSON + "Expecting property name enclosed in double quotes: line 1 column 3 (char 2)"),
         (b"nope", "distance", NOT_JSON + "Expecting value: line 1 column 1 (char 0)"),
         (b"[]", "validate", "[BAD_SCHEMA] top level must be a JSON object"),
-        (b"\xef\xbb\xbf" + corpus.corpus_path("trefoil").read_bytes(), "validate", BOM),
+        (b"\xef\xbb\xbf" + corpus_file("trefoil").read_bytes(), "validate", BOM),
         (b'\xef\xbb\xbf{"bars": []}', "distance", BOM),
         (KNOT_HEAD + b'"heights": {"q": 1e30000000}}', "validate", TOO_LONG),
         (KNOT_HEAD + b'"heights": {"q": 1e-30000000}}', "validate", TOO_LONG),
@@ -190,6 +192,11 @@ SINGLE_FAULTS = {
         lambda k: k.update(json.loads(json.dumps(k).replace('"p"', '"a+b"'))),
         "validate",
         "[BAD_SCHEMA] generators[1].name contains '+'",
+    ),
+    "whitespace_in_name": (  # the CLI joins names with spaces, so "p q" would print as two names
+        lambda k: k.update(json.loads(json.dumps(k).replace('"p"', '"p q"'))),
+        "flood",
+        "[BAD_SCHEMA] generators[1].name contains whitespace",
     ),
     "empty_name": (
         lambda k: k["generators"][1].update(name=""),
@@ -387,7 +394,7 @@ def test_a_process_without_stdout_exits_as_with_one(tmp_path, argv, code):
     # writes nothing, reports nothing and exits as it does with stdout open.
     bars = tmp_path / "bars.json"
     bars.write_text(run("barcode", path("trefoil"), "--aug", "2")[1])
-    argv = [str(bars) if a == "bars" else path(a) if a in corpus.NAMES else a for a in argv]
+    argv = [str(bars) if a == "bars" else path(a) if a in CORPUS_NAMES else a for a in argv]
     assert run(*argv)[0] == code
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     proc = subprocess.run(
@@ -592,7 +599,7 @@ def test_augment_listing_with_few_or_braced_grading_0_generators(tmp_path, gener
 
 def test_svg_labels_are_escaped(tmp_path):
     knot = tmp_path / "knot.json"
-    knot.write_text(corpus.corpus_path("trefoil").read_text(encoding="utf-8").replace('"q3"', '"<b>&"'))
+    knot.write_text(corpus_file("trefoil").read_text(encoding="utf-8").replace('"q3"', '"<b>&"'))
     code, out, err = run("barcode", str(knot), "--aug", "2", "--render", "svg")
     assert (code, err) == (0, "")
     labels = [t.text for t in ET.fromstring(out).iter("{http://www.w3.org/2000/svg}text")]
@@ -730,7 +737,7 @@ NAMES = st.text(st.sampled_from(["a", "b", "é", "<", "&"]), min_size=1, max_siz
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(corpus.NAMES), st.data())
+@given(st.sampled_from(CORPUS_NAMES), st.data())
 def test_every_command_fails_cleanly_on_mutated_knot_files(tmp_path_factory, name, data):
     """A corpus knot with drawn generator names and at most one mutation, through
     all seven commands: no exception, exit 0, 1 or 2, UTF-8 output with no control
@@ -740,10 +747,10 @@ def test_every_command_fails_cleanly_on_mutated_knot_files(tmp_path_factory, nam
     names = data.draw(st.lists(NAMES, min_size=len(old), max_size=len(old), unique=True))
     if data.draw(st.integers(0, 3)) == 0:  # a lone surrogate, which UTF-8 cannot hold
         names[data.draw(st.integers(0, len(old) - 1))] += "\ud800"
-    if data.draw(st.integers(0, 3)) == 0:  # a control character, which a terminal obeys, or U+FFFF
-        names[data.draw(st.integers(0, len(old) - 1))] += data.draw(st.sampled_from(CONTROLS))
+    if data.draw(st.integers(0, 3)) == 0:  # a control character, which a terminal obeys, U+FFFF or whitespace
+        names[data.draw(st.integers(0, len(old) - 1))] += data.draw(st.sampled_from([*CONTROLS, " ", "\xa0", "\u3000"]))
     new = dict(zip(old, map(json.dumps, names)))  # every quoted name, keys and letters too
-    text = re.sub(r'"(\w+)"', lambda m: new.get(m.group(1), m.group(0)), corpus.corpus_path(name).read_text())
+    text = re.sub(r'"(\w+)"', lambda m: new.get(m.group(1), m.group(0)), corpus_file(name).read_text())
     doc = json.loads(text)
     mutate(doc, data, data.draw(st.integers(0, 1)), letters=st.sampled_from(names))
     folder = tmp_path_factory.mktemp("cli_fuzz")

@@ -4,11 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from legch import corpus
 from legch.algebra import HeightAssignment
 from legch.diagram import area_inequalities, assign_heights, flood
 
-from support import flood_by_rescan, load_corpus, random_inequality_system, validate_heights
+from support import CORPUS_NAMES, flood_by_rescan, load_corpus, random_inequality_system, validate_heights
 
 UNKNOT = load_corpus("unknot")
 TREFOIL = load_corpus("trefoil")
@@ -80,7 +79,7 @@ def test_flood_matches_the_rescan_oracle(max_vars, max_forms, min_rounds):
     assert most_rounds >= min_rounds
 
 
-@pytest.mark.parametrize("name", corpus.NAMES)
+@pytest.mark.parametrize("name", CORPUS_NAMES)
 def test_flood_matches_the_rescan_oracle_on_the_corpus(name):
     d = load_corpus(name).diagram
     forms = area_inequalities(d)

@@ -48,8 +48,6 @@ FAULT_TESTS = [
     test_diagram.test_assign_heights_requires_success,
     test_fileio.test_decimal_rendering,
     test_fileio.test_render_unknown_format,
-    test_fileio.test_unknown_corpus_names_and_areas_outside_the_unit_interval_are_rejected,
-    test_fileio.test_trefoil_after_rii_needs_an_exact_delta,
     test_persist.test_missing_height_rejected,
     test_records.test_fields_are_read_only,
     test_records.test_the_package_names_only_its_submodules,

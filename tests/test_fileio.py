@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from legch import corpus
 from legch.algebra import StructureError
 from legch.cli import cli_dispatch
 from legch.fileio import (
@@ -30,16 +29,19 @@ from legch.persist import Bar, Barcode
 from support import (
     CONTROL_IN_OUTPUT,
     CONTROLS,
+    CORPUS_NAMES,
     LETTERS,
     LINE_AND_BIDI,
     VALUES,
     bar_born_at,
     barcode_of,
+    corpus_file,
     differential_per_letter,
     gid_of,
     load_corpus,
     mutate,
     slots,
+    trefoil_after_rii,
 )
 
 UNKNOT = load_corpus("unknot")
@@ -98,7 +100,7 @@ def test_corpus_files_parse():
 @pytest.mark.parametrize(
     "parse, text",
     [
-        (parse_knot_file, corpus.corpus_path("trefoil").read_text(encoding="utf-8")),
+        (parse_knot_file, corpus_file("trefoil").read_text(encoding="utf-8")),
         (parse_barcode_file, '{"bars": []}'),
     ],
     ids=["knot", "barcode"],
@@ -193,11 +195,11 @@ def test_float_literal_forms_read_exactly(literal, value):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from(corpus.NAMES), st.data())
+@given(st.sampled_from(CORPUS_NAMES), st.data())
 def test_mutated_corpus_files_parse_or_fail_with_a_code(name, data):
     """Drop or rename keys, swap value types, rename letters: the parser either
     accepts the file or raises StructureError, never anything else."""
-    doc = json.loads(corpus.corpus_path(name).read_bytes())
+    doc = json.loads(corpus_file(name).read_bytes())
     mutate(doc, data, data.draw(st.integers(1, 3)))
     try:
         assert isinstance(parse_knot_file(json.dumps(doc)), KnotData)
@@ -451,26 +453,8 @@ def test_the_first_of_two_faults_is_reported(tmp_path, doc, stderr):
 
 
 def test_trefoil_rii_file_matches_builder():
-    built = corpus.trefoil_after_rii(Fraction(3, 10))
-    assert built == parse_knot_file(corpus.corpus_path("trefoil_rii").read_bytes())
-
-
-def test_trefoil_after_rii_needs_an_exact_delta():
-    with pytest.raises(TypeError):
-        corpus.trefoil_after_rii(0.3)
-    kd = corpus.trefoil_after_rii("0.3")
-    heights = {g.name: h for g, h in zip(kd.dga.generators, kd.heights.heights)}
-    assert heights["a"] == 2 + Fraction(3, 10)
-
-
-def test_unknown_corpus_names_and_areas_outside_the_unit_interval_are_rejected():
-    with pytest.raises(ValueError) as exc:
-        corpus.corpus_path("nope")
-    assert str(exc.value) == f"unknown corpus knot 'nope'; choose from {corpus.NAMES}"
-    for delta in (0, 1):
-        with pytest.raises(ValueError) as exc:
-            corpus.trefoil_after_rii(delta)
-        assert str(exc.value) == f"delta must lie in (0, 1), got {delta}"
+    built = trefoil_after_rii(Fraction(3, 10))
+    assert built == parse_knot_file(corpus_file("trefoil_rii").read_bytes())
 
 
 # --- barcode files ----------------------------------------------------------------

@@ -3,7 +3,7 @@
 ``legch.corpus``, and its traced run reads attributes of the arguments and
 results of those functions.  These tests pin that contract; they read
 ``perfbench/`` and never run the benchmark.  The last test keeps the library
-to what the CLI, ``scripts/`` and ``perfbench/`` use.
+to what the CLI and ``perfbench/`` use.
 """
 
 import ast
@@ -15,9 +15,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from legch import corpus
-
-from support import perfbench_module
+from support import corpus_file, perfbench_module
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -100,7 +98,7 @@ def test_traced_counters_read_attributes_the_library_has():
         called.add(name)
         return result
 
-    path = corpus.corpus_path("trefoil")
+    path = corpus_file("trefoil")
     kd = call("fileio.parse_knot_file", path.read_bytes())
     call("algebra.validate_dga", kd.dga)
     eps = call("augment.enumerate_augmentations", kd.dga)[2]
@@ -177,10 +175,10 @@ def read_names(tree: ast.AST) -> Counter:
 def test_every_public_library_name_has_a_program_caller():
     """Each public module-level function, class and constant of ``src/legch``,
     and each public method, property and field of its public classes, is read by
-    code in ``src/legch``, ``scripts/`` or ``perfbench/``.  What only tests use
-    belongs in ``tests/support.py``."""
+    code in ``src/legch`` or ``perfbench/``.  What only tests use belongs in
+    ``tests/support.py``."""
     reads = Counter()
-    for folder in ("src/legch", "scripts", "perfbench"):
+    for folder in ("src/legch", "perfbench"):
         for path in sorted((ROOT / folder).rglob("*.py")):
             reads += read_names(ast.parse(path.read_text(encoding="utf-8")))
     unused = []

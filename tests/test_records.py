@@ -19,13 +19,14 @@ from pathlib import Path
 import pytest
 
 import legch
-from legch import corpus
 from legch.algebra import DGA, Element, Generator, HeightAssignment
 from legch.augment import Augmentation, LinearizedComplex
 from legch.diagram import LagrangianDiagramData, Tiering
 from legch.fileio import KnotData
 from legch.metrics import LaurentPolynomial, StrongMorseReport
 from legch.persist import Bar, Barcode, FilteredComplex
+
+from support import corpus_file
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -153,7 +154,7 @@ def test_cold_cli_import_leaves_out_dataclasses_and_inspect(tmp_path):
     ``inspect`` came in."""
     bars = tmp_path / "bars.json"
     bars.write_text('{"bars": [{"degree": 0, "birth": 1, "death": 2}]}')
-    paths = {"trefoil": str(corpus.corpus_path("trefoil")), "bars": str(bars)}
+    paths = {"trefoil": str(corpus_file("trefoil")), "bars": str(bars)}
     code = (
         "import io, sys; before = set(sys.modules)\n"
         "from legch.cli import cli_dispatch\n"
