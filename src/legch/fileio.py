@@ -15,7 +15,7 @@ from itertools import chain
 from typing import NamedTuple
 
 from .algebra import BAD_HEIGHT, BAD_SCHEMA  # also the parser's codes
-from .algebra import DGA, Element, Generator, HeightAssignment, StructureError, _scaled, validate_dga
+from .algebra import DGA, Element, Generator, HeightAssignment, StructureError, _first, validate_dga
 from .diagram import LagrangianDiagramData
 
 UNKNOWN_GENERATOR = "UNKNOWN_GENERATOR"
@@ -88,8 +88,9 @@ def format_extended(x) -> str:
 def _check_text(text: str, where: str, *args) -> None:
     """Names and labels are printed as they are; no message echoes them.  UTF-8 cannot hold a
     lone surrogate (JSON's "\\ud800" escape); a C0 or C1 control, a line or paragraph separator or
-    a bidirectional control would reach a terminal or an SVG; XML 1.0 excludes U+FFFE and U+FFFF.
-    All fail ``isprintable``: only a text that fails it is searched."""
+    a bidirectional control would reach a terminal or an SVG; XML 1.0 excludes U+FFFE and U+FFFF;
+    an invisible format character (category Cf, such as U+200B or U+FEFF) would make two names
+    print alike.  All fail ``isprintable``: only a text that fails it is searched."""
     if not text.isprintable():
         if any("\ud800" <= c <= "\udfff" for c in text):
             raise StructureError(f"{where.format(*args)} is not valid Unicode", BAD_SCHEMA)
@@ -99,6 +100,9 @@ def _check_text(text: str, where: str, *args) -> None:
             raise StructureError(f"{where.format(*args)} has U+FFFE or U+FFFF, which XML excludes", BAD_SCHEMA)
         if any(c in "\u061c\u200e\u200f\u2028\u2029\u202a\u202b\u202c\u202d\u202e\u2066\u2067\u2068\u2069" for c in text):
             raise StructureError(f"{where.format(*args)} has a line separator or a bidirectional control", BAD_SCHEMA)
+        import unicodedata  # here, so that a command whose names all print pays nothing for it
+        if "Cf" in map(unicodedata.category, text):
+            raise StructureError(f"{where.format(*args)} has an invisible format character", BAD_SCHEMA)
 
 
 # json's hooks, or ValueError past the bound: only a long literal or one with an exponent can exceed it
@@ -199,10 +203,12 @@ def parse_knot_file(data: bytes | str) -> KnotData:
         if name not in raw_diff:
             raise StructureError(f"missing differential for generator {name!r}", BAD_SCHEMA)
     resolve = partial(map, index.__getitem__)  # a word's letters, looked up with no Python frame per word
+    single = {name: (gid,) for name, gid in index.items()}.__getitem__  # a one-letter word: one shared tuple
     cols = {}
     for name, words in raw_diff.items():
-        try:
-            cols[name] = Element(map(resolve, words))
+        try:  # a set shorter than the list holds a repeated word, which Element(...) reduces mod 2
+            col = frozenset(map(single, map(_first, words)) if {1}.issuperset(map(len, words)) else map(tuple, map(resolve, words)))
+            cols[name] = Element._of(col) if len(col) == len(words) else Element(map(resolve, words))
         except KeyError as exc:
             raise StructureError(
                 f"differential[{name!r}] uses unknown generator {exc.args[0]!r}", UNKNOWN_GENERATOR
@@ -385,19 +391,16 @@ def _xml_text(s: str) -> str:
 def _render_svg(b: Barcode) -> bytes:
     left, top, row_height, width = 120.0, 24.0, 22.0, 640.0
     span = width - left - 60.0
-    finite_ends = [bar.birth for bar in b.bars]
-    finite_ends += [bar.death for bar in b.bars if bar.finite]
+    finite = [bar.finite for bar in b.bars]
+    finite_ends = [bar.birth for bar in b.bars] + [bar.death for bar, f in zip(b.bars, finite) if f]
+    ratios = [(t.numerator, t.denominator) for t in finite_ends]
     # Divide every end by 2^shift, which is exact, so that the largest converts to
     # a float; shift is 0 unless some end passes about 2^1000.
-    shift = max([0] + [t.numerator.bit_length() - t.denominator.bit_length() - 1000 for t in finite_ends])
-
-    def real(t) -> float:
-        return t.numerator / (t.denominator << shift)
-
-    t_max = max(map(real, finite_ends), default=1.0) * 1.15 or 1.0
-
-    def x(t: float) -> float:
-        return left + span * t / t_max
+    shift = max([0] + [n.bit_length() - d.bit_length() - 1000 for n, d in ratios])
+    reals = [n / (d << shift) for n, d in ratios]
+    t_max = max(reals, default=1.0) * 1.15 or 1.0
+    xs = [left + span * t / t_max for t in reals]  # each end's x once: the births', then the finite deaths'
+    death_xs = iter(xs[len(b.bars):])
 
     height = top * 2 + row_height * max(len(b.bars), 1) + 20.0
     parts = [
@@ -407,43 +410,28 @@ def _render_svg(b: Barcode) -> bytes:
     ]
     axis_y = height - 18.0
     parts.append(
-        f'<line x1="{x(0):.1f}" y1="{axis_y:.1f}" x2="{left + span:.1f}" y2="{axis_y:.1f}" '
+        f'<line x1="{left:.1f}" y1="{axis_y:.1f}" x2="{left + span:.1f}" y2="{axis_y:.1f}" '
         'stroke="black" stroke-width="1"/>'
     )
-    scale = math.lcm(*(t.denominator for t in finite_ends))
-    ticks = {_scaled(t, scale): t for t in (0, *finite_ends)}  # integer keys sort as the ends do
-    for _, t in sorted(ticks.items()):
-        tx = x(real(t))
-        parts.append(
-            f'<line x1="{tx:.1f}" y1="{axis_y - 3:.1f}" x2="{tx:.1f}" '
-            f'y2="{axis_y + 3:.1f}" stroke="black" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{tx:.1f}" y="{axis_y + 14:.1f}" text-anchor="middle">'
-            f"{format_extended(t)}</text>"
-        )
-    for i, bar in enumerate(b.bars):
+    scale = math.lcm(*(d for _, d in ratios))  # integer keys sort as the ends do
+    ticks = {n * (scale // d): (t, tx) for (n, d), t, tx in zip(((0, 1), *ratios), (0, *finite_ends), (left, *xs))}
+    low, high, under = f"{axis_y - 3:.1f}", f"{axis_y + 3:.1f}", f"{axis_y + 14:.1f}"
+    for _, (t, tx) in sorted(ticks.items()):
+        x = f"{tx:.1f}"
+        parts.append(f'<line x1="{x}" y1="{low}" x2="{x}" y2="{high}" stroke="black" stroke-width="1"/>')
+        parts.append(f'<text x="{x}" y="{under}" text-anchor="middle">{format_extended(t)}</text>')
+    for i, (bar, x0, f) in enumerate(zip(b.bars, xs, finite)):
         y = top + row_height * i + row_height / 2
-        x0 = x(real(bar.birth))
-        x1 = left + span + 16.0 if not bar.finite else x(real(bar.death))
+        x1 = next(death_xs) if f else left + span + 16.0
         parts.append(
             f'<line x1="{x0:.1f}" y1="{y:.1f}" x2="{x1:.1f}" y2="{y:.1f}" '
             'stroke="black" stroke-width="4" stroke-linecap="butt"/>'
         )
-        if not bar.finite:
-            parts.append(
-                f'<path d="M {x1:.1f} {y - 5:.1f} L {x1 + 8:.1f} {y:.1f} L {x1:.1f} {y + 5:.1f} Z" '
-                'fill="black"/>'
-            )
-        caption = f"H{bar.degree}"
-        if bar.birth_label:
-            caption += f" {bar.birth_label}"
-        parts.append(
-            f'<text x="{x0 - 6:.1f}" y="{y + 4:.1f}" text-anchor="end">{_xml_text(caption)}</text>'
-        )
+        if not f:
+            parts.append(f'<path d="M {x1:.1f} {y - 5:.1f} L {x1 + 8:.1f} {y:.1f} L {x1:.1f} {y + 5:.1f} Z" fill="black"/>')
+        caption = f"H{bar.degree} {bar.birth_label}" if bar.birth_label else f"H{bar.degree}"
+        parts.append(f'<text x="{x0 - 6:.1f}" y="{y + 4:.1f}" text-anchor="end">{_xml_text(caption)}</text>')
         if bar.death_label:
-            parts.append(
-                f'<text x="{x1 + 6:.1f}" y="{y + 4:.1f}" text-anchor="start">{_xml_text(bar.death_label)}</text>'
-            )
+            parts.append(f'<text x="{x1 + 6:.1f}" y="{y + 4:.1f}" text-anchor="start">{_xml_text(bar.death_label)}</text>')
     parts.append("</svg>")
     return ("\n".join(parts) + "\n").encode("utf-8")

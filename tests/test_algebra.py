@@ -301,7 +301,12 @@ def test_planted_complex_validates_and_a_toggled_word_fails_as_before():
 def test_a_planted_knot_file_validates_and_a_toggled_word_fails_as_before():
     """The toggles above, read from knot-file bytes at n > 2000.  Two more
     generators give one column that mixes one-letter and longer words: u = ab,
-    d(x) = d(u) and d(y) = x + u, so d(d(y)) = d(u) + d(u) = 0."""
+    d(x) = d(u) and d(y) = x + u, so d(d(y)) = d(u) + d(u) = 0.
+
+    A file may list a word more than once, and the parser then reduces the
+    column mod 2 as ``Element(...)`` does.  Here every word of a one-letter
+    column that no column holds is listed twice, then three times, and u is
+    listed three times in y's mixed column; each keeps the file valid."""
     fc, _ = planted_complex(Random(5), max_n=2600)
     dga = dga_from_complex(fc)
     n = len(dga)
@@ -320,6 +325,18 @@ def test_a_planted_knot_file_validates_and_a_toggled_word_fails_as_before():
         return parse_knot_file(json.dumps(knot_doc(d)).encode()).dga
 
     assert read(dga) == dga
+    held = {letter for elem in dga.differential for word in elem.words for letter in word}
+    top = next(g for g in dga.generators if len(dga.differential[g.gid].words) > 1 and g.gid not in held)
+    ones = sorted(dga.differential[top.gid].words)
+    assert {len(w) for w in ones} == {1}
+    for target, words, reduced in [
+        (top, ones * 2, Element()),
+        (top, ones * 3, dga.differential[top.gid]),
+        (y, [(x.gid,), u, u, u], dga.differential[y.gid]),
+    ]:
+        doc = knot_doc(dga)
+        doc["differential"][target.name] = [[dga.generators[g].name for g in w] for w in words]
+        assert parse_knot_file(json.dumps(doc).encode()).dga.differential[target.gid] == Element(words) == reduced
     g, p = next(
         (g, p)
         for g in dga.generators

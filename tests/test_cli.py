@@ -188,6 +188,11 @@ SINGLE_FAULTS = {
         "augment",
         "[BAD_SCHEMA] generators[1].name has a line separator or a bidirectional control",
     ),
+    "format_character_name": (  # a zero-width space would make "p" and "p\u200b" print alike
+        lambda k: k.update(json.loads(json.dumps(k).replace('"p"', '"p\\u200b"'))),
+        "augment",
+        "[BAD_SCHEMA] generators[1].name has an invisible format character",
+    ),
     "plus_in_name": (  # bar labels join names with '+', so a sum must not look like a name
         lambda k: k.update(json.loads(json.dumps(k).replace('"p"', '"a+b"'))),
         "validate",

@@ -1,15 +1,19 @@
+import hashlib
 import io
 import json
 import math
 import re
+import unicodedata
 import xml.etree.ElementTree as ET
 from fractions import Fraction
+from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from legch.algebra import StructureError
+from legch.augment import Augmentation, linearized_differential
 from legch.cli import cli_dispatch
 from legch.fileio import (
     BAD_SCHEMA,
@@ -24,7 +28,7 @@ from legch.fileio import (
     render_barcode,
     serialize_barcode_file,
 )
-from legch.persist import Bar, Barcode
+from legch.persist import Bar, Barcode, build_filtered_complex, compute_barcode
 
 from support import (
     CONTROL_IN_OUTPUT,
@@ -37,6 +41,7 @@ from support import (
     barcode_of,
     corpus_file,
     differential_per_letter,
+    gen,
     gid_of,
     load_corpus,
     mutate,
@@ -499,6 +504,25 @@ def test_barcode_file_bytes():
     assert serialize_barcode_file(Barcode(())) == b'{\n  "bars": []\n}\n'
 
 
+# sha256 of serialize_barcode_file and of the text and SVG renderings of the
+# barcode of gen.planted_complex(Random(7), 3000) at the zero augmentation
+PLANTED_WRITER_DIGESTS = (
+    "6e9030d471ba652e4856e5ad06ded29d956c0b0fc47b3942ef78742de5e1d677",
+    "979952463a985da077cfad9b4dae6dc85eecda04d1e2ae162852fcb222edff11",
+    "f4497c8f8cb8ab8d145dc986e54e5e7737aee75ad6e91e8d87d47177dfc90eff",
+)
+
+
+def test_the_writers_keep_their_bytes_on_a_planted_3000_generator_barcode():
+    """The benchmark's largest barcode, 1800 labelled bars of which 600 are
+    infinite, written by the file writer and both renderers: byte for byte as before."""
+    kd = parse_knot_file(gen.planted_complex(Random(7), 3000)[0])
+    lin = linearized_differential(kd.dga, Augmentation((0,) * len(kd.dga)))
+    barcode = compute_barcode(build_filtered_complex(lin, kd.heights))
+    outputs = serialize_barcode_file(barcode), render_barcode(barcode, "text"), render_barcode(barcode, "svg")
+    assert tuple(hashlib.sha256(out).hexdigest() for out in outputs) == PLANTED_WRITER_DIGESTS
+
+
 def test_barcode_parse_reads_inf_and_labels():
     doc = {"bars": [{"degree": 1, "birth": 1, "death": "inf"}]}
     barcode = parse_barcode_file(json.dumps(doc))
@@ -582,6 +606,11 @@ def _labelled(key: str, label: str) -> str:
             BAD_SCHEMA,
             "bars[1].birth_label has a line separator or a bidirectional control",
         ),
+        (
+            _labelled("death_label", "q\ufeff"),
+            BAD_SCHEMA,
+            "bars[1].death_label has an invisible format character",
+        ),
     ],
     ids=[
         "top_level_array", "bars_not_array", "no_bars_key",
@@ -590,7 +619,7 @@ def _labelled(key: str, label: str) -> str:
         "bare_infinity_death", "nan_death", "string_infinity_death", "number_label", "array_label", "birth_equal_to_death",
         "birth_after_death", "surrogate_birth_label", "surrogate_death_label", "escape_birth_label",
         "escape_death_label", "c1_control_birth_label", "c1_control_death_label", "noncharacter_death_label",
-        "line_separator_birth_label",
+        "line_separator_birth_label", "format_character_death_label",
     ],
 )
 def test_barcode_faults_keep_their_messages_and_order(data, code, message):
@@ -606,13 +635,15 @@ def test_barcode_faults_keep_their_messages_and_order(data, code, message):
 
 def test_every_surrogate_and_control_character_fails_isprintable():
     """Names and labels are screened with ``str.isprintable``, and only a text
-    that fails it is searched for the four faults: so every surrogate, every
-    control character, U+FFFE, U+FFFF, each line or paragraph separator and each
-    bidirectional control must fail it.  A text that fails it and holds none of
-    them, such as a no-break or a zero-width space, is still accepted."""
-    faulty = [*range(0x20), *range(0x7F, 0xA0), *range(0xD800, 0xE000), 0xFFFE, 0xFFFF, *map(ord, LINE_AND_BIDI)]
-    assert not any(chr(c).isprintable() for c in faulty)
-    label = "q\u00a0\u200b"
+    that fails it is searched for the five faults: so every surrogate, every
+    control character, U+FFFE, U+FFFF, each line or paragraph separator, each
+    bidirectional control and each invisible format character (category Cf)
+    must fail it.  A text that fails it and holds none of them, such as a
+    no-break space or a private-use character, is still accepted."""
+    formats = [c for c in range(0x110000) if unicodedata.category(chr(c)) == "Cf"]
+    faulty = [*range(0x20), *range(0x7F, 0xA0), *range(0xD800, 0xE000), 0xFFFE, 0xFFFF, *map(ord, LINE_AND_BIDI), *formats]
+    assert 0x200B in formats and 0xFEFF in formats and not any(chr(c).isprintable() for c in faulty)
+    label = "q\u00a0\ue000"
     assert not label.isprintable()
     doc = {"bars": [{"degree": 0, "birth": 1, "death": 2, "birth_label": label}]}
     assert parse_barcode_file(json.dumps(doc)).bars[0].birth_label == label
