@@ -147,12 +147,13 @@ class DGA(_Record):
 
 
 def _gids(mask: int) -> list[int]:
-    """The set bits of ``mask``, lowest first."""
+    """The set bits of ``mask``, highest first: clearing the top bit costs two
+    big-int operations, the lowest three."""
     gids = []
     while mask:
-        low = mask & -mask
-        gids.append(low.bit_length() - 1)
-        mask ^= low
+        top = mask.bit_length() - 1
+        gids.append(top)
+        mask ^= 1 << top
     return gids
 
 

@@ -53,21 +53,18 @@ def _digits(n: int) -> str:
 def decimal_str(x) -> str:
     """Exact decimal rendering of an int or a Fraction whose denominator
     divides a power of ten; raises otherwise rather than round."""
-    n, d = x.numerator, x.denominator
+    n, d = x.as_integer_ratio()
     if d == 1:
         return "-" + _digits(-n) if n < 0 else _digits(n)
-    twos = fives = 0
-    while d % 2 == 0:
-        d //= 2
-        twos += 1
-    while d % 5 == 0:
-        d //= 5
+    twos = (d & -d).bit_length() - 1
+    rest, fives = d >> twos, 0
+    while rest % 5 == 0:
+        rest //= 5
         fives += 1
-    if d != 1:
+    if rest != 1:
         raise ValueError(f"{x} has no finite decimal expansion")
     places = max(twos, fives)
-    scaled = abs(n) * 10**places // x.denominator
-    digits = _digits(scaled).rjust(places + 1, "0")
+    digits = _digits(abs(n) * 10**places // d).rjust(places + 1, "0")
     sign = "-" if n < 0 else ""
     return f"{sign}{digits[:-places]}.{digits[-places:]}"
 
@@ -420,18 +417,25 @@ def _render_svg(b: Barcode) -> bytes:
         x = f"{tx:.1f}"
         parts.append(f'<line x1="{x}" y1="{low}" x2="{x}" y2="{high}" stroke="black" stroke-width="1"/>')
         parts.append(f'<text x="{x}" y="{under}" text-anchor="middle">{format_extended(t)}</text>')
+    end = left + span + 16.0  # an infinite bar's right end, then its arrow's tip and its label's x
+    infinite_xs = f"{end:.1f}", f"{end + 8:.1f}", f"{end + 6:.1f}"
     for i, (bar, x0, f) in enumerate(zip(b.bars, xs, finite)):
         y = top + row_height * i + row_height / 2
-        x1 = next(death_xs) if f else left + span + 16.0
+        row_y, text_y = f"{y:.1f}", f"{y + 4:.1f}"
+        if f:
+            x1 = next(death_xs)
+            x2, label_x = f"{x1:.1f}", f"{x1 + 6:.1f}"
+        else:
+            x2, tip, label_x = infinite_xs
         parts.append(
-            f'<line x1="{x0:.1f}" y1="{y:.1f}" x2="{x1:.1f}" y2="{y:.1f}" '
+            f'<line x1="{x0:.1f}" y1="{row_y}" x2="{x2}" y2="{row_y}" '
             'stroke="black" stroke-width="4" stroke-linecap="butt"/>'
         )
         if not f:
-            parts.append(f'<path d="M {x1:.1f} {y - 5:.1f} L {x1 + 8:.1f} {y:.1f} L {x1:.1f} {y + 5:.1f} Z" fill="black"/>')
+            parts.append(f'<path d="M {x2} {y - 5:.1f} L {tip} {row_y} L {x2} {y + 5:.1f} Z" fill="black"/>')
         caption = f"H{bar.degree} {bar.birth_label}" if bar.birth_label else f"H{bar.degree}"
-        parts.append(f'<text x="{x0 - 6:.1f}" y="{y + 4:.1f}" text-anchor="end">{_xml_text(caption)}</text>')
+        parts.append(f'<text x="{x0 - 6:.1f}" y="{text_y}" text-anchor="end">{_xml_text(caption)}</text>')
         if bar.death_label:
-            parts.append(f'<text x="{x1 + 6:.1f}" y="{y + 4:.1f}" text-anchor="start">{_xml_text(bar.death_label)}</text>')
+            parts.append(f'<text x="{label_x}" y="{text_y}" text-anchor="start">{_xml_text(bar.death_label)}</text>')
     parts.append("</svg>")
     return ("\n".join(parts) + "\n").encode("utf-8")

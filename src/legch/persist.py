@@ -101,28 +101,22 @@ def compute_barcode(fc: FilteredComplex) -> Barcode:
         if col:
             pivot_owner[col.bit_length() - 1] = j
 
+    names = [g.name for g in fc.generators]
+    gradings = [g.grading for g in fc.generators]
+
     def label(mask: int) -> str:  # mask is over sorted positions
-        return "+".join([fc.generators[g].name for g in sorted(map(order.__getitem__, _gids(mask)))])
+        return "+".join(map(names.__getitem__, sorted(map(order.__getitem__, _gids(mask)))))
 
     keyed = []  # (sort key, bar): ends compare as their scaled heights do
     for j, g in enumerate(order):
-        if reduced[j]:
-            i = order[reduced[j].bit_length() - 1]
-            bar = Bar(
-                degree=fc.generators[i].grading,
-                birth=heights[i],
-                death=heights[g],
-                birth_label=label(reduced[j]),
-                death_label=fc.generators[g].name,
-            )
-            keyed.append(((bar.degree, scaled[i], False, scaled[g], bar.birth_label, bar.death_label), bar))
+        if col := reduced[j]:
+            i = order[col.bit_length() - 1]
+            degree, birth_label, death_label = gradings[i], label(col), names[g]
+            bar = Bar(degree, heights[i], heights[g], birth_label, death_label)
+            keyed.append(((degree, scaled[i], False, scaled[g], birth_label, death_label), bar))
         elif j not in pivot_owner:
-            bar = Bar(
-                degree=fc.generators[g].grading,
-                birth=heights[g],
-                death=math.inf,
-                birth_label=label(combo[j]),
-            )
-            keyed.append(((bar.degree, scaled[g], True, 0, bar.birth_label, ""), bar))
+            degree, birth_label = gradings[g], label(combo[j])
+            bar = Bar(degree, heights[g], math.inf, birth_label)
+            keyed.append(((degree, scaled[g], True, 0, birth_label, ""), bar))
     keyed.sort(key=itemgetter(0))  # by key alone: bars are never compared
     return Barcode(tuple(map(itemgetter(1), keyed)))

@@ -537,6 +537,13 @@ def test_a_torus_file_validates_without_expanding_a_word_of_cycles(monkeypatch):
     assert (built, looked_up) == ([], [])
 
 
+@pytest.mark.parametrize("bits", [(), (0,), (29, 30, 59, 60), (0, 1, 4999)])
+def test_the_set_bits_of_a_mask_come_highest_first(bits):
+    """Sparse masks up to 5000 bits wide, with bits on both sides of the
+    boundaries of CPython's 30-bit digits."""
+    assert algebra._gids(sum(1 << b for b in bits)) == sorted(bits, reverse=True)
+
+
 def test_dga_structure_checks():
     """Names and letters are checked where a DGA enters, in the knot-file parser."""
     for generators, differential, message in [

@@ -1,7 +1,9 @@
 import math
 import re
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
+from operator import xor
 from random import Random
 
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 from legch.algebra import BAD_HEIGHT, Generator, HeightAssignment, StructureError
 from legch.augment import Augmentation, enumerate_augmentations, linearized_differential
+from legch.fileio import parse_knot_file
 from legch.persist import (
     FilteredComplex,
     build_filtered_complex,
@@ -23,6 +26,7 @@ from support import (
     gf2_rank,
     homology_rank_oracle,
     in_degree,
+    linear_part,
     load_corpus,
     persistent_rank_oracle,
     planted_complex,
@@ -295,3 +299,46 @@ def test_rank_of_boundary_equals_finite_bars_one_degree_down():
             m |= 1 << p
         masks.append(m)
     assert gf2_rank(masks) == rank
+
+
+# --- labels -----------------------------------------------------------------
+
+def assert_labels_represent_their_bars(fc, barcode):
+    """The label contract, read from the columns alone: each birth label names
+    distinct generators in id order, all in the bar's degree, whose columns sum
+    to zero, a cycle whose latest generator in (height, id) order has the bar's
+    birth; a finite bar's death label names the one generator, one degree up,
+    whose height ends it, and an infinite bar has none.  Those latest
+    generators and the killers cover every generator once."""
+    gid = {g.name: g.gid for g in fc.generators}
+    heights, gradings = fc.heights.heights, [g.grading for g in fc.generators]
+    ends = []
+    for bar in barcode.bars:
+        ids = [gid[name] for name in bar.birth_label.split("+")]
+        assert ids == sorted(set(ids)), bar
+        assert not reduce(xor, map(fc.columns.__getitem__, ids), frozenset()), bar
+        assert {gradings[i] for i in ids} == {bar.degree}, bar
+        latest = max(ids, key=lambda i: (heights[i], i))
+        assert heights[latest] == bar.birth, bar
+        ends.append(latest)
+        if bar.finite:
+            killer = gid[bar.death_label]
+            assert (heights[killer], gradings[killer]) == (bar.death, bar.degree + 1), bar
+            ends.append(killer)
+        else:
+            assert bar.death_label is None, bar
+    assert sorted(ends) == list(range(len(fc.generators)))
+
+
+def test_labels_are_cycles_born_at_their_bars():
+    # Columns from the linearization oracle, so that no helper of the library's
+    # reduction or linearization builds what the labels are checked against.
+    planted = parse_knot_file(gen.planted_complex(Random(7), 3000)[0])
+    cases = [(planted.dga, planted.heights, Augmentation((0,) * len(planted.dga)))]
+    t27 = torus_2n_dga(7)
+    cases += [(t27, flood_heights(t27), eps) for eps in enumerate_augmentations(t27)]
+    for kd in map(load_corpus, ("unknot", "trefoil", "trefoil_rii")):
+        cases += [(kd.dga, kd.heights, eps) for eps in enumerate_augmentations(kd.dga)]
+    for dga, heights, eps in cases:
+        fc = FilteredComplex(dga.generators, heights, tuple(linear_part(col, eps) for col in dga.differential))
+        assert_labels_represent_their_bars(fc, compute_barcode(fc))
