@@ -9,13 +9,11 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import filterfalse
-from operator import itemgetter, ixor
 from typing import Iterable, NamedTuple, Sequence
 
 Word = tuple[int, ...]
-_first = itemgetter(0)  # a one-letter word's letter
 
 # Codes raised here or in persist; fileio defines those that only its parsers raise.
 BAD_SCHEMA = "BAD_SCHEMA"
@@ -92,18 +90,13 @@ class DGA(_Record):
     names distinct and every letter a generator id.
     """
 
-    _fields = ("generators", "differential")  # its __dict__ holds them and, once read, one_letter and compiled_words
+    _fields = ("generators", "differential")  # its __dict__ holds them and, once read, compiled_words
 
     def __init__(self, generators: tuple[Generator, ...], differential: tuple[Element, ...]):
         vars(self).update(generators=generators, differential=differential)
 
     def __len__(self) -> int:
         return len(self.generators)
-
-    @cached_property
-    def one_letter(self) -> tuple[bool, ...]:
-        """Per generator id, whether its differential is nonzero with one-letter words only."""
-        return tuple(bool(elem.words) and {1}.issuperset(map(len, elem.words)) for elem in self.differential)
 
     @cached_property
     def compiled_words(self) -> tuple[tuple[int, ...], tuple[frozenset[int], ...], tuple[tuple[tuple[int, int, int], ...], ...]]:
@@ -124,11 +117,7 @@ class DGA(_Record):
         order += [g.gid for g in self.generators if g.grading != 0]
         position = sorted(range(len(order)), key=order.__getitem__)
         linears, masks = [], []
-        for elem, single in zip(self.differential, self.one_letter):
-            if single:
-                linears.append(frozenset(map(_first, elem.words)))
-                masks.append(())
-                continue
+        for elem in self.differential:
             linear, words = set(), []
             for word in elem.words:
                 if len(word) == 1:
@@ -155,11 +144,6 @@ def _gids(mask: int) -> list[int]:
         gids.append(top)
         mask ^= 1 << top
     return gids
-
-
-def _scaled(x, scale: int) -> int:
-    """``x`` times ``scale``, for a rational ``x`` whose denominator divides ``scale``."""
-    return x.numerator * (scale // x.denominator)
 
 
 class HeightAssignment(NamedTuple):
@@ -195,16 +179,13 @@ def validate_dga(dga: DGA) -> None:
     the differential squares to zero on every generator; raise at the first fault,
     checking every grading before any d².  A grading fault names the column's least
     bad word in ``format_element``'s order, so equal columns name the same word.
-    A ``one_letter`` column takes C-level passes: its letters' gradings, then d² as
-    the XOR of their columns.  Elsewhere d² expands only the words that hold a live
-    letter: a one-letter word toggles its letter's column in, and longer ones expand
-    by the Leibniz rule, reduced mod 2 through one ``Element``."""
+    d² expands only the words that hold a live letter: a one-letter word toggles its
+    letter's column in, and longer ones expand by the Leibniz rule, reduced mod 2
+    through one ``Element``."""
     d = dga.differential
     grading_of = [g.grading for g in dga.generators].__getitem__
-    for g, elem, single in zip(dga.generators, d, dga.one_letter):
+    for g, elem in zip(dga.generators, d):
         want = g.grading - 1
-        if single and {want}.issuperset(map(grading_of, map(_first, elem.words))):
-            continue
         for word in elem.words:
             if sum(map(grading_of, word)) != want:  # only on a fault: the least bad word
                 word = min((w for w in elem.words if sum(map(grading_of, w)) != want), key=lambda w: (len(w), w))
@@ -214,19 +195,15 @@ def validate_dga(dga: DGA) -> None:
                     GRADING_VIOLATION,
                 )
     live = {g for g, elem in enumerate(d) if elem.words}
-    column = [elem.words for elem in d].__getitem__
-    for g, elem, single in zip(dga.generators, d, dga.one_letter):
-        if single:
-            dd = reduce(ixor, map(column, map(_first, elem.words)), set())
-        else:
-            dd, longer = set(), []
-            for word in filterfalse(live.isdisjoint, elem.words):
-                if len(word) == 1:
-                    dd ^= d[word[0]].words
-                else:
-                    longer.append(word)
-            if longer:
-                dd ^= Element(w[:i] + dw + w[i + 1 :] for w in longer for i, letter in enumerate(w) for dw in d[letter].words).words
+    for g, elem in zip(dga.generators, d):
+        dd, longer = set(), []
+        for word in filterfalse(live.isdisjoint, elem.words):
+            if len(word) == 1:
+                dd ^= d[word[0]].words
+            else:
+                longer.append(word)
+        if longer:
+            dd ^= Element(w[:i] + dw + w[i + 1 :] for w in longer for i, letter in enumerate(w) for dw in d[letter].words).words
         if dd:
             raise StructureError(
                 f"d(d({g.name})) = {format_element(Element(dd), dga)} is nonzero", D_SQUARED_NONZERO

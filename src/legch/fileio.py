@@ -12,10 +12,11 @@ from decimal import Decimal
 from fractions import Fraction
 from functools import partial
 from itertools import chain
+from operator import itemgetter
 from typing import NamedTuple
 
 from .algebra import BAD_HEIGHT, BAD_SCHEMA  # also the parser's codes
-from .algebra import DGA, Element, Generator, HeightAssignment, StructureError, _first, validate_dga
+from .algebra import DGA, Element, Generator, HeightAssignment, StructureError, validate_dga
 from .diagram import LagrangianDiagramData
 
 UNKNOWN_GENERATOR = "UNKNOWN_GENERATOR"
@@ -81,6 +82,9 @@ def format_extended(x) -> str:
 
 # ---------------------------------------------------------------------------
 # knot files
+
+_first = itemgetter(0)  # a one-letter word's letter
+
 
 def _check_text(text: str, where: str, *args) -> None:
     """Names and labels are printed as they are; no message echoes them.  UTF-8 cannot hold a
@@ -340,7 +344,7 @@ def serialize_barcode_file(b: Barcode) -> bytes:
         fields.append(f'"death": {decimal_str(bar.death)}' if bar.finite else '"death": "inf"')
         if bar.death_label is not None:
             fields.append(f'"death_label": {_json_string(bar.death_label)}')
-        fields.append(f'"degree": {decimal_str(bar.degree)}')
+        fields.append(f'"degree": {bar.degree}')  # an int of at most MAX_NUMBER_DIGITS digits
         entries.append("    {\n      " + ",\n      ".join(fields) + "\n    }")
     bars = "[\n" + ",\n".join(entries) + "\n  ]" if entries else "[]"
     return f'{{\n  "bars": {bars}\n}}\n'.encode("utf-8")
@@ -390,7 +394,7 @@ def _render_svg(b: Barcode) -> bytes:
     span = width - left - 60.0
     finite = [bar.finite for bar in b.bars]
     finite_ends = [bar.birth for bar in b.bars] + [bar.death for bar, f in zip(b.bars, finite) if f]
-    ratios = [(t.numerator, t.denominator) for t in finite_ends]
+    ratios = [t.as_integer_ratio() for t in finite_ends]
     # Divide every end by 2^shift, which is exact, so that the largest converts to
     # a float; shift is 0 unless some end passes about 2^1000.
     shift = max([0] + [n.bit_length() - d.bit_length() - 1000 for n, d in ratios])

@@ -7,7 +7,7 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import NamedTuple
 
-from .algebra import BAD_HEIGHT, Generator, HeightAssignment, StructureError, _gids, _scaled
+from .algebra import BAD_HEIGHT, Generator, HeightAssignment, StructureError, _gids
 from .augment import LinearizedComplex  # an annotation only; kept so that `legch distance` loads augment, which perfbench traces
 
 
@@ -67,8 +67,9 @@ def compute_barcode(fc: FilteredComplex) -> Barcode:
     heights = fc.heights.heights
     if len(heights) < len(fc.generators):
         raise StructureError(f"no height assigned to generator id {len(heights)}", BAD_HEIGHT)
-    scale = math.lcm(*(h.denominator for h in heights))
-    scaled = [_scaled(h, scale) for h in heights]  # integers that compare as the heights do
+    ratios = [h.as_integer_ratio() for h in heights]
+    scale = math.lcm(*{d for _, d in ratios})
+    scaled = [n * (scale // d) for n, d in ratios]  # integers that compare as the heights do
     for g, col in zip(fc.generators, fc.columns):
         for p in col:
             if not scaled[p] < scaled[g.gid]:

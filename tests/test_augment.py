@@ -15,6 +15,7 @@ from legch.augment import (
     linearized_differential,
     pick_augmentation,
 )
+from legch.fileio import parse_knot_file
 
 from support import (
     check_chain_complex,
@@ -127,8 +128,11 @@ def test_search_bound_charges_the_work_of_the_state_graph(dga):
 # --- compiled words -----------------------------------------------------------
 
 def test_compiled_words_match_the_counting_oracle_on_the_corpus_and_torus_knots():
+    """The planted n=3000 file's nonzero columns hold one-letter words only, as the parser builds them."""
     dgas = [load_corpus(name).dga for name in ("unknot", "trefoil", "trefoil_rii", "island")]
-    for dga in dgas + [torus_2n_dga(n) for n in range(3, 14)]:
+    planted = parse_knot_file(gen.planted_complex(Random(7), 3000)[0]).dga
+    assert {len(w) for elem in planted.differential for w in elem.words} == {1}
+    for dga in dgas + [torus_2n_dga(n) for n in range(3, 14)] + [planted]:
         assert dga.compiled_words == compiled_words_by_counting(dga)
 
 

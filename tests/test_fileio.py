@@ -143,6 +143,15 @@ def test_largest_accepted_literal_round_trips(largest, too_long):
     assert exc.value.code == MALFORMED_JSON
 
 
+@pytest.mark.parametrize("degree", ["9" * MAX_NUMBER_DIGITS, "-" + "9" * MAX_NUMBER_DIGITS], ids=["largest", "negative"])
+def test_the_largest_accepted_degree_is_written_as_its_digits(degree):
+    barcode = parse_barcode_file(b'{"bars": [{"degree": %s, "birth": 0, "death": "inf"}]}' % degree.encode())
+    assert barcode.bars[0].degree == int(degree)
+    text = serialize_barcode_file(barcode)
+    assert text.splitlines()[-4] == b'      "degree": ' + degree.encode()
+    assert parse_barcode_file(text) == barcode
+
+
 def _digit_run(min_size: int):
     """Digit strings, short ones at random and long ones as runs, up to past the bound."""
     short = st.text("0123456789", min_size=min_size, max_size=12)
